@@ -16,7 +16,7 @@ import numpy as np
 
 from goldgen.dynamics import ModelSpec, PhaseState
 from goldgen.solvers import solve_generation_path
-from goldgen.verify import set_distance
+from goldgen.matching import set_distance
 
 X0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
 V0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])

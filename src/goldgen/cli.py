@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -139,7 +140,9 @@ def cmd_verify(args) -> int:
     names = [args.suite] if args.suite != "all" else list(verify.SUITES)
     all_ok = True
     for name in names:
+        start = time.perf_counter()
         checks = verify.SUITES[name]()
+        elapsed = time.perf_counter() - start
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             print(
@@ -147,6 +150,7 @@ def cmd_verify(args) -> int:
                 f"(residual {c.residual:.3e}, threshold {c.threshold:.3e})"
             )
             all_ok = all_ok and c.passed
+        print(f"{name}: {elapsed:.2f} s")
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -155,6 +159,9 @@ def cmd_period(args) -> int:
         data = np.genfromtxt(args.trajectory, delimiter=",", names=True)
     except OSError as e:
         print(f"period: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    if data.size < 2:  # a one-row file reads as a 0-d record
+        print("period: the CSV needs at least two rows of data", file=sys.stderr)
         return EXIT_CONFIG
     names = [n for n in data.dtype.names if n.startswith("x")]
     times = np.asarray(data["t"], dtype=float)
@@ -170,6 +177,9 @@ def cmd_period(args) -> int:
     except GoldgenError as e:
         print(f"period: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_VERIFY
+    except ValueError as e:  # grid not uniform, or its step does not divide T
+        print(f"period: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps(rep.to_json_dict()))
     return EXIT_OK
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -109,6 +110,12 @@ def parse_config(raw: dict) -> RunConfig:
         if len(pos) != len(vel):
             raise ConfigError("positions/velocities lengths differ")
         cfg.initial = PhaseState(pos, vel, t=cfg.grid.t0)
+        nf = math.factorial(len(pos))
+        for m in cfg.mu:
+            if not 1 <= m <= nf:
+                raise ConfigError(
+                    f"mu={m} out of range [1, {nf}] for {len(pos)} particles"
+                )
     if "model" in raw:
         m = raw["model"]
         a = complex(*m["a"]) if "a" in m else 0.0

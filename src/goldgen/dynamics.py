@@ -158,10 +158,7 @@ def rhs_generation(
 
 
 def _rhs_generation_level(x, v, spec: ModelSpec, sep_tol, level: int) -> np.ndarray:
-    try:
-        _guard_gaps(x, sep_tol, level=level)
-    except CollisionError:
-        raise
+    _guard_gaps(x, sep_tol, level=level)
     n = len(x)
     signs = (-1.0) ** np.arange(1, n + 1)
     y = signs * elem_sym_all(x)
@@ -250,6 +247,8 @@ def integrate(
     out_times = np.asarray(out_times, dtype=float)
     if out_times[0] != t0:
         raise ValueError("output grid must start at the initial time")
+    if np.any(np.diff(out_times) <= 0):
+        raise ValueError("output grid must be strictly increasing")
 
     n = s0.n
     guarded = spec.kind in ("goldfish", "iso_goldfish", "generation")

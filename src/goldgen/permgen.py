@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateZeros, GoldgenError, TreeBudgetExceeded
+from .matching import bottleneck, distance_matrix
 from .polycore import (
     DEFAULT_SEP_TOL,
     MonicPoly,
@@ -250,19 +251,9 @@ def nested_radical_family(
 
 
 def match_poly_sets(a: list[MonicPoly], b: list[MonicPoly]) -> float:
-    """Max coefficient deviation under the optimal pairing of two equal-size
-    polynomial families (greedy on a full distance matrix; sizes <= 8)."""
-    if len(a) != len(b):
-        raise ValueError("family sizes differ")
-    import itertools
-
-    ca = [p.coeffs for p in a]
-    cb = [p.coeffs for p in b]
-    best = np.inf
-    for perm in itertools.permutations(range(len(b))):
-        d = max(
-            float(np.max(np.abs(ca[i] - cb[j]))) for i, j in enumerate(perm)
-        )
-        if d < best:
-            best = d
-    return best
+    """Max coefficient deviation under the best pairing of two equal-size
+    polynomial families: the bottleneck value, i.e. the minimum over all
+    pairings of the largest coefficient difference (exact, any size)."""
+    return bottleneck(
+        distance_matrix([p.coeffs for p in a], [p.coeffs for p in b])
+    )

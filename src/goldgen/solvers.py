@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dynamics import ModelSpec, PhaseState
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     NoPeriodFound,
     TrackingAmbiguity,
 )
+from .matching import distance_matrix, second_best, sum_optimal
 from .permgen import canonical_sort, mu_to_perm
 from .polycore import (
     DEFAULT_SEP_TOL,
@@ -155,24 +155,6 @@ def solve_iso_goldfish_at(
     return zs.zeros
 
 
-def _assignment_costs(prev: np.ndarray, cur: np.ndarray):
-    return np.abs(prev[:, None] - cur[None, :]) ** 2
-
-
-def _second_best_cost(cost: np.ndarray, rows, cols, best: float) -> float:
-    """Exact second-best assignment cost by forbidding each optimal edge."""
-    second = np.inf
-    sentinel = (1.0 + float(cost.max())) * (len(rows) + 1) * 1e6
-    for r, c in zip(rows, cols):
-        forbidden = cost.copy()
-        forbidden[r, c] = sentinel
-        rr, cc = linear_sum_assignment(forbidden)
-        val = forbidden[rr, cc].sum()
-        if val < sentinel:  # assignment avoided the forbidden edge
-            second = min(second, val)
-    return second
-
-
 def track_zeros(
     frames,
     times=None,
@@ -202,11 +184,10 @@ def track_zeros(
     for k in range(1, len(clouds)):
         prev = out[k - 1]
         cur = clouds[k]
-        cost = _assignment_costs(prev, cur)
-        rows, cols = linear_sum_assignment(cost)
-        best = cost[rows, cols].sum()
-        matched = np.empty_like(prev)
-        matched[rows] = cur[cols]
+        cost = distance_matrix(prev, cur) ** 2
+        cols = sum_optimal(cost)
+        best = cost[np.arange(len(cols)), cols].sum()
+        matched = cur[cols]
         disp = np.max(np.abs(matched - prev))
         half_gap = 0.5 * min_pairwise_gap(prev)
         if disp >= half_gap:
@@ -215,7 +196,7 @@ def track_zeros(
                 f"{half_gap:.3e}; refine the time grid"
             )
         if len(prev) > 1:
-            second = _second_best_cost(cost, rows, cols, best)
+            second = second_best(cost, cols)
             if second - best <= ambiguity_tol * max(1.0, best):
                 raise TrackingAmbiguity(
                     f"frame {k}: ambiguous matching (gap "
@@ -245,19 +226,13 @@ def _seed_labeled_path(
         ]
         path = track_zeros(clouds, times=grid)
         # shift labels so the first frame equals the given ordering of x0
-        perm = _match_to(path.values[0], state0.x)
+        perm = np.argsort(
+            sum_optimal(distance_matrix(path.values[0], state0.x) ** 2)
+        )
         xs = path.values[:, perm]
         vs = _fd_velocities(grid, xs)
         return LabeledPath(grid, xs), vs
     raise ValueError(f"seed kind {spec.kind!r} has no closed-form path")
-
-
-def _match_to(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    cost = np.abs(src[:, None] - dst[None, :]) ** 2
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(src), dtype=int)
-    perm[cols] = rows
-    return perm
 
 
 def _fd_velocities(grid: np.ndarray, xs: np.ndarray) -> np.ndarray:

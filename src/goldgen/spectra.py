@@ -169,11 +169,7 @@ def eig_small(m: np.ndarray, opts: RootOptions | None = None) -> SpectrumReport:
     opts_local = RootOptions(
         root_tol=max(opts.root_tol, 1e-10), sep_tol=0.0, seed=opts.seed
     )
-    try:
-        zs = zeros_from_coeffs(p, opts_local)
-        lam = zs.zeros
-    except DegenerateZeros:
-        raise
+    lam = zeros_from_coeffs(p, opts_local).zeros
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     resid = max(abs(eval_poly(p, z)[0]) for z in lam) / scale
     order = np.lexsort((lam.imag, lam.real))

@@ -15,6 +15,7 @@ import numpy as np
 from . import dynamics, permgen, polycore, solvers, spectra
 from .dynamics import ModelSpec, PhaseState
 from .errors import DegenerateZeros
+from .matching import set_distance
 
 
 @dataclass
@@ -26,18 +27,6 @@ class Check:
     @property
     def passed(self) -> bool:
         return self.residual < self.threshold
-
-
-def set_distance(a, b) -> float:
-    """Max matched distance between two same-size point clouds under the
-    optimal assignment."""
-    from scipy.optimize import linear_sum_assignment
-
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
 
 
 def _random_zero_sets(rng, count, n_range=(2, 8), sep=1e-3):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ class TestSimulate:
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p)]) == 2
 
+    def test_mu_out_of_range_is_config_error(self, tmp_path):
+        raw = dict(
+            BASE_SIM,
+            mu=[7],
+            model={"kind": "generation", "seed_kind": "linear_seed", "depth": 1},
+            initial={"positions": [[1.0, 0.0], [-1.0, 0.0]],
+                     "velocities": [[0.0, 0.1], [0.0, -0.1]]},
+            output=str(tmp_path / "x.csv"),
+        )
+        cfg = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSolve:
     def test_iso_goldfish_closed_form(self, tmp_path):
@@ -201,12 +215,28 @@ class TestSolve:
         cfg = write_config(tmp_path, raw)
         assert main(["solve", "--config", cfg]) == 2
 
+    def test_mu_out_of_range_is_config_error(self, tmp_path, capsys):
+        raw = dict(
+            BASE_SIM,
+            mu=[2, 7],
+            model={"kind": "generation", "seed_kind": "linear_seed", "depth": 2},
+            output=str(tmp_path / "x.csv"),
+        )
+        cfg = write_config(tmp_path, raw)
+        assert main(["solve", "--config", cfg]) == 2
+        assert "mu=7 out of range [1, 6]" in capsys.readouterr().err
+
 
 class TestVerifyAndPeriod:
     def test_verify_identities_passes(self, capsys):
         assert main(["verify", "identities"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_verify_prints_suite_wall_time(self, capsys):
+        assert main(["verify", "hermite"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert re.fullmatch(r"hermite: \d+\.\d\d s", last)
 
     def test_verify_rejects_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:
@@ -233,6 +263,22 @@ class TestVerifyAndPeriod:
         p = tmp_path / "path.csv"
         p.write_text("\n".join(lines) + "\n")
         assert main(["period", str(p), "--period", "1.0", "--p-max", "5"]) == 1
+
+    def test_period_one_row_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text("t,x1_re,x1_im\n0,1,0\n")
+        assert main(["period", str(p), "--period", "1.0"]) == 2
+        assert capsys.readouterr().err.startswith("period: ")
+
+    def test_period_grid_mismatch_is_config_error(self, tmp_path, capsys):
+        uniform = np.linspace(0.0, 10.0, 101)
+        for ts, period in ((uniform, "0.25"), (uniform**2 / 10.0, "1.0")):
+            lines = ["t,x1_re,x1_im"]
+            lines += [f"{t:.17g},{np.cos(t):.17g},0" for t in ts]
+            p = tmp_path / "path.csv"
+            p.write_text("\n".join(lines) + "\n")
+            assert main(["period", str(p), "--period", period]) == 2
+            assert capsys.readouterr().err.startswith("period: ")
 
     def test_period_missing_file_is_config_error(self, tmp_path):
         assert main(["period", str(tmp_path / "nope.csv"),

@@ -175,6 +175,12 @@ class TestIntegrator:
             dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,
                           out_times=[0.5, 1.0])
 
+    def test_grid_must_increase(self):
+        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
+        for grid in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0, out_times=grid)
+
     def test_iso_goldfish_periodicity(self):
         # omega=2: base period pi; labeled positions recur up to a permutation,
         # and the coefficient path recurs exactly

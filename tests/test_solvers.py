@@ -6,7 +6,7 @@ from goldgen import polycore as pc
 from goldgen import solvers as sv
 from goldgen.errors import DegenerateModes, NoPeriodFound, TrackingAmbiguity
 from goldgen.permgen import canonical_sort
-from goldgen.verify import set_distance
+from goldgen.matching import set_distance
 
 X0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
 V0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
