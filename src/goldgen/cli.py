@@ -164,8 +164,14 @@ def cmd_period(args) -> int:
         print("period: the CSV needs at least two rows of data", file=sys.stderr)
         return EXIT_CONFIG
     names = [n for n in data.dtype.names if n.startswith("x")]
+    n = max(1, len(names) // 2)
+    needed = ["t"] + [f"x{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
+    missing = [c for c in needed if c not in data.dtype.names]
+    if missing:
+        print(f"period: the CSV lacks column(s) {', '.join(missing)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     times = np.asarray(data["t"], dtype=float)
-    n = len(names) // 2
     values = np.empty((len(times), n), dtype=np.complex128)
     for i in range(1, n + 1):
         values[:, i - 1] = data[f"x{i}_re"] + 1j * data[f"x{i}_im"]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
+import jsonschema.exceptions
 import numpy as np
 
 from .dynamics import IntegratorOptions, ModelSpec, PhaseState
@@ -21,6 +23,14 @@ class ConfigError(Exception):
 def _schema() -> dict:
     text = resources.files("goldgen").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The schema's validator, built (and the schema checked) once."""
+    schema = _schema()
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
 
 
 def pairs_to_complex(pairs) -> np.ndarray:
@@ -86,10 +96,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config rejected by schema: {e.message}") from e
+    # best_match picks the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config rejected by schema: {error.message}") from error
 
     cfg = RunConfig()
     cfg.n = int(raw.get("n", 2))

@@ -190,13 +190,13 @@ def build_initial_state(seed_state: PhaseState, mu, sep_tol: float = DEFAULT_SEP
     """
     # imported here to avoid a cycle at module import time
     from .permgen import apply_mu
-    from .polycore import MonicPoly, r_matrix, zeros_from_coeffs
+    from .polycore import MonicPoly, canonical_order, r_matrix, zeros_from_coeffs
 
     mu = tuple(int(m) for m in mu)
     x = np.asarray(seed_state.x, dtype=np.complex128)
     v = np.asarray(seed_state.v, dtype=np.complex128)
     for j, mu_j in enumerate(mu):
-        order = np.lexsort((x.imag, x.real))
+        order = canonical_order(x)
         y = apply_mu(mu_j, x[order])
         y_dot = apply_mu(mu_j, v[order])
         try:

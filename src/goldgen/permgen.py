@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateZeros, GoldgenError, TreeBudgetExceeded
+from .errors import DegenerateZeros, TreeBudgetExceeded
 from .matching import bottleneck, distance_matrix
 from .polycore import (
     DEFAULT_SEP_TOL,
     MonicPoly,
     RootOptions,
     ZeroSet,
+    canonical_order,
+    zeros_batch,
     zeros_from_coeffs,
 )
 
@@ -46,8 +48,7 @@ def canonical_sort(zs) -> np.ndarray:
     np.fill_diagonal(d, np.inf)
     if d.min() <= sep:
         raise DegenerateZeros("cannot canonically order near-coincident zeros")
-    order = np.lexsort((x.imag, x.real))
-    return x[order]
+    return x[canonical_order(x)]
 
 
 def mu_to_perm(mu: int, n: int) -> tuple[int, ...]:
@@ -152,8 +153,10 @@ def generation_tree(
 ) -> GenerationTree:
     """Expand the generation tree to the given depth.
 
-    `prefix` restricts expansion to addresses starting with it.  Degenerate
-    branches are recorded in `tree.failed` and not expanded further.
+    `prefix` restricts expansion to addresses starting with it.  Each level
+    is root-extracted in one batched solve.  Branches whose solve fails
+    (degenerate or unconverged zeros) are recorded in `tree.failed` and not
+    expanded further.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -172,25 +175,33 @@ def generation_tree(
             f"tree would hold ~{count} nodes, budget is {node_budget}"
         )
 
+    opts = opts or RootOptions()
     root = seed_node(seed, opts)
     tree = GenerationTree(seed=root, depth=depth)
     frontier = [root]
     for k in range(1, depth + 1):
-        nxt = []
-        for parent in frontier:
-            if len(prefix) >= k:
-                mus = [prefix[k - 1]]
-            else:
-                mus = range(1, nf + 1)
-            for mu in mus:
-                try:
-                    child = generation_step(parent, mu, opts)
-                except GoldgenError as e:
-                    tree.failed[parent.address + (mu,)] = str(e)
-                    continue
-                tree.nodes[child.address] = child
-                nxt.append(child)
-        frontier = nxt
+        mus = [prefix[k - 1]] if len(prefix) >= k else range(1, nf + 1)
+        perms = np.array([mu_to_perm(mu, n) for mu in mus]) - 1
+        addresses = [parent.address + (mu,) for parent in frontier for mu in mus]
+        if not addresses:
+            break
+        # one batched solve for the whole level: row (parent, mu) holds the
+        # mu-th ordering of the parent's canonically sorted zeros
+        coeffs = np.concatenate(
+            [canonical_sort(parent.zeros)[perms] for parent in frontier]
+        )
+        zeros, errors = zeros_batch(coeffs, opts)
+        seps = opts.sep_tol * np.maximum(1.0, np.abs(coeffs).max(axis=1))
+        frontier = []
+        for i, address in enumerate(addresses):
+            if i in errors:
+                tree.failed[address] = str(errors[i])
+                continue
+            node = GenerationNode(
+                address, MonicPoly(coeffs[i]), ZeroSet(zeros[i], sep_tol=seps[i])
+            )
+            tree.nodes[address] = node
+            frontier.append(node)
     return tree
 
 

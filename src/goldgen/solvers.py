@@ -1,9 +1,10 @@
 """Algebraic solution paths for the solvable hierarchy.
 
 Closed forms for the linear two-mode seed and the isochronous goldfish
-model, lifting of a solved seed path through generation layers by repeated
-root extraction, continuity-based zero tracking (optimal assignment
-between consecutive frames), and numerical period detection.
+model, lifting of a solved seed path through generation layers by root
+extraction (one batched solve per layer over the whole time grid),
+continuity-based zero tracking (a nearest-zero certificate per frame, with
+optimal assignment where it fails), and numerical period detection.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .errors import (
 from .matching import distance_matrix, second_best, sum_optimal
 from .permgen import canonical_sort, mu_to_perm
 from .polycore import (
-    DEFAULT_SEP_TOL,
     MonicPoly,
     RootOptions,
+    canonical_order,
     min_pairwise_gap,
-    zeros_from_coeffs,
+    zeros_batch,
 )
 
 DEFAULT_PERIOD_TOL = 1e-6
@@ -54,12 +55,12 @@ class LabeledPath:
         cols = ["t"] + [
             f"x{i}_{p}" for i in range(1, self.n + 1) for p in ("re", "im")
         ]
-        lines = [",".join(cols)]
-        for t, row in zip(self.times, self.values):
-            out = [f"{t:.17g}"]
-            for z in row:
-                out += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            lines.append(",".join(out))
+        table = np.empty((len(self.times), len(cols)))
+        table[:, 0] = self.times
+        table[:, 1::2] = self.values.real
+        table[:, 2::2] = self.values.imag
+        row = ",".join(["%.17g"] * len(cols))  # same digits as format(v, ".17g")
+        lines = [",".join(cols)] + [row % tuple(r) for r in table.tolist()]
         return "\n".join(lines) + "\n"
 
 
@@ -82,7 +83,8 @@ def solve_linear_seed(
 ) -> PhaseState:
     """Exact two-mode solution of xddot = (i - a) xdot + ia_sign * i a x.
 
-    For ia_sign=+1 the characteristic roots are exactly {i, -a}.
+    For ia_sign=+1 the characteristic roots are exactly {i, -a}.  `t` may
+    be an array: grid[:, None] gives the whole path, one row per time.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     v0 = np.asarray(v0, dtype=np.complex128)
@@ -105,6 +107,40 @@ def solve_linear_seed(
     return PhaseState(x, v, t)
 
 
+def _solved(coeff_rows, opts: RootOptions) -> np.ndarray:
+    """Zeros of every row, raising the first row's failure."""
+    zeros, errors = zeros_batch(coeff_rows, opts)
+    if errors:
+        raise next(iter(errors.values()))
+    return zeros
+
+
+def _iso_goldfish_zeros(x0, v0, omega: float, times, opts: RootOptions) -> np.ndarray:
+    """Isochronous goldfish zero sets at every time, one batched solve."""
+    x0 = np.asarray(x0, dtype=np.complex128)
+    v0 = np.asarray(v0, dtype=np.complex128)
+    times = np.asarray(times, dtype=float)
+    if min_pairwise_gap(x0) <= opts.sep_tol:
+        raise DegenerateZeros("initial positions not well separated")
+    if omega == 0.0:
+        weight = times.astype(np.complex128)
+        recur = times == 0.0
+    else:
+        phase = np.exp(1j * omega * times) - 1.0
+        weight = phase / (1j * omega)
+        # t a multiple of the base period: the configuration recurs
+        recur = (times == 0.0) | (np.abs(phase) < 1e-12)
+    # monic coefficients of prod_j (z - x0_j) - weight * sum_l v0_l prod_{j != l} (z - x0_j)
+    direction = sum(v0[l] * np.poly(np.delete(x0, l)) for l in range(len(x0)))
+    rows = np.poly(x0)[1:] - weight[:, None] * direction
+    out = np.empty((len(times), len(x0)), dtype=np.complex128)
+    if recur.any():
+        out[recur] = canonical_sort(x0)
+    if not recur.all():
+        out[~recur] = _solved(rows[~recur], opts)
+    return out
+
+
 def solve_iso_goldfish_at(
     x0,
     v0,
@@ -122,37 +158,64 @@ def solve_iso_goldfish_at(
     with the omega=0 (plain goldfish) limit replacing the bracket by 1/t.
     Returned canonically ordered; semantically unordered.
     """
-    opts = opts or RootOptions()
-    x0 = np.asarray(x0, dtype=np.complex128)
-    v0 = np.asarray(v0, dtype=np.complex128)
-    n = len(x0)
-    if min_pairwise_gap(x0) <= opts.sep_tol:
-        raise DegenerateZeros("initial positions not well separated")
-    if t == 0.0:
-        return canonical_sort(x0)
-    if omega == 0.0:
-        cpole = 1.0 / t
-    else:
-        phase = np.exp(1j * omega * t) - 1.0
-        if abs(phase) < 1e-12:
-            # t is a multiple of the base period: the configuration recurs
-            return canonical_sort(x0)
-        cpole = 1j * omega / phase
-    # full product prod_j (z - x0_j), descending powers, length n+1
-    full = np.array([1.0 + 0j])
-    for xj in x0:
-        full = np.convolve(full, [1.0 + 0j, -xj])
-    coeffs = -cpole * full
-    w = v0
-    for l in range(n):
-        part = np.array([1.0 + 0j])
-        for j in range(n):
-            if j != l:
-                part = np.convolve(part, [1.0 + 0j, -x0[j]])
-        coeffs[1:] += w[l] * part
-    monic = coeffs[1:] / coeffs[0]
-    zs = zeros_from_coeffs(MonicPoly(monic), opts)
-    return zs.zeros
+    return _iso_goldfish_zeros(x0, v0, omega, [t], opts or RootOptions())[0]
+
+
+def _certify(clouds: np.ndarray, ambiguity_tol: float):
+    """Nearest-zero pairing of every frame k-1 with frame k, and whether it
+    is certified to be the one optimal assignment would choose.
+
+    Let d be the largest distance from a zero of frame k-1 to its nearest
+    zero of frame k, and g the smallest gap in frame k-1.  If d < g/2 the
+    nearest zeros form a permutation.  Any other pairing changes the
+    partner of at least two zeros, and each new partner is at least g - d
+    away where the nearest is at most d, so its total squared cost exceeds
+    the nearest pairing's by at least 2 ((g - d)^2 - d^2) = 2 g (g - 2 d).
+    A frame is certified when that bound clears twice the ambiguity
+    threshold plus the rounding in the summed costs; optimal assignment
+    would then pick the same pairing and pass the same checks.
+    """
+    n = clouds.shape[1]
+    prev, cur = clouds[:-1], clouds[1:]
+    dist = np.abs(prev[:, :, None] - cur[:, None, :])
+    nearest = dist.argmin(axis=2)
+    near = dist.min(axis=2)
+    d = near.max(axis=1)
+    own = np.abs(prev[:, :, None] - prev[:, None, :])
+    own += np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+    g = own.min(axis=(1, 2))  # inf for a single zero
+    best = (near**2).sum(axis=1)
+    is_perm = (np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)
+    margin = 2.0 * g * (g - 2.0 * d)
+    rounding = 16.0 * n * np.finfo(float).eps * (best + n * dist.max(axis=(1, 2)) ** 2)
+    ok = (
+        is_perm
+        & (d < 0.5 * g)
+        & (margin > 2.0 * ambiguity_tol * np.maximum(1.0, best) + rounding)
+    )
+    return nearest, ok
+
+
+def _assign(prev, cur, k: int, ambiguity_tol: float) -> np.ndarray:
+    """Sum-optimal pairing of the labelled zeros `prev` with frame k's
+    zeros `cur` (row i goes to column cols[i]), or TrackingAmbiguity."""
+    cost = distance_matrix(prev, cur) ** 2
+    cols = sum_optimal(cost)
+    best = cost[np.arange(len(cols)), cols].sum()
+    disp = np.max(np.abs(cur[cols] - prev))
+    half_gap = 0.5 * min_pairwise_gap(prev)
+    if disp >= half_gap:
+        raise TrackingAmbiguity(
+            f"frame {k}: displacement {disp:.3e} >= half gap "
+            f"{half_gap:.3e}; refine the time grid"
+        )
+    if len(prev) > 1:
+        second = second_best(cost, cols)
+        if second - best <= ambiguity_tol * max(1.0, best):
+            raise TrackingAmbiguity(
+                f"frame {k}: ambiguous matching (gap {second - best:.3e})"
+            )
+    return cols
 
 
 def track_zeros(
@@ -162,47 +225,38 @@ def track_zeros(
 ) -> LabeledPath:
     """Label the zeros of a polynomial path by continuity.
 
-    `frames` is a sequence of MonicPoly or of zero vectors, one per grid
-    time.  Labels start from the canonical order of the first frame and
-    propagate by minimal-total-squared-distance matching between
-    consecutive frames.  Raises TrackingAmbiguity when the matching is not
+    `frames` is a sequence of MonicPoly (solved in one batch) or of zero
+    vectors, or a (T, N) array of zeros, one frame per grid time.  Labels
+    start from the canonical order of the first frame and propagate by
+    minimal-total-squared-distance matching between consecutive frames.
+    A frame whose nearest-zero pairing is certified optimal (see
+    `_certify`) takes it directly; any other frame is matched by optimal
+    assignment.  Raises TrackingAmbiguity when the matching is not
     well-posed: the best and second-best matchings nearly tie, or some
     label moves farther than half the previous frame's minimum gap.
     """
-    clouds = []
-    for f in frames:
-        if isinstance(f, MonicPoly):
-            clouds.append(zeros_from_coeffs(f).zeros)
-        else:
-            clouds.append(np.asarray(f, dtype=np.complex128))
-    if len(clouds) < 2:
+    if len(frames) < 2:
         raise TrackingAmbiguity("need at least two frames to track")
+    if isinstance(frames[0], MonicPoly):
+        clouds = _solved(np.array([f.coeffs for f in frames]), RootOptions())
+    else:
+        clouds = np.asarray(frames, dtype=np.complex128)
     if times is None:
         times = np.arange(len(clouds), dtype=float)
-    out = np.empty((len(clouds), len(clouds[0])), dtype=np.complex128)
-    out[0] = canonical_sort(clouds[0])
+    canonical_sort(clouds[0])  # raises on near-coincident zeros
+    # label -> index into each frame; composed on lists, cheaper than numpy
+    # for a handful of labels
+    idx = canonical_order(clouds[0]).tolist()
+    order = [idx]
+    nearest, certified = _certify(clouds, ambiguity_tol)
+    nearest, certified = nearest.tolist(), certified.tolist()
     for k in range(1, len(clouds)):
-        prev = out[k - 1]
-        cur = clouds[k]
-        cost = distance_matrix(prev, cur) ** 2
-        cols = sum_optimal(cost)
-        best = cost[np.arange(len(cols)), cols].sum()
-        matched = cur[cols]
-        disp = np.max(np.abs(matched - prev))
-        half_gap = 0.5 * min_pairwise_gap(prev)
-        if disp >= half_gap:
-            raise TrackingAmbiguity(
-                f"frame {k}: displacement {disp:.3e} >= half gap "
-                f"{half_gap:.3e}; refine the time grid"
-            )
-        if len(prev) > 1:
-            second = second_best(cost, cols)
-            if second - best <= ambiguity_tol * max(1.0, best):
-                raise TrackingAmbiguity(
-                    f"frame {k}: ambiguous matching (gap "
-                    f"{second - best:.3e})"
-                )
-        out[k] = matched
+        if certified[k - 1]:
+            idx = [nearest[k - 1][i] for i in idx]
+        else:
+            idx = _assign(clouds[k - 1][idx], clouds[k], k, ambiguity_tol).tolist()
+        order.append(idx)
+    out = np.take_along_axis(clouds, np.array(order), axis=1)
     return LabeledPath(times=np.asarray(times, dtype=float), values=out)
 
 
@@ -212,18 +266,10 @@ def _seed_labeled_path(
     """Closed-form seed path plus its velocity path (labels = components)."""
     grid = np.asarray(grid, dtype=float)
     if spec.kind == "linear_seed":
-        xs = np.empty((len(grid), state0.n), dtype=np.complex128)
-        vs = np.empty_like(xs)
-        for i, t in enumerate(grid):
-            st = solve_linear_seed(state0.x, state0.v, spec.a, spec.ia_sign, t)
-            xs[i] = st.x
-            vs[i] = st.v
-        return LabeledPath(grid, xs), vs
+        st = solve_linear_seed(state0.x, state0.v, spec.a, spec.ia_sign, grid[:, None])
+        return LabeledPath(grid, st.x), st.v
     if spec.kind == "iso_goldfish":
-        clouds = [
-            solve_iso_goldfish_at(state0.x, state0.v, spec.omega, t, opts)
-            for t in grid
-        ]
+        clouds = _iso_goldfish_zeros(state0.x, state0.v, spec.omega, grid, opts)
         path = track_zeros(clouds, times=grid)
         # shift labels so the first frame equals the given ordering of x0
         perm = np.argsort(
@@ -250,23 +296,17 @@ def solve_generation_path(
 
     Level 0 is the closed-form seed path.  At each level the coefficient
     path is the level's permutation of the previous labeled path, with the
-    permutation fixed at t=0 and carried by the labels; the zeros are then
-    root-extracted per time and continuity-tracked.
+    permutation fixed at t=0 and carried by the labels; the zeros of all
+    times are then extracted in one batched solve and continuity-tracked.
     """
     opts = opts or RootOptions()
     mu = tuple(int(m) for m in mu)
     grid = np.asarray(grid, dtype=float)
     path, _ = _seed_labeled_path(seed_spec, seed_state0, grid, opts)
     for mu_j in mu:
-        first = path.values[0]
-        order = np.lexsort((first.imag, first.real))
-        perm = np.asarray([p - 1 for p in mu_to_perm(mu_j, path.n)])
-        label_order = order[perm]
-        coeff_path = path.values[:, label_order]
-        clouds = []
-        for row in coeff_path:
-            clouds.append(zeros_from_coeffs(MonicPoly(row), opts).zeros)
-        path = track_zeros(clouds, times=grid)
+        perm = np.asarray(mu_to_perm(mu_j, path.n)) - 1
+        label_order = canonical_order(path.values[0])[perm]
+        path = track_zeros(_solved(path.values[:, label_order], opts), times=grid)
     return path
 
 

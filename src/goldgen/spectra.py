@@ -172,5 +172,5 @@ def eig_small(m: np.ndarray, opts: RootOptions | None = None) -> SpectrumReport:
     lam = zeros_from_coeffs(p, opts_local).zeros
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     resid = max(abs(eval_poly(p, z)[0]) for z in lam) / scale
-    order = np.lexsort((lam.imag, lam.real))
-    return SpectrumReport(eigenvalues=lam[order], max_residual=float(resid))
+    # zeros_from_coeffs returns the zeros in canonical (re, im) order
+    return SpectrumReport(eigenvalues=lam, max_residual=float(resid))

@@ -1,6 +1,7 @@
 import json
 import re
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -43,6 +44,22 @@ class TestConfigParsing:
         bad["initial"]["positions"][0] = [1.0]  # not a [re, im] pair
         with pytest.raises(cfgmod.ConfigError):
             cfgmod.parse_config(bad)
+
+    def test_checked_in_schema_is_valid(self):
+        jsonschema.Draft202012Validator.check_schema(cfgmod._schema())
+
+    @pytest.mark.parametrize("bad", [
+        dict(BASE_SIM, model={"kind": "nonsense"}),
+        dict(BASE_SIM, grid={"t0": 0.0, "dt_out": "fast"}),
+        dict(BASE_SIM, extra=1),
+        {"initial": {"positions": [[1.0]], "velocities": [[0.0, 0.0]]}},
+    ])
+    def test_schema_message_matches_jsonschema_validate(self, bad):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, cfgmod._schema())
+        with pytest.raises(cfgmod.ConfigError) as got:
+            cfgmod.parse_config(bad)
+        assert str(got.value) == f"config rejected by schema: {want.value.message}"
 
     def test_length_mismatch(self):
         bad = json.loads(json.dumps(BASE_SIM))
@@ -106,6 +123,16 @@ class TestGenerate:
              "output": str(tmp_path / "tree.json")},
         )
         assert main(["generate", "--config", cfg]) == 3
+
+    def test_overflowing_seed_is_numeric_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"seed_coeffs": [[1e120, 0.0], [1e200, 0.0], [1.0, 0.0]], "depth": 1,
+             "output": str(tmp_path / "tree.json")},
+        )
+        assert main(["generate", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("generate: RootSolveFailed: ")
+        assert not (tmp_path / "tree.json").exists()
 
     def test_budget_exceeded_is_numeric_error(self, tmp_path):
         cfg = write_config(
@@ -279,6 +306,14 @@ class TestVerifyAndPeriod:
             p.write_text("\n".join(lines) + "\n")
             assert main(["period", str(p), "--period", period]) == 2
             assert capsys.readouterr().err.startswith("period: ")
+
+    @pytest.mark.parametrize("header", ["time,x1_re,x1_im", "t,x1_re,x2_im",
+                                        "t,y1_re,y1_im"])
+    def test_period_missing_column_is_config_error(self, tmp_path, capsys, header):
+        p = tmp_path / "path.csv"
+        p.write_text(header + "\n0,1,0\n1,1,0\n2,1,0\n")
+        assert main(["period", str(p), "--period", "1.0"]) == 2
+        assert capsys.readouterr().err.startswith("period: ")
 
     def test_period_missing_file_is_config_error(self, tmp_path):
         assert main(["period", str(tmp_path / "nope.csv"),

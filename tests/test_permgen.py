@@ -137,6 +137,25 @@ class TestGenerationTree:
         assert set(tree.nodes) == {(1,)}
         assert set(tree.failed) == {(2,)}
 
+    def test_level_batch_matches_single_steps(self):
+        tree = pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j, 0.3j]), depth=2)
+        assert len(tree.nodes) == 6 + 36 and not tree.failed
+        for addr, node in tree.nodes.items():
+            parent = tree.seed if len(addr) == 1 else tree.nodes[addr[:-1]]
+            single = pg.generation_step(parent, addr[-1])
+            np.testing.assert_array_equal(node.poly.coeffs, single.poly.coeffs)
+            np.testing.assert_allclose(node.zeros.zeros, single.zeros.zeros,
+                                       atol=1e-12)
+
+    def test_failed_branch_message_matches_single_step(self):
+        from goldgen.polycore import RootOptions
+
+        opts = RootOptions(sep_tol=1e-6)
+        tree = pg.generation_tree(MonicPoly([-3.0, 2.0]), depth=1, opts=opts)
+        with pytest.raises(DegenerateZeros) as exc:
+            pg.generation_step(tree.seed, 2, opts)
+        assert tree.failed[(2,)] == str(exc.value)
+
     def test_json_schema_fields(self):
         tree = pg.generation_tree(MonicPoly([1.0, -1.0]), depth=1)
         d = json.loads(tree.to_json())

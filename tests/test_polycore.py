@@ -1,12 +1,13 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldgen import polycore as pc
-from goldgen.errors import DegenerateZeros
+from goldgen.errors import DegenerateZeros, RootSolveFailed
 
 
 def brute_elem_sym(z, m):
@@ -306,3 +307,133 @@ class TestIdentityResiduals:
         p = pc.coeffs_from_zeros(z)
         res = pc.identity_residuals(p, pc.ZeroSet(z))
         assert abs(res["identity1"] - res["identity2"]) < 1e-13
+
+
+def _lattice_zeros(rng, batch, n):
+    """(batch, n) zero sets with gaps of at least 0.3 relative to their size:
+    distinct cells of a 4x4 lattice of spacing 0.5, jittered, then scaled
+    and shifted per row.  Sizes stay near 1 because the tolerances scale
+    with max(1, max_k |y_k|), not with the size of the zeros."""
+    cells = np.array([rng.choice(16, n, replace=False) for _ in range(batch)])
+    z = 0.5 * (cells % 4 + 1j * (cells // 4)) - (0.75 + 0.75j)
+    z = z + 0.1 * (rng.uniform(-1, 1, z.shape) + 1j * rng.uniform(-1, 1, z.shape))
+    size = 10.0 ** rng.uniform(-0.3, 0.3, (batch, 1))
+    shift = rng.uniform(-1, 1, (batch, 1)) + 1j * rng.uniform(-1, 1, (batch, 1))
+    return size * (z + shift)
+
+
+class TestBatchRoots:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    def test_batch_matches_wrapper_and_numpy(self, n, batch, seed):
+        from goldgen.matching import set_distance
+
+        rng = np.random.default_rng(seed)
+        coeffs = np.array([np.poly(z)[1:] for z in _lattice_zeros(rng, batch, n)])
+        zeros, errors = pc.zeros_batch(coeffs)
+        assert errors == {}
+        for row, got in zip(coeffs, zeros):
+            size = max(1.0, float(np.max(np.abs(got))))
+            single = pc.zeros_from_coeffs(pc.MonicPoly(row)).zeros
+            assert set_distance(got, single) <= 1e-10 * size
+            assert set_distance(got, np.roots(np.concatenate(([1.0], row)))) <= 1e-10 * size
+            # rows come back in canonical order
+            np.testing.assert_array_equal(got, got[pc.canonical_order(got)])
+
+    def test_canonical_order_rowwise(self):
+        x = np.array([[1 + 2j, 1 - 1j, -3 + 0j], [0j, -1j, 1j]])
+        order = pc.canonical_order(x)
+        np.testing.assert_array_equal(order, [[2, 1, 0], [1, 0, 2]])
+
+    def test_bad_rows_reported_per_row(self):
+        good = np.poly([1.0, 2.0])[1:]
+        double = np.poly([-1.0, -1.0])[1:]
+        huge = [1e200, 1e300]  # residual cannot reach root_tol * scale
+        coeffs = np.array([good, double, good, huge], dtype=complex)
+        zeros, errors = pc.zeros_batch(coeffs, pc.RootOptions(sep_tol=1e-6))
+        assert sorted(errors) == [1, 3]
+        assert isinstance(errors[1], DegenerateZeros)
+        assert isinstance(errors[3], RootSolveFailed)
+        np.testing.assert_allclose(zeros[0], [1.0, 2.0], atol=1e-12)
+        np.testing.assert_array_equal(zeros[0], zeros[2])
+
+    def test_large_coefficients_are_rescaled(self):
+        # zeros of z^10 + 1e40 have modulus 1e4, but z^10 overflows near
+        # a start radius of 1e40: the power-of-two substitution avoids it
+        coeffs = np.zeros(10, dtype=complex)
+        coeffs[-1] = 1e40
+        # sep_tol * scale is absolute (scale = 1e40): keep it below the gaps
+        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), pc.RootOptions(sep_tol=1e-40))
+        np.testing.assert_allclose(np.abs(zs.zeros), 1e4, rtol=1e-12)
+        np.testing.assert_allclose(zs.zeros**10, -1e40, rtol=1e-10)
+
+    def test_overflowing_coefficients_raise(self):
+        with pytest.raises(RootSolveFailed):
+            pc.zeros_from_coeffs(pc.MonicPoly([1e120, 1e200, 1.0]))
+
+    def test_stall_raises(self):
+        p = pc.coeffs_from_zeros([0.3, -0.7 + 0.2j, 0.5j])
+        with pytest.raises(RootSolveFailed, match="stalled"):
+            pc.zeros_from_coeffs(p, pc.RootOptions(max_sweeps=1))
+
+
+def _mp_poly(coeffs):
+    return [mpmath.mpc(1)] + [mpmath.mpc(c.real, c.imag) for c in coeffs]
+
+
+def _mp_residual(coeffs, x) -> float:
+    """Exact-arithmetic |p(x)| of the float coefficients at a float point."""
+    return float(abs(mpmath.polyval(_mp_poly(coeffs), mpmath.mpc(x.real, x.imag))))
+
+
+def _mp_zeros(coeffs) -> np.ndarray:
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(_mp_poly(coeffs), maxsteps=200, extraprec=200)
+    return np.array([complex(r) for r in roots])
+
+
+class TestRootFinderOracle:
+    """mpmath at 60 digits pins the finder's documented guarantees: a
+    returned zero set has residual <= root_tol * scale in exact arithmetic,
+    lies close to the true zeros and has gap > sep_tol * scale; otherwise
+    the finder raises."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_wilkinson(self, n):
+        from goldgen.matching import set_distance
+
+        coeffs = np.poly(np.arange(1, n + 1))[1:].astype(complex)
+        scale = float(np.max(np.abs(coeffs)))
+        opts = pc.RootOptions()
+        if n >= 11:
+            # double-precision Horner cannot certify these residuals
+            with pytest.raises(RootSolveFailed):
+                pc.zeros_from_coeffs(pc.MonicPoly(coeffs), opts)
+            return
+        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), opts)
+        with mpmath.workdps(60):
+            assert max(_mp_residual(coeffs, x) for x in zs.zeros) <= opts.root_tol * scale
+        assert set_distance(zs.zeros, _mp_zeros(coeffs)) <= 1e-8
+        assert pc.min_pairwise_gap(zs.zeros) > opts.sep_tol * scale
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8])
+    @pytest.mark.parametrize("sep_tol", [1e-8, 1e-6])
+    def test_clustered(self, delta, sep_tol):
+        from goldgen.matching import set_distance
+
+        coeffs = np.poly([1 + delta, 1 - delta, -0.5 + 1j, -0.5 - 1j, 0.3j])[1:]
+        scale = max(1.0, float(np.max(np.abs(coeffs))))
+        opts = pc.RootOptions(sep_tol=sep_tol)
+        truth = _mp_zeros(coeffs)
+        try:
+            zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), opts)
+        except DegenerateZeros:
+            # refused only when the true pair really is within sep_tol * scale
+            # (up to the rounding spread of a double zero, ~1e-8 here)
+            assert pc.min_pairwise_gap(truth) <= sep_tol * scale + 1e-7
+            return
+        with mpmath.workdps(60):
+            assert max(_mp_residual(coeffs, x) for x in zs.zeros) <= opts.root_tol * scale
+        assert pc.min_pairwise_gap(zs.zeros) > sep_tol * scale
+        # a pair at distance 2 delta is resolved to ~ eps / delta
+        assert set_distance(zs.zeros, truth) <= 1e-15 / delta + 1e-12

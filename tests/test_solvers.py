@@ -4,7 +4,12 @@ import pytest
 from goldgen import dynamics as dyn
 from goldgen import polycore as pc
 from goldgen import solvers as sv
-from goldgen.errors import DegenerateModes, NoPeriodFound, TrackingAmbiguity
+from goldgen.errors import (
+    DegenerateModes,
+    NoPeriodFound,
+    RootSolveFailed,
+    TrackingAmbiguity,
+)
 from goldgen.permgen import canonical_sort
 from goldgen.matching import set_distance
 
@@ -191,3 +196,95 @@ class TestDetectPeriod:
         path = self._cos_path(1, 1.5)
         with pytest.raises(ValueError):
             sv.detect_period(path, T=1.511, p_max=3)
+
+
+def _tracked(frames, **kw):
+    """track_zeros' labelled values, or the type and message it raised."""
+    try:
+        return sv.track_zeros(frames, **kw).values
+    except TrackingAmbiguity as e:
+        return type(e), str(e)
+
+
+def _forced_assignment(monkeypatch, frames, **kw):
+    """The same call with every frame left uncertified, so each one goes
+    through optimal assignment and its second-best check."""
+    real = sv._certify
+
+    def uncertified(clouds, tol):
+        return real(clouds, tol)[0], np.zeros(len(clouds) - 1, dtype=bool)
+
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_certify", uncertified)
+        return _tracked(frames, **kw)
+
+
+def _shuffled_path(rng, n, frames, step):
+    """Zeros moving on smooth curves, each frame in random order."""
+    ts = np.arange(frames) * step
+    base = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    speed = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    z = base + 0.5 * np.exp(1j * ts[:, None]) * speed + 0.1 * ts[:, None] * speed
+    return [row[rng.permutation(n)] for row in z]
+
+
+class TestCertifiedTracking:
+    def test_matches_forced_assignment(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 5, 7):
+            for step in (0.01, 0.05, 0.2):
+                frames = _shuffled_path(rng, n, 80, step)
+                got = _tracked(frames)
+                want = _forced_assignment(monkeypatch, frames)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("frames", [
+        # antipodal pair turning by pi/2 per frame: the matchings tie
+        [np.array([np.exp(1j * t), -np.exp(1j * t)]) for t in (0.0, 0.3, 0.3 + np.pi / 2)],
+        # a jump past half the gap
+        [np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.array([1.0j, -1.0j])],
+        # near tie within the half-gap limit: the two pairings of {1, -1}
+        # with {e + iy, -e - iy} differ in cost by 8e = 8e-13
+        [np.array([1.0, -1.0]), np.array([1e-13 + 3e-7j, -1e-13 - 3e-7j])],
+    ])
+    def test_same_error_as_forced_assignment(self, monkeypatch, frames):
+        got = _tracked(frames)
+        assert isinstance(got, tuple) and got[0] is TrackingAmbiguity
+        assert got == _forced_assignment(monkeypatch, frames)
+
+    def test_near_tie_is_an_ambiguity(self):
+        frames = [np.array([1.0, -1.0]), np.array([1e-13 + 3e-7j, -1e-13 - 3e-7j])]
+        with pytest.raises(TrackingAmbiguity, match="ambiguous matching"):
+            sv.track_zeros(frames)
+
+    def test_uncertified_frame_still_accepted(self, monkeypatch):
+        # moving one zero by delta leaves a second-best margin of 8 + 4 delta
+        # while the certificate proves only 8 - 8 delta: with an ambiguity
+        # threshold of 5 the frame needs the assignment and passes it
+        frames = [np.array([1.0, -1.0]), np.array([1.05, -1.0]), np.array([1.1, -1.0])]
+        calls = []
+        real = sv._assign
+        monkeypatch.setattr(sv, "_assign", lambda *a: calls.append(a[2]) or real(*a))
+        got = _tracked(frames, ambiguity_tol=5.0)
+        assert calls == [1, 2]
+        np.testing.assert_array_equal(got, _forced_assignment(monkeypatch, frames, ambiguity_tol=5.0))
+
+    def test_generation_path_frames_certified(self, monkeypatch):
+        calls = []
+        real = sv._assign
+        monkeypatch.setattr(sv, "_assign", lambda *a: calls.append(a[2]) or real(*a))
+        grid = np.linspace(0.0, 2 * np.pi, 241)
+        path = sv.solve_generation_path(
+            dyn.ModelSpec("linear_seed", a=0.5), dyn.PhaseState(X0, V0), (2, 5), grid
+        )
+        assert path.values.shape == (241, 3)
+        assert len(calls) <= 0.01 * 2 * 240
+
+    def test_failed_frame_raises_its_error(self):
+        good = pc.coeffs_from_zeros([1.0, -1.0])
+        huge = pc.MonicPoly([1e200, 1e300])  # residual cannot reach root_tol * scale
+        with pytest.raises(RootSolveFailed):
+            sv.track_zeros([good, huge, good])
