@@ -64,7 +64,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
         print(f"generate: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     path = _out_path(cfg, args, "tree.json")
-    _atomic_write(path, json.dumps(tree.to_json_dict(), indent=1))
+    _atomic_write(path, json.dumps(tree.to_json_dict()))
     print(f"wrote {path}: {len(tree.nodes)} nodes, depth {depth}")
     if tree.failed:
         for addr, msg in tree.failed.items():

@@ -110,6 +110,7 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.rng_seed = int(raw.get("rng_seed", 0))
     if "grid" in raw:
         cfg.grid = Grid(**raw["grid"])
+        cfg.grid.times()  # a grid of fewer than two output times is an error
     if "tolerances" in raw:
         cfg.tolerances = Tolerances(**raw["tolerances"])
     if "seed_coeffs" in raw:
@@ -154,4 +155,17 @@ def parse_config(raw: dict) -> RunConfig:
                 a=a,
                 ia_sign=int(m.get("ia_sign", 1)),
             )
+        if cfg.mu and len(cfg.mu) != cfg.model.depth:
+            raise ConfigError(
+                f"mu has length {len(cfg.mu)} but the model has depth "
+                f"{cfg.model.depth}"
+            )
+    if "n" in raw:
+        counts = {
+            "initial.positions": None if cfg.initial is None else cfg.initial.n,
+            "seed_coeffs": None if cfg.seed_coeffs is None else len(cfg.seed_coeffs),
+        }
+        for name, count in counts.items():
+            if count is not None and count != cfg.n:
+                raise ConfigError(f"n={cfg.n} but {name} has {count} entries")
     return cfg

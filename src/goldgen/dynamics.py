@@ -9,18 +9,13 @@ coordinates are the polynomial's zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollisionError, StepSizeUnderflow
-from .polycore import (
-    DEFAULT_SEP_TOL,
-    coeffs_velocity,
-    elem_sym_all,
-    min_pairwise_gap,
-    zeros_acceleration,
-)
+from .polycore import DEFAULT_SEP_TOL, elem_sym_batch, min_pairwise_gap
 
 SEED_KINDS = ("goldfish", "iso_goldfish", "linear_seed")
 
@@ -36,6 +31,15 @@ class PhaseState:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=np.complex128))
         if self.x.shape != self.v.shape:
             raise ValueError("positions and velocities differ in shape")
+
+    @classmethod
+    def trusted(cls, x: np.ndarray, v: np.ndarray, t: float = 0.0) -> "PhaseState":
+        """A state from complex128 vectors of equal length, not re-validated."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "x", x)
+        object.__setattr__(s, "v", v)
+        object.__setattr__(s, "t", t)
+        return s
 
     @property
     def n(self) -> int:
@@ -90,28 +94,28 @@ class Trajectory:
     rejected: int = 0
     min_gap: float = np.inf
 
-    def positions(self) -> np.ndarray:
-        return np.array([s.x for s in self.states])
 
-    def velocities(self) -> np.ndarray:
-        return np.array([s.v for s in self.states])
-
-
-def _guard_gaps(x, sep_tol, level=None):
-    gap = min_pairwise_gap(x)
+def _pair_diffs(x: np.ndarray, sep_tol: float, level=None) -> np.ndarray:
+    """x_n - x_l with inf on the diagonal, once the smallest gap has passed
+    the collision guard (CollisionError tagged with `level` otherwise)."""
+    diff = x[:, None] - x[None, :]
+    diff.ravel()[:: len(x) + 1] = np.inf
+    gap = np.minimum.reduce(np.abs(diff), axis=None, initial=np.inf)
     if gap <= sep_tol:
         raise CollisionError(
             f"minimum gap {gap:.3e} <= sep_tol {sep_tol:.3e}", level=level
         )
-    return gap
+    return diff
+
+
+def _goldfish_force(v: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """sum_{l != n} 2 v_n v_l / (x_n - x_l), given the pair differences."""
+    return 2.0 * v * np.add.reduce(v[None, :] / diff, axis=1)
 
 
 def rhs_goldfish(s: PhaseState, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """xddot_n = sum_{l != n} 2 xdot_n xdot_l / (x_n - x_l)."""
-    _guard_gaps(s.x, sep_tol)
-    diff = s.x[:, None] - s.x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return 2.0 * s.v * np.sum(s.v[None, :] / diff, axis=1)
+    return _goldfish_force(s.v, _pair_diffs(s.x, sep_tol))
 
 
 def rhs_iso_goldfish(
@@ -142,6 +146,52 @@ def seed_rhs(s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -
     raise ValueError(f"not a seed kind: {spec.kind}")
 
 
+@functools.cache
+def _level_tables(n: int):
+    """(-1)^m for m = 1..n and the powers N - m of the transfer identity."""
+    signs = (-1.0) ** np.arange(1, n + 1)
+    powers = (n - 1 - np.arange(n))[None, :]
+    signs.flags.writeable = powers.flags.writeable = False
+    return signs, powers
+
+
+def _finite(*arrays) -> None:
+    for a in arrays:
+        if not np.logical_and.reduce(np.isfinite(a)):
+            raise ValueError("non-finite entries")
+
+
+def _generation_accel(x, v, seed: ModelSpec, depth: int, sep_tol: float,
+                      level: int) -> np.ndarray:
+    """Acceleration of the zeros x (velocities v) of a depth-`depth` model.
+
+    One pass per level: the pair differences are built and guarded once
+    and serve the goldfish term and the prefactor; y and every excluded
+    sigma come from one batched recurrence (polycore.elem_sym_batch).  The
+    operations and their order are those of the public transfer functions
+    elem_sym_all, coeffs_velocity and zeros_acceleration, so the result is
+    the same to the bit, while x is validated once per level.
+    """
+    diff = _pair_diffs(x, sep_tol, level)
+    _finite(x, v)
+    signs, powers = _level_tables(len(x))
+    sigma, excl = elem_sym_batch(x)
+    y = signs * sigma
+    y_dot = signs * (excl.T @ v)
+    if depth > 1:
+        y_ddot = _generation_accel(y, y_dot, seed, depth - 1, sep_tol, level + 1)
+    else:
+        try:
+            y_ddot = seed_rhs(PhaseState.trusted(y, y_dot), seed, sep_tol)
+        except CollisionError as e:
+            raise CollisionError(str(e), level=level + 1) from e
+    _finite(y_ddot)
+    recip = 1.0 / diff
+    recip.ravel()[:: len(x) + 1] = 1.0
+    pref = np.multiply.reduce(recip, axis=1)
+    return _goldfish_force(v, diff) - pref * ((x[:, None] ** powers) @ y_ddot)
+
+
 def rhs_generation(
     s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL
 ) -> np.ndarray:
@@ -150,28 +200,13 @@ def rhs_generation(
     The coefficient vector y of prod(z - x_n) and its velocity are
     reconstructed algebraically from (x, xdot); its acceleration is the
     depth-(k-1) right-hand side; the second-derivative transfer identity
-    then gives the acceleration of the zeros.
+    then gives the acceleration of the zeros.  A collision at recursion
+    level j (0 = the integrated coordinates) raises CollisionError with
+    level j.
     """
     if spec.kind != "generation":
         return seed_rhs(s, spec, sep_tol)
-    return _rhs_generation_level(s.x, s.v, spec, sep_tol, level=0)
-
-
-def _rhs_generation_level(x, v, spec: ModelSpec, sep_tol, level: int) -> np.ndarray:
-    _guard_gaps(x, sep_tol, level=level)
-    n = len(x)
-    signs = (-1.0) ** np.arange(1, n + 1)
-    y = signs * elem_sym_all(x)
-    y_dot = coeffs_velocity(x, v)
-    inner = spec.seed if spec.depth == 1 else replace(spec, depth=spec.depth - 1)
-    if inner.kind == "generation":
-        y_ddot = _rhs_generation_level(y, y_dot, inner, sep_tol, level=level + 1)
-    else:
-        try:
-            y_ddot = seed_rhs(PhaseState(y, y_dot), inner, sep_tol)
-        except CollisionError as e:
-            raise CollisionError(str(e), level=level + 1) from e
-    return zeros_acceleration(x, v, y_ddot)
+    return _generation_accel(s.x, s.v, spec.seed, spec.depth, sep_tol, level=0)
 
 
 def rhs(s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
@@ -186,11 +221,17 @@ def build_initial_state(seed_state: PhaseState, mu, sep_tol: float = DEFAULT_SEP
     Per level: sort the current positions canonically (velocities carried
     along), apply the level's permutation to get the next coefficient
     vector and its velocity, root-extract the next positions, and map the
-    velocities through R.
+    velocities through R.  Both the root extraction and R use sep_tol.
     """
     # imported here to avoid a cycle at module import time
     from .permgen import apply_mu
-    from .polycore import MonicPoly, canonical_order, r_matrix, zeros_from_coeffs
+    from .polycore import (
+        MonicPoly,
+        RootOptions,
+        canonical_order,
+        r_matrix,
+        zeros_from_coeffs,
+    )
 
     mu = tuple(int(m) for m in mu)
     x = np.asarray(seed_state.x, dtype=np.complex128)
@@ -200,7 +241,7 @@ def build_initial_state(seed_state: PhaseState, mu, sep_tol: float = DEFAULT_SEP
         y = apply_mu(mu_j, x[order])
         y_dot = apply_mu(mu_j, v[order])
         try:
-            zs = zeros_from_coeffs(MonicPoly(y))
+            zs = zeros_from_coeffs(MonicPoly(y), RootOptions(sep_tol=sep_tol))
         except Exception as e:
             raise type(e)(f"level {j + 1}: {e}") from e
         x = zs.zeros  # already canonically ordered
@@ -223,6 +264,18 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+
+
+def _combine(u, h, coeffs, ks):
+    """u + h * sum_j coeffs[j] ks[j], accumulated in place from left to right.
+
+    The sum starts from 0.0 like sum() does, so even its signed zeros are
+    those of a plain left-to-right sum.
+    """
+    acc = coeffs[0] * ks[0] + 0.0
+    for c, k in zip(coeffs[1:], ks[1:]):
+        acc += c * k
+    return u + h * acc
 
 
 def integrate(
@@ -254,8 +307,7 @@ def integrate(
     guarded = spec.kind in ("goldfish", "iso_goldfish", "generation")
 
     def f(t, u):
-        state = PhaseState(u[:n], u[n:], t)
-        acc = rhs(state, spec, opts.sep_tol)
+        acc = rhs(PhaseState.trusted(u[:n], u[n:], t), spec, opts.sep_tol)
         return np.concatenate([u[n:], acc])
 
     u = np.concatenate([s0.x, s0.v])
@@ -278,18 +330,15 @@ def integrate(
             collided = False
             try:
                 for i in range(1, 7):
-                    ui = u + h * sum(
-                        aij * kj for aij, kj in zip(_DP_A[i], ks)
-                    )
-                    ks.append(f(t + _DP_C[i] * h, ui))
+                    ks.append(f(t + _DP_C[i] * h, _combine(u, h, _DP_A[i], ks)))
             except CollisionError as e:
                 gap = min_pairwise_gap(u[:n])
                 if gap <= opts.sep_tol:
                     raise
                 collided = True
             if not collided:
-                u5 = u + h * sum(b * k for b, k in zip(_DP_B5, ks))
-                u4 = u + h * sum(b * k for b, k in zip(_DP_B4, ks))
+                u5 = _combine(u, h, _DP_B5, ks)
+                u4 = _combine(u, h, _DP_B4, ks)
                 scale = opts.abs_tol + opts.rel_tol * np.maximum(
                     np.abs(u), np.abs(u5)
                 )

@@ -156,17 +156,39 @@ def elem_sym_excl(z, n: int, m: int) -> complex:
     return elem_sym(rest, m - 1)
 
 
+@functools.cache
+def _excl_index(n: int) -> np.ndarray:
+    """Row i lists the indices 0..n-1 without i (the "all but i" table)."""
+    idx = np.array([[j for j in range(n) if j != i] for i in range(n)],
+                   dtype=np.intp).reshape(n, n - 1)
+    idx.flags.writeable = False
+    return idx
+
+
+def elem_sym_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_1..sigma_N of x and the matrix S with S[n-1, m-1] = sigma_{n,m}(x).
+
+    One batched pass of the generating recurrence runs on all N "all but n"
+    subsets at once; the full sigma is one more step on the subset without
+    the last entry.  Each row performs the same operations in the same order
+    as elem_sym_all on that subset, so the results equal it bit for bit.
+    x must be a complex128 vector; it is not validated here.
+    """
+    n = len(x)
+    s = np.zeros((n, n), dtype=np.complex128)
+    s[:, 0] = 1.0
+    # step k folds the k-th entry of each row's subset into that row
+    for column in x[_excl_index(n).T][:, :, None]:
+        s[:, 1:] += column * s[:, :-1]
+    e = np.zeros(n + 1, dtype=np.complex128)
+    e[:n] = s[-1]
+    e[1:] += x[-1] * e[:-1]
+    return e[1:], s
+
+
 def elem_sym_excl_matrix(z) -> np.ndarray:
     """Matrix S with S[n-1, m-1] = sigma_{n,m}(z)."""
-    z = _as_complex(z)
-    nn = len(z)
-    s = np.empty((nn, nn), dtype=np.complex128)
-    for i in range(nn):
-        rest = np.delete(z, i)
-        s[i, 0] = 1.0
-        if nn > 1:
-            s[i, 1:] = elem_sym_all(rest)
-    return s
+    return elem_sym_batch(_as_complex(z))[1]
 
 
 def coeffs_from_zeros(zs) -> MonicPoly:
@@ -446,16 +468,18 @@ def coeffs_velocity(x, x_dot) -> np.ndarray:
     return signs * (s.T @ x_dot)
 
 
-def zeros_acceleration(x, x_dot, y_ddot) -> np.ndarray:
+def zeros_acceleration(x, x_dot, y_ddot, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """Transfer of second derivatives from coefficients to zeros:
 
     xddot_n = sum_{l != n} 2 xdot_n xdot_l / (x_n - x_l)
               - [prod_{l != n} (x_n - x_l)^{-1}] sum_m x_n^{N-m} yddot_m
+
+    Raises DegenerateZeros when two zeros lie within sep_tol.
     """
     x = _as_complex(x)
     x_dot = _as_complex(x_dot)
     y_ddot = _as_complex(y_ddot)
-    check_distinct(x)
+    check_distinct(x, sep_tol)
     n = len(x)
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, np.inf)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from goldgen import config as cfgmod
+from goldgen import permgen
 from goldgen.cli import main
+from goldgen.polycore import MonicPoly
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -101,6 +103,25 @@ class TestGenerate:
         addrs = {tuple(n["mu"]) for n in d["nodes"]}
         assert (1,) in addrs and (2, 2) in addrs
 
+    def test_tree_json_is_compact_and_unchanged(self, tmp_path):
+        raw = {"seed_coeffs": [[1.0, 0.0], [-1.0, 0.5], [0.3, 0.2]], "depth": 2,
+               "output": str(tmp_path / "tree.json")}
+        assert main(["generate", "--config", write_config(tmp_path, raw)]) == 0
+        text = (tmp_path / "tree.json").read_text()
+        cfg = cfgmod.parse_config(raw)
+        tree = permgen.generation_tree(MonicPoly(cfg.seed_coeffs), 2,
+                                       opts=cfg.root_options())
+        indented = json.dumps(tree.to_json_dict(), indent=1)
+        assert json.loads(text) == json.loads(indented)
+        assert "\n" not in text
+
+    def test_n_must_match_seed_coeffs(self, tmp_path, capsys):
+        raw = {"n": 3, "seed_coeffs": [[1.0, 0.0], [-1.0, 0.5]], "depth": 1,
+               "output": str(tmp_path / "tree.json")}
+        assert main(["generate", "--config", write_config(tmp_path, raw)]) == 2
+        assert "n=3 but seed_coeffs has 2 entries" in capsys.readouterr().err
+        assert not (tmp_path / "tree.json").exists()
+
     def test_depth_flag_overrides(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -175,6 +196,7 @@ class TestSimulate:
     def test_collision_is_numeric_error(self, tmp_path):
         raw = dict(
             BASE_SIM,
+            n=2,
             model={"kind": "goldfish"},
             initial={
                 "positions": [[1.0, 0.0], [-1.0, 0.0]],
@@ -252,6 +274,52 @@ class TestSolve:
         cfg = write_config(tmp_path, raw)
         assert main(["solve", "--config", cfg]) == 2
         assert "mu=7 out of range [1, 6]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve"])
+class TestConfigContradictions:
+    def run(self, tmp_path, command, **changes):
+        raw = dict(
+            BASE_SIM,
+            mu=[2],
+            model={"kind": "generation", "seed_kind": "linear_seed",
+                   "a": [0.5, 0.0], "depth": 1},
+            output=str(tmp_path / "out.csv"),
+        )
+        raw.update(changes)
+        code = main([command, "--config", write_config(tmp_path, raw)])
+        assert code == 0 or not (tmp_path / "out.csv").exists()
+        return code
+
+    def test_consistent_config_runs(self, tmp_path, command):
+        assert self.run(tmp_path, command) == 0
+
+    def test_mu_shorter_than_depth(self, tmp_path, command, capsys):
+        model = {"kind": "generation", "seed_kind": "linear_seed",
+                 "a": [0.5, 0.0], "depth": 2}
+        assert self.run(tmp_path, command, model=model) == 2
+        assert "mu has length 1 but the model has depth 2" in capsys.readouterr().err
+
+    def test_mu_longer_than_depth(self, tmp_path, command):
+        assert self.run(tmp_path, command, mu=[2, 3]) == 2
+
+    def test_mu_for_a_seed_model(self, tmp_path, command):
+        model = {"kind": "iso_goldfish", "omega": 1.0}
+        assert self.run(tmp_path, command, model=model) == 2
+
+    def test_n_must_match_positions(self, tmp_path, command, capsys):
+        assert self.run(tmp_path, command, n=7) == 2
+        assert "n=7 but initial.positions has 3 entries" in capsys.readouterr().err
+
+    def test_grid_needs_two_output_times(self, tmp_path, command, capsys):
+        grid = {"t0": 0.0, "t1": 0.001, "dt_out": 0.01}
+        assert self.run(tmp_path, command, grid=grid) == 2
+        assert "at least two output times" in capsys.readouterr().err
+
+    def test_n_may_be_omitted(self, tmp_path, command):
+        raw = {k: v for k, v in BASE_SIM.items() if k != "n"}
+        raw["output"] = str(tmp_path / "out.csv")
+        assert main([command, "--config", write_config(tmp_path, raw)]) == 0
 
 
 class TestVerifyAndPeriod:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldgen import dynamics as dyn
 from goldgen import polycore as pc
-from goldgen.errors import CollisionError
+from goldgen.errors import CollisionError, DegenerateZeros, GoldgenError
 
 
 def random_state(rng, n, gap=0.3):
@@ -118,6 +120,79 @@ class TestGenerationRHS:
         assert exc.value.level == 1
 
 
+def reference_seed(x, v, seed):
+    """The seed forces written out."""
+    if seed.kind == "linear_seed":
+        return (1j - seed.a) * v + seed.ia_sign * (1j * seed.a * x)
+    pc.check_distinct(x)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, np.inf)
+    acc = 2.0 * v * np.sum(v[None, :] / diff, axis=1)
+    if seed.kind == "iso_goldfish":
+        acc = acc + 1j * seed.omega * v
+    return acc
+
+
+def reference_generation(x, v, seed, depth):
+    """The generation RHS composed from the public polycore transfer
+    functions, one level at a time."""
+    if depth == 0:
+        return reference_seed(x, v, seed)
+    signs = (-1.0) ** np.arange(1, len(x) + 1)
+    y = signs * pc.elem_sym_all(x)
+    y_dot = pc.coeffs_velocity(x, v)
+    y_ddot = reference_generation(y, y_dot, seed, depth - 1)
+    return pc.zeros_acceleration(x, v, y_ddot)
+
+
+unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                  allow_infinity=False)
+
+
+class TestGenerationKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 3),
+        st.sampled_from(dyn.SEED_KINDS),
+        st.floats(0.0, 3.0),
+        unit_complex,
+        st.sampled_from([1, -1]),
+        st.data(),
+    )
+    def test_rhs_equals_transfer_composition(self, n, depth, kind, omega, a,
+                                             ia_sign, data):
+        x = np.array(data.draw(st.lists(unit_complex, min_size=n, max_size=n)))
+        v = np.array(data.draw(st.lists(unit_complex, min_size=n, max_size=n)))
+        seed = dyn.ModelSpec(kind, omega=omega, a=a, ia_sign=ia_sign)
+        spec = dyn.ModelSpec("generation", depth=depth, seed=seed)
+        try:
+            want = reference_generation(x, v, seed, depth)
+        except (GoldgenError, ValueError):
+            # some level collides: the kernel refuses the state as well
+            with pytest.raises((GoldgenError, ValueError)):
+                dyn.rhs(dyn.PhaseState(x, v), spec)
+            return
+        got = dyn.rhs(dyn.PhaseState(x, v), spec)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_configured_sep_tol_reaches_every_level(self):
+        # two zeros 5e-9 apart: a collision under the default sep_tol, a
+        # regular state under a configured 1e-10
+        s = dyn.PhaseState([0.5, 0.5 + 5e-9, -0.7 + 0.2j], [-0.1, 0.1, 0.2j])
+        spec = dyn.ModelSpec(
+            "generation", depth=1, seed=dyn.ModelSpec("linear_seed", a=0.5)
+        )
+        with pytest.raises(CollisionError) as exc:
+            dyn.rhs(s, spec)
+        assert exc.value.level == 0
+        assert np.all(np.isfinite(dyn.rhs(s, spec, sep_tol=1e-10)))
+        traj = dyn.integrate(spec, s, 1e-6, out_times=np.linspace(0, 1e-6, 5),
+                             opts=dyn.IntegratorOptions(sep_tol=1e-10))
+        assert traj.steps > 0
+        assert pc.min_pairwise_gap(traj.states[-1].x) > 5e-9
+
+
 class TestBuildInitialState:
     def test_depth1_positions_are_roots(self):
         seed = dyn.PhaseState([0.6 + 0.1j, -0.7 - 0.2j], [0.1, -0.3j])
@@ -139,6 +214,14 @@ class TestBuildInitialState:
         from goldgen.permgen import apply_mu
         want = apply_mu(3, seed.v[order])
         np.testing.assert_allclose(ydot, want, atol=1e-10)
+
+    def test_root_extraction_uses_sep_tol(self):
+        # mu=2 makes the coefficients (0, -6.25e-18): zeros +-2.5e-9
+        seed = dyn.PhaseState([0.0, -6.25e-18], [0.1, 0.2])
+        with pytest.raises(DegenerateZeros):
+            dyn.build_initial_state(seed, (2,))
+        lifted = dyn.build_initial_state(seed, (2,), sep_tol=1e-10)
+        assert pc.min_pairwise_gap(lifted.x) > 1e-10
 
     def test_two_levels_compose(self):
         seed = dyn.PhaseState([0.6 + 0.1j, -0.7 - 0.2j], [0.1, -0.3j])

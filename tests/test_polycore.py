@@ -90,6 +90,18 @@ class TestElemSymExcl:
         want = brute_elem_sym_excl(z, n, m)
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
+    @given(st.lists(complex_entries, min_size=1, max_size=7))
+    def test_batch_rows_are_the_single_recurrence(self, z):
+        # every row of the batched pass is, bit for bit, elem_sym_all on
+        # z without that entry, and the full sigma is elem_sym_all on z
+        x = np.array(z, dtype=np.complex128)
+        sigma, s = pc.elem_sym_batch(x)
+        assert np.array_equal(sigma, pc.elem_sym_all(x))
+        for i in range(len(x)):
+            assert s[i, 0] == 1
+            assert np.array_equal(s[i, 1:], pc.elem_sym_all(np.delete(x, i)))
+        assert np.array_equal(pc.elem_sym_excl_matrix(z), s)
+
 
 class TestVieta:
     def test_expand_quadratic(self):
@@ -267,6 +279,14 @@ class TestAcceleration:
         np.testing.assert_allclose(
             pc.zeros_acceleration([1, -1], [1, 1], [0, 0]), [1, -1], atol=1e-15
         )
+
+    def test_sep_tol_argument(self):
+        x = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j])
+        v = np.array([-0.1, 0.1, 0.2j])
+        with pytest.raises(DegenerateZeros):
+            pc.zeros_acceleration(x, v, np.ones(3))
+        acc = pc.zeros_acceleration(x, v, np.ones(3), sep_tol=1e-10)
+        assert np.all(np.isfinite(acc))
 
     def test_second_finite_difference(self):
         # quadratic coefficient path y(t) = y0 + y1 t + y2 t^2 / 2
