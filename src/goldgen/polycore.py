@@ -468,18 +468,16 @@ def coeffs_velocity(x, x_dot) -> np.ndarray:
     return signs * (s.T @ x_dot)
 
 
-def zeros_acceleration(x, x_dot, y_ddot, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
+def zeros_acceleration(x, x_dot, y_ddot) -> np.ndarray:
     """Transfer of second derivatives from coefficients to zeros:
 
     xddot_n = sum_{l != n} 2 xdot_n xdot_l / (x_n - x_l)
               - [prod_{l != n} (x_n - x_l)^{-1}] sum_m x_n^{N-m} yddot_m
-
-    Raises DegenerateZeros when two zeros lie within sep_tol.
     """
     x = _as_complex(x)
     x_dot = _as_complex(x_dot)
     y_ddot = _as_complex(y_ddot)
-    check_distinct(x, sep_tol)
+    check_distinct(x)
     n = len(x)
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, np.inf)

@@ -192,6 +192,21 @@ class TestGenerationKernel:
         assert traj.steps > 0
         assert pc.min_pairwise_gap(traj.states[-1].x) > 5e-9
 
+    def test_configured_sep_tol_reaches_inner_levels(self):
+        # well-separated zeros whose coefficients (level 1 of a depth-2
+        # model) lie 5e-9 apart
+        y = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j])
+        x = pc.zeros_from_coeffs(pc.MonicPoly(y)).zeros
+        assert pc.min_pairwise_gap(x) > 1.0
+        s = dyn.PhaseState(x, [-0.1, 0.1, 0.2j])
+        spec = dyn.ModelSpec(
+            "generation", depth=2, seed=dyn.ModelSpec("linear_seed", a=0.5)
+        )
+        with pytest.raises(CollisionError) as exc:
+            dyn.rhs(s, spec)
+        assert exc.value.level == 1
+        assert np.all(np.isfinite(dyn.rhs(s, spec, sep_tol=1e-10)))
+
 
 class TestBuildInitialState:
     def test_depth1_positions_are_roots(self):

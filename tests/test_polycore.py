@@ -280,14 +280,6 @@ class TestAcceleration:
             pc.zeros_acceleration([1, -1], [1, 1], [0, 0]), [1, -1], atol=1e-15
         )
 
-    def test_sep_tol_argument(self):
-        x = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j])
-        v = np.array([-0.1, 0.1, 0.2j])
-        with pytest.raises(DegenerateZeros):
-            pc.zeros_acceleration(x, v, np.ones(3))
-        acc = pc.zeros_acceleration(x, v, np.ones(3), sep_tol=1e-10)
-        assert np.all(np.isfinite(acc))
-
     def test_second_finite_difference(self):
         # quadratic coefficient path y(t) = y0 + y1 t + y2 t^2 / 2
         rng = np.random.default_rng(13)
