@@ -102,7 +102,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     path = _out_path(cfg, args, "trajectory.csv")
     _atomic_write(path, trajectory_to_csv(traj))
     print(
-        f"wrote {path}: {len(traj.states)} samples, {traj.steps} steps, "
+        f"wrote {path}: {len(traj.states)} samples, {traj.steps} steps "
+        f"({traj.rejected} rejected: {traj.rejected_error} error, "
+        f"{traj.rejected_guard} guard), {traj.rhs_calls} RHS calls, "
         f"min gap {traj.min_gap:.3e}"
     )
     return EXIT_OK

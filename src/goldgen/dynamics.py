@@ -91,8 +91,15 @@ class Trajectory:
     times: np.ndarray
     states: list[PhaseState]
     steps: int = 0
-    rejected: int = 0
+    rejected_error: int = 0
+    rejected_guard: int = 0
+    rhs_calls: int = 0
     min_gap: float = np.inf
+
+    @property
+    def rejected(self) -> int:
+        """Steps rejected by the error test or by the collision guard."""
+        return self.rejected_error + self.rejected_guard
 
 
 def _pair_diffs(x: np.ndarray, sep_tol: float, level=None) -> np.ndarray:
@@ -251,7 +258,7 @@ def build_initial_state(seed_state: PhaseState, mu, sep_tol: float = DEFAULT_SEP
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
+_DP_A = [np.array(row) for row in (
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -259,23 +266,35 @@ _DP_A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+)]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_DP_E = _DP_B5 - _DP_B4
+# Shampine's quartic interpolant: u(t + theta h) = u + h (P^T K)^T [theta..theta^4]
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_POWERS = np.arange(1, 5)
 
 
-def _combine(u, h, coeffs, ks):
-    """u + h * sum_j coeffs[j] ks[j], accumulated in place from left to right.
-
-    The sum starts from 0.0 like sum() does, so even its signed zeros are
-    those of a plain left-to-right sum.
-    """
-    acc = coeffs[0] * ks[0] + 0.0
-    for c, k in zip(coeffs[1:], ks[1:]):
-        acc += c * k
-    return u + h * acc
+def _row_gaps(xs: np.ndarray) -> np.ndarray:
+    """Smallest pairwise gap within each row of xs."""
+    d = np.abs(xs[:, :, None] - xs[:, None, :])
+    idx = np.arange(xs.shape[1])
+    d[:, idx, idx] = np.inf
+    return d.min(axis=(1, 2), initial=np.inf)
 
 
 def integrate(
@@ -285,13 +304,19 @@ def integrate(
     out_times=None,
     opts: IntegratorOptions | None = None,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) with PI step control and collision guard.
+    """Adaptive Dormand-Prince 5(4) with dense output (Shampine quartic),
+    Hairer PI control and a collision guard.
 
     The complex state (x, v) is advanced directly (RK stages are linear
     combinations); the error norm runs over real and imaginary parts.
-    Steps predicted to bring particles within 10*sep_tol of each other are
-    rejected and halved; below sep_tol the integration aborts with
-    CollisionError.
+    Steps run freely towards t1 (only the last one is clipped), and each
+    output time inside an accepted step is filled from the step's quartic
+    interpolant, with no extra right-hand-side calls; the output at t1 is
+    the last step's end state.  The step size follows Hairer's PI
+    controller (0.9 err^-0.17 err_prev^0.04 within [0.2, 10], no growth
+    right after a rejection).  Steps predicted to bring particles within
+    10*sep_tol of each other are rejected and halved; a step end or an
+    output state at or below sep_tol aborts with CollisionError.
     """
     opts = opts or IntegratorOptions()
     t0 = s0.t
@@ -302,85 +327,102 @@ def integrate(
         raise ValueError("output grid must start at the initial time")
     if np.any(np.diff(out_times) <= 0):
         raise ValueError("output grid must be strictly increasing")
+    if out_times[-1] != t1:
+        raise ValueError("output grid must end at t1")
 
     n = s0.n
     guarded = spec.kind in ("goldfish", "iso_goldfish", "generation")
+    traj = Trajectory(model=spec, times=out_times, states=[])
+    # stage k_i of the state u = (x, v) is row i: (v, acceleration)
+    K = np.empty((7, 2 * n), dtype=np.complex128)
 
-    def f(t, u):
-        acc = rhs(PhaseState.trusted(u[:n], u[n:], t), spec, opts.sep_tol)
-        return np.concatenate([u[n:], acc])
+    def stage(i, t, u):
+        traj.rhs_calls += 1
+        K[i, :n] = u[n:]
+        K[i, n:] = rhs(PhaseState.trusted(u[:n], u[n:], t), spec, opts.sep_tol)
 
     u = np.concatenate([s0.x, s0.v])
     t = t0
+    t_end = out_times[-1]
     h = min(opts.first_step, abs(t1 - t0))
-    traj = Trajectory(model=spec, times=out_times, states=[])
     traj.states.append(PhaseState(u[:n].copy(), u[n:].copy(), t))
-    out_idx = 1
     if guarded:
         traj.min_gap = min_pairwise_gap(u[:n])
-    k0 = f(t, u)
-    err_prev = 1.0
-    while out_idx < len(out_times):
-        target = out_times[out_idx]
-        while t < target - 1e-14 * max(1.0, abs(target)):
-            h = min(h, target - t)
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
-            ks = [k0]
-            collided = False
-            try:
-                for i in range(1, 7):
-                    ks.append(f(t + _DP_C[i] * h, _combine(u, h, _DP_A[i], ks)))
-            except CollisionError as e:
+    stage(0, t, u)
+    err_prev = 1e-4  # Hairer's starting value
+    no_growth = False
+    while t < t_end:
+        if traj.steps + traj.rejected > opts.max_steps:
+            raise StepSizeUnderflow("step budget exhausted")
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
+        last = t + 1.01 * h >= t_end
+        if last:
+            h = t_end - t
+        # the last stage is evaluated at u5 (its row of A is B5)
+        collided = False
+        try:
+            for i in range(1, 7):
+                u5 = u + h * np.dot(_DP_A[i], K[:i])
+                stage(i, t + _DP_C[i] * h, u5)
+        except CollisionError:
+            if min_pairwise_gap(u[:n]) <= opts.sep_tol:
+                raise
+            collided = True
+        if guarded and not collided:
+            gap = min_pairwise_gap(u5[:n])
+            if gap <= opts.sep_tol:
+                raise CollisionError(f"collision at t~{t + h:.6g}: gap {gap:.3e}")
+            collided = gap <= 10.0 * opts.sep_tol
+        if collided:
+            traj.rejected_guard += 1
+            no_growth = True
+            h *= 0.5
+            if h < 1e-12 * max(1.0, abs(t)):
                 gap = min_pairwise_gap(u[:n])
-                if gap <= opts.sep_tol:
-                    raise
-                collided = True
-            if not collided:
-                u5 = _combine(u, h, _DP_B5, ks)
-                u4 = _combine(u, h, _DP_B4, ks)
-                scale = opts.abs_tol + opts.rel_tol * np.maximum(
-                    np.abs(u), np.abs(u5)
+                raise CollisionError(
+                    f"collision approaching t~{t:.6g}: gap {gap:.3e} "
+                    f"and shrinking, step size collapsed"
                 )
-                diff = u5 - u4
-                err = np.sqrt(
-                    np.mean((diff.real / scale) ** 2 + (diff.imag / scale) ** 2)
-                )
-                gap = min_pairwise_gap(u5[:n]) if guarded else np.inf
-                if guarded and gap <= opts.sep_tol:
+            continue
+        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(u), np.abs(u5))
+        err = np.sqrt(np.mean((np.abs(h * np.dot(_DP_E, K)) / scale) ** 2))
+        if err > 1.0:
+            traj.rejected_error += 1
+            no_growth = True
+            h *= max(0.2, 0.9 * err ** -0.2)
+            continue
+        # outputs in (t, t_new]: from the interpolant inside, u5 at t_new
+        t_new = t_end if last else t + h
+        stop = int(np.searchsorted(out_times, t_new, side="right"))
+        inner = stop - 1 if out_times[stop - 1] == t_new else stop
+        if inner > len(traj.states):
+            taus = out_times[len(traj.states):inner]
+            theta = (taus - t) / h
+            us = u + h * np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K))
+            if guarded:
+                gaps = _row_gaps(us[:, :n])
+                k = int(np.argmin(gaps))
+                if gaps[k] <= opts.sep_tol:
                     raise CollisionError(
-                        f"collision at t~{t + h:.6g}: gap {gap:.3e}"
+                        f"collision at t~{taus[k]:.6g}: gap {gaps[k]:.3e}"
                     )
-                if guarded and gap <= 10.0 * opts.sep_tol:
-                    collided = True
-            if collided:
-                traj.rejected += 1
-                h *= 0.5
-                if h < 1e-12 * max(1.0, abs(t)):
-                    gap = min_pairwise_gap(u[:n])
-                    raise CollisionError(
-                        f"collision approaching t~{t:.6g}: gap {gap:.3e} "
-                        f"and shrinking, step size collapsed"
-                    )
-                continue
-            if err <= 1.0:
-                t += h
-                u = u5
-                k0 = ks[6]  # FSAL
-                traj.steps += 1
-                if guarded:
-                    traj.min_gap = min(traj.min_gap, gap)
-                # PI controller (order 5 propagating)
-                fac = 0.9 * err ** -0.7 * err_prev ** 0.4 if err > 0 else 5.0
-                err_prev = max(err, 1e-10)
-                h *= min(5.0, max(0.2, fac))
-            else:
-                traj.rejected += 1
-                h *= max(0.2, 0.9 * err ** -0.2)
-            if traj.steps + traj.rejected > opts.max_steps:
-                raise StepSizeUnderflow("step budget exhausted")
-        traj.states.append(PhaseState(u[:n].copy(), u[n:].copy(), target))
-        out_idx += 1
+                traj.min_gap = min(traj.min_gap, float(gaps[k]))
+            traj.states += [PhaseState.trusted(ui[:n], ui[n:], tau)
+                            for ui, tau in zip(us, taus)]
+        if inner < stop:
+            traj.states.append(PhaseState.trusted(u5[:n], u5[n:], t_new))
+        traj.steps += 1
+        if guarded:
+            traj.min_gap = min(traj.min_gap, gap)
+        t, u = t_new, u5
+        K[0] = K[6]  # first same as last
+        # Hairer's PI controller (HNW I, II.4): alpha = 0.17, beta = 0.04
+        fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0
+        fac = min(1.0 if no_growth else 10.0, max(0.2, fac))
+        no_growth = False
+        err_prev = max(err, 1e-4)
+        h *= fac
     return traj
 
 

@@ -197,8 +197,11 @@ def generation_tree(
             if i in errors:
                 tree.failed[address] = str(errors[i])
                 continue
+            # zeros_batch has checked both rows (finite, gap > seps[i])
             node = GenerationNode(
-                address, MonicPoly(coeffs[i]), ZeroSet(zeros[i], sep_tol=seps[i])
+                address,
+                MonicPoly.trusted(coeffs[i]),
+                ZeroSet.trusted(zeros[i], sep_tol=seps[i]),
             )
             tree.nodes[address] = node
             frontier.append(node)

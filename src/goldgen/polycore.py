@@ -79,6 +79,14 @@ class MonicPoly:
         if self.n < 1:
             raise ValueError("degree must be >= 1")
 
+    @classmethod
+    def trusted(cls, coeffs: np.ndarray) -> "MonicPoly":
+        """A polynomial from a finite complex128 vector of length >= 1, not
+        re-validated."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.coeffs)
@@ -102,6 +110,15 @@ class ZeroSet:
     def __post_init__(self):
         object.__setattr__(self, "zeros", _as_complex(self.zeros))
         check_distinct(self.zeros, self.sep_tol)
+
+    @classmethod
+    def trusted(cls, zeros: np.ndarray, sep_tol: float = DEFAULT_SEP_TOL) -> "ZeroSet":
+        """A set from finite complex128 zeros already checked to lie more
+        than sep_tol apart, not re-validated."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "zeros", zeros)
+        object.__setattr__(z, "sep_tol", sep_tol)
+        return z
 
     @property
     def n(self) -> int:

@@ -174,6 +174,16 @@ class TestSimulate:
         assert len(data) == 11
         assert "x3_im" in data.dtype.names and "v1_re" in data.dtype.names
 
+    def test_reports_integrator_counters(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE_SIM, output=str(tmp_path / "t.csv")))
+        assert main(["simulate", "--config", cfg]) == 0
+        m = re.search(r"11 samples, (\d+) steps \((\d+) rejected: (\d+) error, "
+                      r"(\d+) guard\), (\d+) RHS calls, min gap \S+$",
+                      capsys.readouterr().out.strip())
+        steps, rejected, error, guard, calls = map(int, m.groups())
+        assert rejected == error + guard
+        assert calls >= 6 * (steps + error) + 1
+
     def test_output_flag_overrides(self, tmp_path):
         out = tmp_path / "other.csv"
         cfg = write_config(tmp_path, dict(BASE_SIM, output=str(tmp_path / "a.csv")))

@@ -279,6 +279,12 @@ class TestIntegrator:
             with pytest.raises(ValueError, match="strictly increasing"):
                 dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0, out_times=grid)
 
+    def test_grid_must_end_at_t1(self):
+        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
+        with pytest.raises(ValueError, match="end at t1"):
+            dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,
+                          out_times=[0.0, 0.5, 0.9])
+
     def test_iso_goldfish_periodicity(self):
         # omega=2: base period pi; labeled positions recur up to a permutation,
         # and the coefficient path recurs exactly
@@ -327,3 +333,109 @@ class TestTrajectoryCSV:
         text = dyn.trajectory_to_csv(traj)
         data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
         assert data["x1_re"][0] == 1 / 3
+
+
+def readme_model():
+    """The README's example: N=3, depth 2 over the damped linear seed."""
+    seed = dyn.ModelSpec("linear_seed", a=0.5)
+    spec = dyn.ModelSpec("generation", depth=2, seed=seed, mu=(2, 2))
+    s0 = dyn.build_initial_state(
+        dyn.PhaseState([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j],
+                       [0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j]),
+        (2, 2),
+    )
+    return spec, s0, 0.02618 * np.arange(241)
+
+
+class TestDenseOutput:
+    def test_grid_independence(self):
+        # the steps depend on t1 only; outputs come from the interpolant
+        spec, s0, grid = readme_model()
+        fine = dyn.integrate(spec, s0, grid[-1], out_times=grid)
+        ends = dyn.integrate(spec, s0, grid[-1], out_times=grid[[0, -1]])
+        assert (fine.steps, fine.rejected, fine.rhs_calls) == (
+            ends.steps, ends.rejected, ends.rhs_calls)
+        assert np.array_equal(fine.states[-1].x, ends.states[-1].x)
+        assert np.array_equal(fine.states[-1].v, ends.states[-1].v)
+
+    def test_step_count_ceiling(self):
+        # 173 steps when this ceiling was set; the clipped-step integrator
+        # with the mistuned controller took 433
+        spec, s0, grid = readme_model()
+        traj = dyn.integrate(spec, s0, grid[-1], out_times=grid)
+        assert traj.steps <= 1.2 * 173
+        assert len(traj.states) == len(grid)
+
+    def test_linear_seed_every_frame(self):
+        from goldgen.solvers import solve_linear_seed
+
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
+        grid = np.linspace(0.0, 2 * np.pi, 241)
+        traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5),
+                             dyn.PhaseState(x0, v0), grid[-1], out_times=grid)
+        ref = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
+        np.testing.assert_allclose([s.x for s in traj.states], ref.x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose([s.v for s in traj.states], ref.v, rtol=0, atol=1e-8)
+
+    def test_iso_goldfish_every_frame(self):
+        from goldgen.matching import set_distance
+        from goldgen.solvers import solve_iso_goldfish_at
+
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
+        grid = np.linspace(0.0, 2 * np.pi, 241)
+        traj = dyn.integrate(dyn.ModelSpec("iso_goldfish", omega=1.0),
+                             dyn.PhaseState(x0, v0), grid[-1], out_times=grid)
+        assert [s.t for s in traj.states] == list(grid)
+        for s in traj.states:
+            assert set_distance(solve_iso_goldfish_at(x0, v0, 1.0, s.t), s.x) < 1e-8
+
+    def test_min_gap_covers_every_written_state(self):
+        spec, s0, grid = readme_model()
+        opts = dyn.IntegratorOptions()
+        traj = dyn.integrate(spec, s0, grid[-1], out_times=grid, opts=opts)
+        gaps = [pc.min_pairwise_gap(s.x) for s in traj.states]
+        assert opts.sep_tol < traj.min_gap <= min(gaps)
+
+    def test_output_state_guard(self, monkeypatch):
+        # an interpolated output at or below sep_tol aborts the run
+        monkeypatch.setattr(dyn, "_row_gaps", lambda xs: np.zeros(len(xs)))
+        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
+        with pytest.raises(CollisionError, match="collision at t~0.25"):
+            dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,
+                          out_times=[0.0, 0.25, 1.0])
+
+
+class TestIntegratorCounters:
+    def run_counted(self, monkeypatch, *args, **kwargs):
+        calls = []
+        rhs = dyn.rhs
+        monkeypatch.setattr(dyn, "rhs", lambda *a: calls.append(1) or rhs(*a))
+        traj = dyn.integrate(*args, **kwargs)
+        assert traj.rhs_calls == len(calls)
+        assert traj.rejected == traj.rejected_error + traj.rejected_guard
+        return traj
+
+    def test_error_rejections(self, monkeypatch):
+        # a first step of 1 fails the error test; six RHS calls per attempt
+        # plus the first stage of the first step
+        s0 = dyn.PhaseState([1.0, -1.0], [-1.0 + 0.5j, 1.0])
+        traj = self.run_counted(monkeypatch, dyn.ModelSpec("goldfish"), s0, 2.0,
+                                out_times=np.linspace(0, 2, 11),
+                                opts=dyn.IntegratorOptions(first_step=1.0))
+        assert traj.rejected_error > 0 and traj.rejected_guard == 0
+        assert traj.rhs_calls == 6 * (traj.steps + traj.rejected_error) + 1
+
+    def test_guard_rejection_mid_stage(self, monkeypatch):
+        # a first step of 5 puts the second stage 0.005 from a collision
+        # (<= sep_tol 0.006); the guard rejects it after one RHS call
+        s0 = dyn.PhaseState([1.0 + 0.005j, -1.0], [-1.0, 1.0])
+        traj = self.run_counted(
+            monkeypatch, dyn.ModelSpec("goldfish"), s0, 5.0,
+            out_times=np.linspace(0, 5, 11),
+            opts=dyn.IntegratorOptions(sep_tol=0.006, first_step=5.0))
+        assert traj.rejected_guard == 1
+        assert traj.rhs_calls == 6 * (traj.steps + traj.rejected_error) + 1 + 1
+        assert traj.min_gap > 10 * 0.006
+

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from goldgen import permgen as pg
 from goldgen.errors import DegenerateZeros, TreeBudgetExceeded
-from goldgen.polycore import MonicPoly, coeffs_from_zeros
+from goldgen.polycore import MonicPoly, ZeroSet, coeffs_from_zeros
 
 
 class TestCanonicalSort:
@@ -146,6 +146,17 @@ class TestGenerationTree:
             np.testing.assert_array_equal(node.poly.coeffs, single.poly.coeffs)
             np.testing.assert_allclose(node.zeros.zeros, single.zeros.zeros,
                                        atol=1e-12)
+
+    def test_nodes_pass_the_checks_they_skip(self):
+        # nodes are built unvalidated from zeros_batch rows; rebuilding
+        # them through the validating constructors changes nothing
+        tree = pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j, 0.3j]), depth=2)
+        for node in tree.nodes.values():
+            poly = MonicPoly(node.poly.coeffs)
+            zs = ZeroSet(node.zeros.zeros, sep_tol=node.zeros.sep_tol)
+            assert node.poly.coeffs.dtype == node.zeros.zeros.dtype == np.complex128
+            np.testing.assert_array_equal(poly.coeffs, node.poly.coeffs)
+            np.testing.assert_array_equal(zs.zeros, node.zeros.zeros)
 
     def test_failed_branch_message_matches_single_step(self):
         from goldgen.polycore import RootOptions
