@@ -21,7 +21,6 @@ import numpy as np
 
 from . import dynamics, permgen, solvers, verify
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import trajectory_to_csv
 from .errors import GoldgenError
 from .polycore import MonicPoly
 
@@ -42,6 +41,21 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(times, **series) -> str:
+    """CSV with a column t, then columns name1_re, name1_im, ..., nameN_im
+    for each (T, N) complex series, at full precision (%.17g, the digits of
+    format(v, ".17g"))."""
+    cols = ["t"]
+    table = [np.asarray(times, dtype=float)[:, None]]
+    for name, values in series.items():
+        n = values.shape[1]
+        cols += [f"{name}{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
+        table.append(np.stack((values.real, values.imag), axis=2).reshape(-1, 2 * n))
+    row = ",".join(["%.17g"] * len(cols))
+    lines = [",".join(cols)] + [row % tuple(r) for r in np.hstack(table).tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> str:
@@ -90,6 +104,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     except ConfigError as e:
         print(f"simulate: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except GoldgenError as e:
+        print(f"simulate: initial state: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     times = cfg.grid.times()
     try:
         traj = dynamics.integrate(
@@ -100,7 +117,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         print(f"simulate: {type(e).__name__}{loc}: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     path = _out_path(cfg, args, "trajectory.csv")
-    _atomic_write(path, trajectory_to_csv(traj))
+    xs = np.array([s.x for s in traj.states])
+    vs = np.array([s.v for s in traj.states])
+    _atomic_write(path, csv_text([s.t for s in traj.states], x=xs, v=vs))
     print(
         f"wrote {path}: {len(traj.states)} samples, {traj.steps} steps "
         f"({traj.rejected} rejected: {traj.rejected_error} error, "
@@ -133,7 +152,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         print(f"solve: {type(e).__name__}: {e}{hint}", file=sys.stderr)
         return EXIT_NUMERIC
     out = _out_path(cfg, args, "path.csv")
-    _atomic_write(out, path.to_csv())
+    _atomic_write(out, csv_text(path.times, x=path.values))
     print(f"wrote {out}: {len(path.times)} samples")
     return EXIT_OK
 

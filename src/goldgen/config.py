@@ -47,7 +47,6 @@ class Tolerances:
     ode_abs: float = 1e-12
     root_tol: float = 1e-12
     sep_tol: float = 1e-8
-    period_tol: float = 1e-6
 
 
 @dataclass

@@ -9,13 +9,19 @@ coordinates are the polynomial's zeros.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollisionError, StepSizeUnderflow
-from .polycore import DEFAULT_SEP_TOL, elem_sym_batch, min_pairwise_gap
+from .polycore import (
+    DEFAULT_SEP_TOL,
+    accel_transfer,
+    coeff_motion,
+    goldfish_force,
+    min_pairwise_gap,
+    pair_diffs,
+)
 
 SEED_KINDS = ("goldfish", "iso_goldfish", "linear_seed")
 
@@ -102,11 +108,10 @@ class Trajectory:
         return self.rejected_error + self.rejected_guard
 
 
-def _pair_diffs(x: np.ndarray, sep_tol: float, level=None) -> np.ndarray:
-    """x_n - x_l with inf on the diagonal, once the smallest gap has passed
-    the collision guard (CollisionError tagged with `level` otherwise)."""
-    diff = x[:, None] - x[None, :]
-    diff.ravel()[:: len(x) + 1] = np.inf
+def _guarded_diffs(x: np.ndarray, sep_tol: float, level=None) -> np.ndarray:
+    """pair_diffs(x), once the smallest gap has passed the collision guard
+    (CollisionError tagged with `level` otherwise)."""
+    diff = pair_diffs(x)
     gap = np.minimum.reduce(np.abs(diff), axis=None, initial=np.inf)
     if gap <= sep_tol:
         raise CollisionError(
@@ -115,14 +120,9 @@ def _pair_diffs(x: np.ndarray, sep_tol: float, level=None) -> np.ndarray:
     return diff
 
 
-def _goldfish_force(v: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """sum_{l != n} 2 v_n v_l / (x_n - x_l), given the pair differences."""
-    return 2.0 * v * np.add.reduce(v[None, :] / diff, axis=1)
-
-
 def rhs_goldfish(s: PhaseState, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """xddot_n = sum_{l != n} 2 xdot_n xdot_l / (x_n - x_l)."""
-    return _goldfish_force(s.v, _pair_diffs(s.x, sep_tol))
+    return goldfish_force(s.v, _guarded_diffs(s.x, sep_tol))
 
 
 def rhs_iso_goldfish(
@@ -153,15 +153,6 @@ def seed_rhs(s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -
     raise ValueError(f"not a seed kind: {spec.kind}")
 
 
-@functools.cache
-def _level_tables(n: int):
-    """(-1)^m for m = 1..n and the powers N - m of the transfer identity."""
-    signs = (-1.0) ** np.arange(1, n + 1)
-    powers = (n - 1 - np.arange(n))[None, :]
-    signs.flags.writeable = powers.flags.writeable = False
-    return signs, powers
-
-
 def _finite(*arrays) -> None:
     for a in arrays:
         if not np.logical_and.reduce(np.isfinite(a)):
@@ -173,18 +164,15 @@ def _generation_accel(x, v, seed: ModelSpec, depth: int, sep_tol: float,
     """Acceleration of the zeros x (velocities v) of a depth-`depth` model.
 
     One pass per level: the pair differences are built and guarded once
-    and serve the goldfish term and the prefactor; y and every excluded
-    sigma come from one batched recurrence (polycore.elem_sym_batch).  The
-    operations and their order are those of the public transfer functions
-    elem_sym_all, coeffs_velocity and zeros_acceleration, so the result is
-    the same to the bit, while x is validated once per level.
+    and serve the whole transfer; x is validated once per level.  The
+    coefficient motion and the acceleration come from the polycore
+    primitives (coeff_motion, accel_transfer) that the public transfer
+    functions are built from, so the result equals their composition to
+    the bit.
     """
-    diff = _pair_diffs(x, sep_tol, level)
+    diff = _guarded_diffs(x, sep_tol, level)
     _finite(x, v)
-    signs, powers = _level_tables(len(x))
-    sigma, excl = elem_sym_batch(x)
-    y = signs * sigma
-    y_dot = signs * (excl.T @ v)
+    y, y_dot = coeff_motion(x, v)
     if depth > 1:
         y_ddot = _generation_accel(y, y_dot, seed, depth - 1, sep_tol, level + 1)
     else:
@@ -193,32 +181,21 @@ def _generation_accel(x, v, seed: ModelSpec, depth: int, sep_tol: float,
         except CollisionError as e:
             raise CollisionError(str(e), level=level + 1) from e
     _finite(y_ddot)
-    recip = 1.0 / diff
-    recip.ravel()[:: len(x) + 1] = 1.0
-    pref = np.multiply.reduce(recip, axis=1)
-    return _goldfish_force(v, diff) - pref * ((x[:, None] ** powers) @ y_ddot)
-
-
-def rhs_generation(
-    s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL
-) -> np.ndarray:
-    """Acceleration of a depth-k generation model.
-
-    The coefficient vector y of prod(z - x_n) and its velocity are
-    reconstructed algebraically from (x, xdot); its acceleration is the
-    depth-(k-1) right-hand side; the second-derivative transfer identity
-    then gives the acceleration of the zeros.  A collision at recursion
-    level j (0 = the integrated coordinates) raises CollisionError with
-    level j.
-    """
-    if spec.kind != "generation":
-        return seed_rhs(s, spec, sep_tol)
-    return _generation_accel(s.x, s.v, spec.seed, spec.depth, sep_tol, level=0)
+    return accel_transfer(x, v, diff, y_ddot)
 
 
 def rhs(s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
+    """Acceleration of the model `spec` in the state s.
+
+    For a depth-k generation model the coefficient vector y of
+    prod(z - x_n) and its velocity are reconstructed algebraically from
+    (x, xdot); its acceleration is the depth-(k-1) right-hand side; the
+    second-derivative transfer identity then gives the acceleration of the
+    zeros.  A collision at recursion level j (0 = the integrated
+    coordinates) raises CollisionError with level j.
+    """
     if spec.kind == "generation":
-        return rhs_generation(s, spec, sep_tol)
+        return _generation_accel(s.x, s.v, spec.seed, spec.depth, sep_tol, level=0)
     return seed_rhs(s, spec, sep_tol)
 
 
@@ -287,14 +264,6 @@ _DP_P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 _POWERS = np.arange(1, 5)
-
-
-def _row_gaps(xs: np.ndarray) -> np.ndarray:
-    """Smallest pairwise gap within each row of xs."""
-    d = np.abs(xs[:, :, None] - xs[:, None, :])
-    idx = np.arange(xs.shape[1])
-    d[:, idx, idx] = np.inf
-    return d.min(axis=(1, 2), initial=np.inf)
 
 
 def integrate(
@@ -401,7 +370,7 @@ def integrate(
             theta = (taus - t) / h
             us = u + h * np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K))
             if guarded:
-                gaps = _row_gaps(us[:, :n])
+                gaps = min_pairwise_gap(us[:, :n])
                 k = int(np.argmin(gaps))
                 if gaps[k] <= opts.sep_tol:
                     raise CollisionError(
@@ -424,21 +393,3 @@ def integrate(
         err_prev = max(err, 1e-4)
         h *= fac
     return traj
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with header t,x1_re,x1_im,...,xN_im,v1_re,...,vN_im at full
-    precision (17 significant digits)."""
-    n = traj.states[0].n
-    cols = ["t"]
-    cols += [f"x{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
-    cols += [f"v{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
-    lines = [",".join(cols)]
-    for s in traj.states:
-        row = [f"{s.t:.17g}"]
-        for z in s.x:
-            row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        for z in s.v:
-            row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

@@ -26,6 +26,7 @@ from .polycore import (
     RootOptions,
     ZeroSet,
     canonical_order,
+    check_distinct,
     zeros_batch,
     zeros_from_coeffs,
 )
@@ -44,10 +45,7 @@ def canonical_sort(zs) -> np.ndarray:
     else:
         x = np.asarray(zs, dtype=np.complex128)
         sep = DEFAULT_SEP_TOL
-    d = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(d, np.inf)
-    if d.min() <= sep:
-        raise DegenerateZeros("cannot canonically order near-coincident zeros")
+    check_distinct(x, sep)
     return x[canonical_order(x)]
 
 

@@ -3,7 +3,8 @@
 Symmetric functions, the zeros<->coefficients maps, a simultaneous
 (Aberth-Ehrlich) root finder, the R / R^{-1} matrices and the first- and
 second-derivative transfer relations between a polynomial's zeros and its
-coefficients.
+coefficients.  Each identity is implemented once (pair_diffs, coeff_motion,
+accel_transfer), for the public functions and the dynamics kernel alike.
 
 Conventions: a degree-N monic polynomial is stored as the ordered vector
 (y_1, ..., y_N) where y_m multiplies z^{N-m}; the leading 1 is implicit.
@@ -49,15 +50,24 @@ def _as_complex(v) -> np.ndarray:
     return a
 
 
-def min_pairwise_gap(x) -> float:
-    """Smallest |x_i - x_j| over all pairs (inf for a single point)."""
+def pair_diffs(x) -> np.ndarray:
+    """x_n - x_l along the last axis of x, with inf on the diagonal, for a
+    vector or a batch of rows."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    diff = np.subtract(x[..., :, None], x[..., None, :], order="C")
+    # the diagonal as a strided view; adding an inf/0 table would turn -0.0
+    # differences into +0.0
+    diff.reshape(diff.shape[:-2] + (n * n,))[..., :: n + 1] = np.inf
+    return diff
+
+
+def min_pairwise_gap(x):
+    """Smallest |x_i - x_j| over all pairs (inf for a single point): a float
+    for a vector, one value per row for a (B, N) batch."""
     x = np.asarray(x, dtype=np.complex128)
-    n = len(x)
-    if n < 2:
-        return np.inf
-    d = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    gap = np.abs(pair_diffs(x)).min(axis=(-2, -1), initial=np.inf)
+    return float(gap) if x.ndim == 1 else gap
 
 
 def check_distinct(x, sep_tol: float = DEFAULT_SEP_TOL) -> None:
@@ -133,44 +143,20 @@ class RootOptions:
     seed: int = 0
 
 
-def elem_sym(z, m: int) -> complex:
-    """Elementary symmetric polynomial sigma_m of the components of z."""
-    z = _as_complex(z)
-    n = len(z)
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range [1, {n}]")
-    # e_k via the generating product prod_i (1 + z_i t), kept exact in k
-    e = np.zeros(n + 1, dtype=np.complex128)
-    e[0] = 1.0
-    for zi in z:
-        e[1:] = e[1:] + zi * e[:-1]
-    return complex(e[m])
-
-
 def elem_sym_all(z) -> np.ndarray:
-    """All sigma_m for m = 1..N, one pass of the generating recurrence."""
-    z = _as_complex(z)
+    """All sigma_m for m = 1..N, one pass of the generating recurrence.
+
+    The entries are folded in sorted order, so the result depends only on
+    their multiset: any permutation of z gives the same bits.  In any fixed
+    order, rounding moves with the order when terms cancel.
+    """
+    z = np.sort(_as_complex(z))
     n = len(z)
     e = np.zeros(n + 1, dtype=np.complex128)
     e[0] = 1.0
     for zi in z:
         e[1:] = e[1:] + zi * e[:-1]
     return e[1:]
-
-
-def elem_sym_excl(z, n: int, m: int) -> complex:
-    """sigma_{n,m}: Kronecker delta_{1m} plus the sum over (m-1)-element
-    index subsets avoiding index n (indices 1-based)."""
-    z = _as_complex(z)
-    nn = len(z)
-    if not 1 <= n <= nn:
-        raise ValueError(f"n={n} out of range [1, {nn}]")
-    if not 1 <= m <= nn:
-        raise ValueError(f"m={m} out of range [1, {nn}]")
-    if m == 1:
-        return 1.0 + 0j
-    rest = np.delete(z, n - 1)
-    return elem_sym(rest, m - 1)
 
 
 @functools.cache
@@ -186,26 +172,74 @@ def elem_sym_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma_1..sigma_N of x and the matrix S with S[n-1, m-1] = sigma_{n,m}(x).
 
     One batched pass of the generating recurrence runs on all N "all but n"
-    subsets at once; the full sigma is one more step on the subset without
-    the last entry.  Each row performs the same operations in the same order
-    as elem_sym_all on that subset, so the results equal it bit for bit.
-    x must be a complex128 vector; it is not validated here.
+    subsets of the sorted entries at once; the full sigma is one more step
+    on the subset without the last sorted entry.  Each row performs the same
+    operations in the same order as elem_sym_all on that subset, so the
+    results equal it bit for bit.  x must be a complex128 vector; it is not
+    validated here.
     """
     n = len(x)
+    order = np.argsort(x)
+    xs = x[order]
     s = np.zeros((n, n), dtype=np.complex128)
     s[:, 0] = 1.0
     # step k folds the k-th entry of each row's subset into that row
-    for column in x[_excl_index(n).T][:, :, None]:
+    for column in xs[_excl_index(n).T][:, :, None]:
         s[:, 1:] += column * s[:, :-1]
     e = np.zeros(n + 1, dtype=np.complex128)
     e[:n] = s[-1]
-    e[1:] += x[-1] * e[:-1]
+    e[1:] += xs[-1] * e[:-1]
+    # row k of s leaves out xs[k] = x[order[k]]
+    s[order] = s.copy()
     return e[1:], s
 
 
-def elem_sym_excl_matrix(z) -> np.ndarray:
-    """Matrix S with S[n-1, m-1] = sigma_{n,m}(z)."""
-    return elem_sym_batch(_as_complex(z))[1]
+@functools.cache
+def _signs_powers(n: int):
+    """(-1)^m for m = 1..n and the powers N - m of the transfer identities."""
+    signs = (-1.0) ** np.arange(1, n + 1)
+    powers = (n - 1 - np.arange(n))[None, :]
+    signs.flags.writeable = powers.flags.writeable = False
+    return signs, powers
+
+
+def coeff_motion(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients y of prod_n (z - x_n) and their velocity ydot = R^{-1} v:
+    y_m = (-1)^m sigma_m(x), ydot_m = (-1)^m sum_n sigma_{n,m}(x) v_n.
+
+    One batched recurrence (elem_sym_batch) gives both; needs no
+    distinctness.  x and v must be complex128 vectors; not validated here.
+    """
+    signs, _ = _signs_powers(len(x))
+    sigma, excl = elem_sym_batch(x)
+    return signs * sigma, signs * (excl.T @ v)
+
+
+def goldfish_force(v: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """sum_{l != n} 2 v_n v_l / (x_n - x_l), given diff = pair_diffs(x)."""
+    return 2.0 * v * np.add.reduce(v[None, :] / diff, axis=1)
+
+
+def prefactor(diff: np.ndarray) -> np.ndarray:
+    """prod_{l != n} (x_n - x_l)^{-1} for each n, given diff = pair_diffs(x),
+    as a product of reciprocals to limit overflow."""
+    recip = 1.0 / diff
+    recip.ravel()[:: len(diff) + 1] = 1.0
+    return np.multiply.reduce(recip, axis=1)
+
+
+def accel_transfer(x: np.ndarray, v: np.ndarray, diff: np.ndarray,
+                   y_ddot: np.ndarray) -> np.ndarray:
+    """Second-derivative transfer from coefficients to zeros:
+
+    xddot_n = sum_{l != n} 2 v_n v_l / (x_n - x_l)
+              - [prod_{l != n} (x_n - x_l)^{-1}] sum_m x_n^{N-m} yddot_m
+
+    given diff = pair_diffs(x).  Inputs are complex128 vectors; not
+    validated here.
+    """
+    _, powers = _signs_powers(len(x))
+    return goldfish_force(v, diff) - prefactor(diff) * ((x[:, None] ** powers) @ y_ddot)
 
 
 def coeffs_from_zeros(zs) -> MonicPoly:
@@ -215,11 +249,7 @@ def coeffs_from_zeros(zs) -> MonicPoly:
     else:
         x = _as_complex(zs)
         check_distinct(x)
-    # expand prod (z - x_i) by repeated convolution
-    c = np.array([1.0 + 0j])
-    for xi in x:
-        c = np.convolve(c, [1.0 + 0j, -xi])
-    return MonicPoly(c[1:])
+    return MonicPoly(_signs_powers(len(x))[0] * elem_sym_all(x))
 
 
 def eval_poly(p: MonicPoly, z: complex) -> tuple[complex, complex]:
@@ -246,14 +276,12 @@ def _start_angles(n: int, seed: int) -> np.ndarray:
 def _tables(n: int):
     """Constants of the degree-n iteration: 1/k for k = 1..n, the binomials
     C(n-j, k-j) and powers k-j (zero above the diagonal) that give the
-    coefficients of p(u + c) from those of p(z), and a matrix with inf on
-    its diagonal that removes self-pairs from pairwise distances."""
+    coefficients of p(u + c) from those of p(z)."""
     k, j = np.indices((n + 1, n + 1))
     binom = np.array([[math.comb(n - jj, kk - jj) if jj <= kk else 0
                        for jj in range(n + 1)] for kk in range(n + 1)])
-    off_diag = np.where(np.eye(n, dtype=bool), np.inf, 0.0)
     tables = (1.0 / np.arange(1, n + 1), binom.astype(float),
-              np.maximum(k - j, 0), off_diag)
+              np.maximum(k - j, 0))
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -313,7 +341,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
     if not np.all(np.isfinite(c)):
         raise ValueError("non-finite entries")
     b, n = c.shape
-    inv_deg, binom, power, off_diag = _tables(n)
+    inv_deg, binom, power = _tables(n)
     mag = np.abs(c)
     scale = np.maximum(1.0, mag.max(axis=1))
     tol = opts.root_tol * scale
@@ -349,9 +377,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
             val, der = _horner(cols, x)
             # a NaN residual also stops the row; the final check rejects it
             settled = ~(np.maximum.reduce(np.abs(val), axis=1) > work_tol)
-            diff = x[:, :, None] - x[:, None, :]
-            diff += off_diag
-            step = val / (der - val * np.add.reduce(1.0 / diff, axis=2))
+            step = val / (der - val * np.add.reduce(1.0 / pair_diffs(x), axis=2))
             nxt = x - step
             # a step below rounding at the largest possible |w| also stops
             # a row (one whose residual cannot reach the tolerance)
@@ -389,9 +415,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
             x = polished
             val, der = _horner(cols, x)
         res = np.abs(val).max(axis=1)
-        dist = np.abs(x[:, :, None] - x[:, None, :])
-        dist += off_diag
-        gap = dist.min(axis=(1, 2))
+        gap = min_pairwise_gap(x)
         failed = stalled | ~((res <= tol_w) & (gap > sep_w))
         if rescaled:
             x = np.ldexp(x.real, e[:, None]) + 1j * np.ldexp(x.imag, e[:, None])
@@ -438,36 +462,26 @@ def zeros_from_coeffs(p: MonicPoly, opts: RootOptions | None = None) -> ZeroSet:
 
 
 def diff_prefactor(x) -> np.ndarray:
-    """prod_{l != n} (x_n - x_l)^{-1} for each n, as a product of
-    reciprocals to limit overflow."""
-    x = _as_complex(x)
-    n = len(x)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
+    """prod_{l != n} (x_n - x_l)^{-1} for each n (FloatingPointError for
+    coincident points)."""
     with np.errstate(divide="raise"):
-        recip = 1.0 / diff
-    np.fill_diagonal(recip, 1.0)
-    return np.prod(recip, axis=1)
+        return prefactor(pair_diffs(_as_complex(x)))
 
 
 def r_matrix(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """R_{nm} = -[prod_{l != n} (x_n - x_l)^{-1}] x_n^{N-m}."""
     x = _as_complex(x)
     check_distinct(x, sep_tol)
-    n = len(x)
-    pref = diff_prefactor(x)
-    powers = x[:, None] ** (n - 1 - np.arange(n))[None, :]
-    return -pref[:, None] * powers
+    _, powers = _signs_powers(len(x))
+    return -diff_prefactor(x)[:, None] * x[:, None] ** powers
 
 
 def r_matrix_inverse(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """[R^{-1}]_{nm} = (-1)^n sigma_{m,n}(x), so that R R^{-1} = I."""
     x = _as_complex(x)
     check_distinct(x, sep_tol)
-    n = len(x)
-    s = elem_sym_excl_matrix(x)  # s[a-1, b-1] = sigma_{a,b}
-    signs = (-1.0) ** (np.arange(1, n + 1))
-    return signs[:, None] * s.T
+    signs, _ = _signs_powers(len(x))
+    return signs[:, None] * elem_sym_batch(x)[1].T  # [1][a-1, b-1] = sigma_{a,b}
 
 
 def zeros_velocity(x, y_dot) -> np.ndarray:
@@ -477,31 +491,15 @@ def zeros_velocity(x, y_dot) -> np.ndarray:
 
 def coeffs_velocity(x, x_dot) -> np.ndarray:
     """ydot_m = (-1)^m sum_n sigma_{n,m}(x) xdot_n (needs no distinctness)."""
-    x = _as_complex(x)
-    x_dot = _as_complex(x_dot)
-    n = len(x)
-    s = elem_sym_excl_matrix(x)
-    signs = (-1.0) ** (np.arange(1, n + 1))
-    return signs * (s.T @ x_dot)
+    return coeff_motion(_as_complex(x), _as_complex(x_dot))[1]
 
 
 def zeros_acceleration(x, x_dot, y_ddot) -> np.ndarray:
-    """Transfer of second derivatives from coefficients to zeros:
-
-    xddot_n = sum_{l != n} 2 xdot_n xdot_l / (x_n - x_l)
-              - [prod_{l != n} (x_n - x_l)^{-1}] sum_m x_n^{N-m} yddot_m
-    """
-    x = _as_complex(x)
-    x_dot = _as_complex(x_dot)
-    y_ddot = _as_complex(y_ddot)
+    """Transfer of second derivatives from coefficients to zeros
+    (accel_transfer), for distinct zeros x."""
+    x, x_dot, y_ddot = _as_complex(x), _as_complex(x_dot), _as_complex(y_ddot)
     check_distinct(x)
-    n = len(x)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    gold = 2.0 * x_dot * np.sum(x_dot[None, :] / diff, axis=1)
-    pref = diff_prefactor(x)
-    powers = x[:, None] ** (n - 1 - np.arange(n))[None, :]
-    return gold - pref * (powers @ y_ddot)
+    return accel_transfer(x, x_dot, pair_diffs(x), y_ddot)
 
 
 def identity_residuals(p: MonicPoly, zs: ZeroSet) -> dict:

@@ -14,18 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelSpec, PhaseState
-from .errors import (
-    DegenerateModes,
-    DegenerateZeros,
-    NoPeriodFound,
-    TrackingAmbiguity,
-)
+from .errors import DegenerateModes, NoPeriodFound, TrackingAmbiguity
 from .matching import distance_matrix, second_best, sum_optimal
-from .permgen import canonical_sort, mu_to_perm
+from .permgen import mu_to_perm
 from .polycore import (
     MonicPoly,
     RootOptions,
     canonical_order,
+    check_distinct,
+    coeff_motion,
     min_pairwise_gap,
     zeros_batch,
 )
@@ -50,18 +47,6 @@ class LabeledPath:
     @property
     def n(self) -> int:
         return self.values.shape[1]
-
-    def to_csv(self) -> str:
-        cols = ["t"] + [
-            f"x{i}_{p}" for i in range(1, self.n + 1) for p in ("re", "im")
-        ]
-        table = np.empty((len(self.times), len(cols)))
-        table[:, 0] = self.times
-        table[:, 1::2] = self.values.real
-        table[:, 2::2] = self.values.imag
-        row = ",".join(["%.17g"] * len(cols))  # same digits as format(v, ".17g")
-        lines = [",".join(cols)] + [row % tuple(r) for r in table.tolist()]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -115,50 +100,45 @@ def _solved(coeff_rows, opts: RootOptions) -> np.ndarray:
     return zeros
 
 
-def _iso_goldfish_zeros(x0, v0, omega: float, times, opts: RootOptions) -> np.ndarray:
-    """Isochronous goldfish zero sets at every time, one batched solve."""
-    x0 = np.asarray(x0, dtype=np.complex128)
-    v0 = np.asarray(v0, dtype=np.complex128)
-    times = np.asarray(times, dtype=float)
-    if min_pairwise_gap(x0) <= opts.sep_tol:
-        raise DegenerateZeros("initial positions not well separated")
-    if omega == 0.0:
-        weight = times.astype(np.complex128)
-        recur = times == 0.0
-    else:
-        phase = np.exp(1j * omega * times) - 1.0
-        weight = phase / (1j * omega)
-        # t a multiple of the base period: the configuration recurs
-        recur = (times == 0.0) | (np.abs(phase) < 1e-12)
-    # monic coefficients of prod_j (z - x0_j) - weight * sum_l v0_l prod_{j != l} (z - x0_j)
-    direction = sum(v0[l] * np.poly(np.delete(x0, l)) for l in range(len(x0)))
-    rows = np.poly(x0)[1:] - weight[:, None] * direction
-    out = np.empty((len(times), len(x0)), dtype=np.complex128)
-    if recur.any():
-        out[recur] = canonical_sort(x0)
-    if not recur.all():
-        out[~recur] = _solved(rows[~recur], opts)
-    return out
-
-
 def solve_iso_goldfish_at(
     x0,
     v0,
     omega: float,
-    t: float,
+    t,
     opts: RootOptions | None = None,
 ) -> np.ndarray:
     """Zero set solving the isochronous goldfish model at time t.
 
     The polynomial's coefficient vector evolves linearly (its second
-    derivative equals i*omega times its first), so the positions are the
-    N roots of
-      sum_l v0_l prod_{j != l} (z - x0_j)
-        = [i w / (e^{i w t} - 1)] prod_j (z - x0_j),
-    with the omega=0 (plain goldfish) limit replacing the bracket by 1/t.
-    Returned canonically ordered; semantically unordered.
+    derivative equals i*omega times its first), so the coefficients at
+    time t are y(t) = y0 + w(t) ydot0 with w(t) = (e^{i omega t} - 1) /
+    (i omega), or w(t) = t in the omega=0 (plain goldfish) limit, where
+    (y0, ydot0) is the coefficient motion of (x0, v0).  The positions are
+    the roots of that polynomial, returned canonically ordered
+    (semantically unordered).  `t` may be an array of times: the result
+    then holds one zero set per time, all found in one batched solve.
     """
-    return _iso_goldfish_zeros(x0, v0, omega, [t], opts or RootOptions())[0]
+    opts = opts or RootOptions()
+    x0 = np.asarray(x0, dtype=np.complex128)
+    v0 = np.asarray(v0, dtype=np.complex128)
+    times = np.asarray(t, dtype=float)
+    check_distinct(x0, opts.sep_tol)
+    flat = times.reshape(-1)
+    if omega == 0.0:
+        weight = flat.astype(np.complex128)
+        recur = flat == 0.0
+    else:
+        phase = np.exp(1j * omega * flat) - 1.0
+        weight = phase / (1j * omega)
+        # t a multiple of the base period: the configuration recurs
+        recur = (flat == 0.0) | (np.abs(phase) < 1e-12)
+    y0, y_dot0 = coeff_motion(x0, v0)
+    out = np.empty((len(flat), len(x0)), dtype=np.complex128)
+    if recur.any():
+        out[recur] = x0[canonical_order(x0)]
+    if not recur.all():
+        out[~recur] = _solved(y0 + weight[~recur, None] * y_dot0, opts)
+    return out.reshape(times.shape + x0.shape)
 
 
 def _certify(clouds: np.ndarray, ambiguity_tol: float):
@@ -181,9 +161,7 @@ def _certify(clouds: np.ndarray, ambiguity_tol: float):
     nearest = dist.argmin(axis=2)
     near = dist.min(axis=2)
     d = near.max(axis=1)
-    own = np.abs(prev[:, :, None] - prev[:, None, :])
-    own += np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    g = own.min(axis=(1, 2))  # inf for a single zero
+    g = min_pairwise_gap(prev)  # inf for a single zero
     best = (near**2).sum(axis=1)
     is_perm = (np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)
     margin = 2.0 * g * (g - 2.0 * d)
@@ -243,7 +221,7 @@ def track_zeros(
         clouds = np.asarray(frames, dtype=np.complex128)
     if times is None:
         times = np.arange(len(clouds), dtype=float)
-    canonical_sort(clouds[0])  # raises on near-coincident zeros
+    check_distinct(clouds[0])
     # label -> index into each frame; composed on lists, cheaper than numpy
     # for a handful of labels
     idx = canonical_order(clouds[0]).tolist()
@@ -262,27 +240,21 @@ def track_zeros(
 
 def _seed_labeled_path(
     spec: ModelSpec, state0: PhaseState, grid, opts: RootOptions
-) -> tuple[LabeledPath, np.ndarray]:
-    """Closed-form seed path plus its velocity path (labels = components)."""
+) -> LabeledPath:
+    """Closed-form seed path (labels = components)."""
     grid = np.asarray(grid, dtype=float)
     if spec.kind == "linear_seed":
         st = solve_linear_seed(state0.x, state0.v, spec.a, spec.ia_sign, grid[:, None])
-        return LabeledPath(grid, st.x), st.v
+        return LabeledPath(grid, st.x)
     if spec.kind == "iso_goldfish":
-        clouds = _iso_goldfish_zeros(state0.x, state0.v, spec.omega, grid, opts)
+        clouds = solve_iso_goldfish_at(state0.x, state0.v, spec.omega, grid, opts)
         path = track_zeros(clouds, times=grid)
         # shift labels so the first frame equals the given ordering of x0
         perm = np.argsort(
             sum_optimal(distance_matrix(path.values[0], state0.x) ** 2)
         )
-        xs = path.values[:, perm]
-        vs = _fd_velocities(grid, xs)
-        return LabeledPath(grid, xs), vs
+        return LabeledPath(grid, path.values[:, perm])
     raise ValueError(f"seed kind {spec.kind!r} has no closed-form path")
-
-
-def _fd_velocities(grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    return np.gradient(xs, grid, axis=0)
 
 
 def solve_generation_path(
@@ -302,7 +274,7 @@ def solve_generation_path(
     opts = opts or RootOptions()
     mu = tuple(int(m) for m in mu)
     grid = np.asarray(grid, dtype=float)
-    path, _ = _seed_labeled_path(seed_spec, seed_state0, grid, opts)
+    path = _seed_labeled_path(seed_spec, seed_state0, grid, opts)
     for mu_j in mu:
         perm = np.asarray(mu_to_perm(mu_j, path.n)) - 1
         label_order = canonical_order(path.values[0])[perm]

@@ -17,9 +17,9 @@ from .errors import DegenerateZeros
 from .polycore import (
     MonicPoly,
     RootOptions,
-    ZeroSet,
     eval_poly,
     min_pairwise_gap,
+    pair_diffs,
     r_matrix,
     r_matrix_inverse,
     zeros_from_coeffs,
@@ -90,9 +90,7 @@ def hermite_zeros(n: int, opts: RootOptions | None = None) -> np.ndarray:
 def equilibrium_residual(x) -> float:
     """max_n |x_n - sum_{l != n} (x_n - x_l)^{-1}|; vanishes at Hermite zeros."""
     x = np.asarray(x, dtype=np.complex128)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return float(np.max(np.abs(x - np.sum(1.0 / diff, axis=1))))
+    return float(np.max(np.abs(x - np.sum(1.0 / pair_diffs(x), axis=1))))
 
 
 def m_matrix(x) -> np.ndarray:
@@ -133,9 +131,7 @@ def equilibrium_flow(gamma) -> np.ndarray:
     """First-order field i (gamma_m - sum_{l != m} (gamma_m - gamma_l)^{-1});
     its equilibria are the Hermite zeros."""
     g = np.asarray(gamma, dtype=np.complex128)
-    diff = g[:, None] - g[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return 1j * (g - np.sum(1.0 / diff, axis=1))
+    return 1j * (g - np.sum(1.0 / pair_diffs(g), axis=1))
 
 
 def char_poly_coeffs(m: np.ndarray) -> np.ndarray:

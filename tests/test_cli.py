@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from goldgen import config as cfgmod
+from goldgen import dynamics as dyn
 from goldgen import permgen
-from goldgen.cli import main
+from goldgen import solvers as sv
+from goldgen.cli import csv_text, main
 from goldgen.polycore import MonicPoly
 
 
@@ -62,6 +64,13 @@ class TestConfigParsing:
         with pytest.raises(cfgmod.ConfigError) as got:
             cfgmod.parse_config(bad)
         assert str(got.value) == f"config rejected by schema: {want.value.message}"
+
+    def test_period_tol_is_rejected(self, tmp_path, capsys):
+        # the field was parsed and never read; it is no longer accepted
+        raw = dict(BASE_SIM, tolerances={"period_tol": 1e-6},
+                   output=str(tmp_path / "x.csv"))
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
+        assert "config rejected by schema" in capsys.readouterr().err
 
     def test_length_mismatch(self):
         bad = json.loads(json.dumps(BASE_SIM))
@@ -218,6 +227,21 @@ class TestSimulate:
         cfg = write_config(tmp_path, raw)
         assert main(["simulate", "--config", cfg]) == 3
 
+    def test_lift_failure_is_numeric_error(self, tmp_path, capsys):
+        # level 1's roots cannot meet the residual tolerance: a clean exit 3
+        raw = dict(
+            BASE_SIM,
+            n=2,
+            mu=[1],
+            model={"kind": "generation", "seed_kind": "linear_seed", "depth": 1},
+            initial={"positions": [[1e300, 0.0], [-1e300, 1.0]],
+                     "velocities": [[0.0, 0.0], [0.0, 0.0]]},
+            output=str(tmp_path / "x.csv"),
+        )
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 3
+        assert "RootSolveFailed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_initial_is_config_error(self, tmp_path):
         raw = {k: v for k, v in BASE_SIM.items() if k != "initial"}
         raw["output"] = str(tmp_path / "x.csv")
@@ -284,6 +308,47 @@ class TestSolve:
         cfg = write_config(tmp_path, raw)
         assert main(["solve", "--config", cfg]) == 2
         assert "mu=7 out of range [1, 6]" in capsys.readouterr().err
+
+
+class TestTrajectoryCSV:
+    def trajectory_csv(self, traj):
+        xs = np.array([s.x for s in traj.states])
+        vs = np.array([s.v for s in traj.states])
+        return csv_text([s.t for s in traj.states], x=xs, v=vs)
+
+    def test_header_and_shape(self):
+        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
+        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 0.5,
+                             out_times=np.linspace(0, 0.5, 6))
+        text = self.trajectory_csv(traj)
+        lines = text.strip().split("\n")
+        assert lines[0] == (
+            "t,x1_re,x1_im,x2_re,x2_im,v1_re,v1_im,v2_re,v2_im"
+        )
+        assert len(lines) == 7
+
+    def test_roundtrip_precision(self):
+        s0 = dyn.PhaseState([1 / 3, -1.0], [0.1, -0.1])
+        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 0.2,
+                             out_times=[0.0, 0.2])
+        text = self.trajectory_csv(traj)
+        data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
+        assert data["x1_re"][0] == 1 / 3
+
+    def test_csv_format(self):
+        ts = np.linspace(0.0, 0.2, 5)
+        frames = [np.array([1 + t, -1 - t]) for t in ts]
+        path = sv.track_zeros(frames, times=ts)
+        text = csv_text(path.times, x=path.values)
+        lines = text.strip().split("\n")
+        assert lines[0] == "t,x1_re,x1_im,x2_re,x2_im"
+        assert len(lines) == 6
+
+    def test_digits_are_format_17g(self):
+        values = np.array([[complex(1 / 3, -0.0), complex(-2e-300, np.pi)]])
+        row = csv_text([0.1], x=values).splitlines()[1].split(",")
+        want = [0.1, 1 / 3, -0.0, -2e-300, np.pi]
+        assert row == [format(v, ".17g") for v in want]
 
 
 @pytest.mark.parametrize("command", ["simulate", "solve"])

@@ -314,27 +314,6 @@ class TestIntegrator:
         assert 0 < traj.min_gap <= 2.0
 
 
-class TestTrajectoryCSV:
-    def test_header_and_shape(self):
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
-        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 0.5,
-                             out_times=np.linspace(0, 0.5, 6))
-        text = dyn.trajectory_to_csv(traj)
-        lines = text.strip().split("\n")
-        assert lines[0] == (
-            "t,x1_re,x1_im,x2_re,x2_im,v1_re,v1_im,v2_re,v2_im"
-        )
-        assert len(lines) == 7
-
-    def test_roundtrip_precision(self):
-        s0 = dyn.PhaseState([1 / 3, -1.0], [0.1, -0.1])
-        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 0.2,
-                             out_times=[0.0, 0.2])
-        text = dyn.trajectory_to_csv(traj)
-        data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
-        assert data["x1_re"][0] == 1 / 3
-
-
 def readme_model():
     """The README's example: N=3, depth 2 over the damped linear seed."""
     seed = dyn.ModelSpec("linear_seed", a=0.5)
@@ -399,8 +378,14 @@ class TestDenseOutput:
         assert opts.sep_tol < traj.min_gap <= min(gaps)
 
     def test_output_state_guard(self, monkeypatch):
-        # an interpolated output at or below sep_tol aborts the run
-        monkeypatch.setattr(dyn, "_row_gaps", lambda xs: np.zeros(len(xs)))
+        # an interpolated output at or below sep_tol aborts the run: force
+        # only the batched gap of the interpolated outputs to zero
+        gap = dyn.min_pairwise_gap
+
+        def outputs_collide(xs):
+            return np.zeros(len(xs)) if np.ndim(xs) == 2 else gap(xs)
+
+        monkeypatch.setattr(dyn, "min_pairwise_gap", outputs_collide)
         s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
         with pytest.raises(CollisionError, match="collision at t~0.25"):
             dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,

@@ -33,62 +33,52 @@ complex_entries = st.complex_numbers(
 
 class TestElemSym:
     def test_sum(self):
-        assert pc.elem_sym([2, 3], 1) == 5
+        assert pc.elem_sym_all([2, 3])[0] == 5
 
     def test_product(self):
-        assert pc.elem_sym([2, 3], 2) == 6
+        assert pc.elem_sym_all([2, 3])[1] == 6
 
     def test_pairs(self):
         # brute force over index pairs: 1*2 + 1*3 + 2*3 = 11
-        assert pc.elem_sym([1, 2, 3], 2) == pytest.approx(11)
+        assert pc.elem_sym_all([1, 2, 3])[1] == pytest.approx(11)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pc.elem_sym([1, 2], 3)
-        with pytest.raises(ValueError):
-            pc.elem_sym([1, 2], 0)
-
-    @given(st.lists(complex_entries, min_size=2, max_size=6), st.data())
-    def test_matches_brute_force(self, z, data):
-        m = data.draw(st.integers(1, len(z)))
-        got = pc.elem_sym(z, m)
-        want = brute_elem_sym(z, m)
-        assert abs(got - want) <= 1e-9 * (1 + abs(want))
+    @given(st.lists(complex_entries, min_size=2, max_size=6))
+    def test_matches_brute_force(self, z):
+        got = pc.elem_sym_all(z)
+        for m in range(1, len(z) + 1):
+            want = brute_elem_sym(z, m)
+            assert abs(got[m - 1] - want) <= 1e-9 * (1 + abs(want))
 
     @given(st.lists(complex_entries, min_size=2, max_size=6), st.data())
     def test_permutation_invariant(self, z, data):
-        m = data.draw(st.integers(1, len(z)))
         perm = data.draw(st.permutations(z))
-        assert abs(pc.elem_sym(z, m) - pc.elem_sym(perm, m)) <= 1e-15 * (
-            1 + abs(pc.elem_sym(z, m))
-        )
+        got, want = pc.elem_sym_all(perm), pc.elem_sym_all(z)
+        assert np.all(np.abs(got - want) <= 1e-15 * (1 + np.abs(want)))
+
+
+def excl_matrix(z):
+    """S[n-1, m-1] = sigma_{n,m}(z), from the batched recurrence."""
+    return pc.elem_sym_batch(np.array(z, dtype=np.complex128))[1]
 
 
 class TestElemSymExcl:
     def test_m1_is_one(self):
-        for n in (1, 2, 3):
-            assert pc.elem_sym_excl([1.5, -2, 7], n, 1) == 1
+        assert np.all(excl_matrix([1.5, -2, 7])[:, 0] == 1)
 
     def test_two_entries(self):
-        assert pc.elem_sym_excl([5, 7], 1, 2) == 7
+        assert excl_matrix([5, 7])[0, 1] == 7
 
     def test_three_entries(self):
-        # only admissible subset is {1, 3}: product 1*3
-        assert pc.elem_sym_excl([1, 2, 3], 2, 3) == 3
+        # only admissible subset for n=2, m=3 is {1, 3}: product 1*3
+        assert excl_matrix([1, 2, 3])[1, 2] == 3
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pc.elem_sym_excl([1, 2], 3, 1)
-        with pytest.raises(ValueError):
-            pc.elem_sym_excl([1, 2], 1, 3)
-
-    @given(st.lists(complex_entries, min_size=2, max_size=6), st.data())
-    def test_matches_brute_force(self, z, data):
-        n = data.draw(st.integers(1, len(z)))
-        m = data.draw(st.integers(1, len(z)))
-        got = pc.elem_sym_excl(z, n, m)
-        want = brute_elem_sym_excl(z, n, m)
-        assert abs(got - want) <= 1e-9 * (1 + abs(want))
+    @given(st.lists(complex_entries, min_size=2, max_size=6))
+    def test_matches_brute_force(self, z):
+        got = excl_matrix(z)
+        for n in range(1, len(z) + 1):
+            for m in range(1, len(z) + 1):
+                want = brute_elem_sym_excl(z, n, m)
+                assert abs(got[n - 1, m - 1] - want) <= 1e-9 * (1 + abs(want))
 
     @given(st.lists(complex_entries, min_size=1, max_size=7))
     def test_batch_rows_are_the_single_recurrence(self, z):
@@ -100,7 +90,20 @@ class TestElemSymExcl:
         for i in range(len(x)):
             assert s[i, 0] == 1
             assert np.array_equal(s[i, 1:], pc.elem_sym_all(np.delete(x, i)))
-        assert np.array_equal(pc.elem_sym_excl_matrix(z), s)
+
+
+class TestMinPairwiseGap:
+    @given(st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_batch_rows_equal_single_calls(self, b, n, data):
+        row = st.lists(complex_entries, min_size=n, max_size=n)
+        rows = np.array(data.draw(st.lists(row, min_size=b, max_size=b)),
+                        dtype=np.complex128)
+        want = [pc.min_pairwise_gap(r) for r in rows]
+        # a Fortran-ordered batch gives the same rows
+        for batch in (rows, np.asfortranarray(rows)):
+            gaps = pc.min_pairwise_gap(batch)
+            assert gaps.shape == (b,)
+            assert gaps.tolist() == want
 
 
 class TestVieta:

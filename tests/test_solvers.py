@@ -119,14 +119,6 @@ class TestTrackZeros:
         with pytest.raises(TrackingAmbiguity):
             sv.track_zeros([np.array([1.0, -1.0])])
 
-    def test_csv_format(self):
-        ts = np.linspace(0.0, 0.2, 5)
-        frames = [np.array([1 + t, -1 - t]) for t in ts]
-        text = sv.track_zeros(frames, times=ts).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,x1_re,x1_im,x2_re,x2_im"
-        assert len(lines) == 6
-
 
 class TestGenerationPath:
     @pytest.mark.parametrize("depth", [1, 2])
