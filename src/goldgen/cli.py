@@ -117,11 +117,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         print(f"simulate: {type(e).__name__}{loc}: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     path = _out_path(cfg, args, "trajectory.csv")
-    xs = np.array([s.x for s in traj.states])
-    vs = np.array([s.v for s in traj.states])
-    _atomic_write(path, csv_text([s.t for s in traj.states], x=xs, v=vs))
+    _atomic_write(path, csv_text(traj.times, x=traj.x, v=traj.v))
     print(
-        f"wrote {path}: {len(traj.states)} samples, {traj.steps} steps "
+        f"wrote {path}: {len(traj.times)} samples, {traj.steps} steps "
         f"({traj.rejected} rejected: {traj.rejected_error} error, "
         f"{traj.rejected_guard} guard), {traj.rhs_calls} RHS calls, "
         f"min gap {traj.min_gap:.3e}"

@@ -37,10 +37,6 @@ def pairs_to_complex(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
 
 
-def complex_to_pairs(values) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values)]
-
-
 @dataclass
 class Tolerances:
     ode_rel: float = 1e-9
@@ -53,12 +49,21 @@ class Tolerances:
 class Grid:
     t0: float = 0.0
     t1: float = 6.283185307179586
-    dt_out: float = 0.01
+    dt_out: float = 0.02617993877991494  # 2 pi / 240
 
     def times(self) -> np.ndarray:
-        count = int(round((self.t1 - self.t0) / self.dt_out))
+        """t0 + k dt_out for k = 0..count, where count dt_out = t1 - t0 to
+        within 1e-9 max(1, |t1 - t0|)."""
+        span = self.t1 - self.t0
+        if not math.isfinite(span / self.dt_out):
+            raise ConfigError("grid: (t1 - t0) / dt_out is not finite")
+        count = round(span / self.dt_out)
         if count < 1:
             raise ConfigError("grid must contain at least two output times")
+        if abs(self.t0 + count * self.dt_out - self.t1) > 1e-9 * max(1.0, abs(span)):
+            raise ConfigError(
+                f"grid: dt_out {self.dt_out!r} does not divide t1 - t0 = {span!r}"
+            )
         return self.t0 + self.dt_out * np.arange(count + 1)
 
 
@@ -74,11 +79,10 @@ class RunConfig:
     grid: Grid = field(default_factory=Grid)
     tolerances: Tolerances = field(default_factory=Tolerances)
     output: str | None = None
-    rng_seed: int = 0
 
     def root_options(self) -> RootOptions:
         t = self.tolerances
-        return RootOptions(root_tol=t.root_tol, sep_tol=t.sep_tol, seed=self.rng_seed)
+        return RootOptions(root_tol=t.root_tol, sep_tol=t.sep_tol)
 
     def integrator_options(self) -> IntegratorOptions:
         t = self.tolerances
@@ -94,11 +98,30 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
+def _check_finite(value, field: str) -> None:
+    """ConfigError naming the first number in value that is not a finite
+    float (JSON admits NaN, Infinity, 1e400 and integers of any size)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{field}.{key}" if field else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{field}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"{field} is not a finite number within float range")
+
+
 def parse_config(raw: dict) -> RunConfig:
     # best_match picks the error jsonschema.validate would raise
     error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
     if error is not None:
         raise ConfigError(f"config rejected by schema: {error.message}") from error
+    _check_finite(raw, "")
 
     cfg = RunConfig()
     cfg.n = int(raw.get("n", 2))
@@ -106,10 +129,9 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.depth = int(raw.get("depth", 0))
     cfg.node_budget = int(raw.get("node_budget", 10**6))
     cfg.output = raw.get("output")
-    cfg.rng_seed = int(raw.get("rng_seed", 0))
     if "grid" in raw:
         cfg.grid = Grid(**raw["grid"])
-        cfg.grid.times()  # a grid of fewer than two output times is an error
+        cfg.grid.times()  # raises unless two or more times end at t1
     if "tolerances" in raw:
         cfg.tolerances = Tolerances(**raw["tolerances"])
     if "seed_coeffs" in raw:
@@ -143,7 +165,6 @@ def parse_config(raw: dict) -> RunConfig:
                     "generation",
                     depth=int(m.get("depth", len(cfg.mu) or 1)),
                     seed=seed,
-                    mu=cfg.mu,
                 )
             except ValueError as e:
                 raise ConfigError(str(e)) from e

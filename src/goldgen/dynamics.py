@@ -13,17 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, StepSizeUnderflow
+from .errors import CollisionError, GoldgenError, StepSizeUnderflow
+from .permgen import apply_mu
 from .polycore import (
     DEFAULT_SEP_TOL,
+    MonicPoly,
+    RootOptions,
     accel_transfer,
+    canonical_order,
     coeff_motion,
     goldfish_force,
     min_pairwise_gap,
     pair_diffs,
+    r_matrix,
+    zeros_from_coeffs,
 )
 
 SEED_KINDS = ("goldfish", "iso_goldfish", "linear_seed")
+_MAX_STEPS = 1_000_000  # accepted plus rejected steps of one integrate call
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,8 @@ class ModelSpec:
 
     kind 'generation' wraps a solvable seed spec; `depth` counts how many
     zero->coefficient layers sit between the integrated coordinates and
-    the seed.  `mu` only labels the initial-condition branch; the
-    equations of motion themselves are mu-independent.
+    the seed.  The equations of motion do not depend on the branch mu that
+    the initial data were lifted through (build_initial_state).
     """
 
     kind: str
@@ -68,7 +75,6 @@ class ModelSpec:
     ia_sign: int = +1
     depth: int = 0
     seed: "ModelSpec | None" = None
-    mu: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.kind not in SEED_KINDS + ("generation",):
@@ -87,15 +93,16 @@ class IntegratorOptions:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     sep_tol: float = DEFAULT_SEP_TOL
-    max_steps: int = 1_000_000
     first_step: float = 1e-4
 
 
 @dataclass
 class Trajectory:
-    model: ModelSpec
+    """Positions x and velocities v, each (T, N), one row per output time."""
+
     times: np.ndarray
-    states: list[PhaseState]
+    x: np.ndarray
+    v: np.ndarray
     steps: int = 0
     rejected_error: int = 0
     rejected_guard: int = 0
@@ -207,16 +214,6 @@ def build_initial_state(seed_state: PhaseState, mu, sep_tol: float = DEFAULT_SEP
     vector and its velocity, root-extract the next positions, and map the
     velocities through R.  Both the root extraction and R use sep_tol.
     """
-    # imported here to avoid a cycle at module import time
-    from .permgen import apply_mu
-    from .polycore import (
-        MonicPoly,
-        RootOptions,
-        canonical_order,
-        r_matrix,
-        zeros_from_coeffs,
-    )
-
     mu = tuple(int(m) for m in mu)
     x = np.asarray(seed_state.x, dtype=np.complex128)
     v = np.asarray(seed_state.v, dtype=np.complex128)
@@ -226,7 +223,7 @@ def build_initial_state(seed_state: PhaseState, mu, sep_tol: float = DEFAULT_SEP
         y_dot = apply_mu(mu_j, v[order])
         try:
             zs = zeros_from_coeffs(MonicPoly(y), RootOptions(sep_tol=sep_tol))
-        except Exception as e:
+        except GoldgenError as e:
             raise type(e)(f"level {j + 1}: {e}") from e
         x = zs.zeros  # already canonically ordered
         v = r_matrix(x, sep_tol) @ y_dot
@@ -270,7 +267,7 @@ def integrate(
     spec: ModelSpec,
     s0: PhaseState,
     t1: float,
-    out_times=None,
+    out_times,
     opts: IntegratorOptions | None = None,
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with dense output (Shampine quartic),
@@ -281,16 +278,15 @@ def integrate(
     Steps run freely towards t1 (only the last one is clipped), and each
     output time inside an accepted step is filled from the step's quartic
     interpolant, with no extra right-hand-side calls; the output at t1 is
-    the last step's end state.  The step size follows Hairer's PI
-    controller (0.9 err^-0.17 err_prev^0.04 within [0.2, 10], no growth
-    right after a rejection).  Steps predicted to bring particles within
-    10*sep_tol of each other are rejected and halved; a step end or an
-    output state at or below sep_tol aborts with CollisionError.
+    the last step's end state.  The outputs are the rows of one (T, 2N)
+    array, which the trajectory's x and v view.  The step size follows
+    Hairer's PI controller (0.9 err^-0.17 err_prev^0.04 within [0.2, 10],
+    no growth right after a rejection).  Steps predicted to bring particles
+    within 10*sep_tol of each other are rejected and halved; a step end or
+    an output state at or below sep_tol aborts with CollisionError.
     """
     opts = opts or IntegratorOptions()
     t0 = s0.t
-    if out_times is None:
-        out_times = np.linspace(t0, t1, 201)
     out_times = np.asarray(out_times, dtype=float)
     if out_times[0] != t0:
         raise ValueError("output grid must start at the initial time")
@@ -301,7 +297,9 @@ def integrate(
 
     n = s0.n
     guarded = spec.kind in ("goldfish", "iso_goldfish", "generation")
-    traj = Trajectory(model=spec, times=out_times, states=[])
+    # row k holds the state (x, v) at out_times[k]; rows < filled are written
+    out = np.empty((len(out_times), 2 * n), dtype=np.complex128)
+    traj = Trajectory(out_times, out[:, :n], out[:, n:])
     # stage k_i of the state u = (x, v) is row i: (v, acceleration)
     K = np.empty((7, 2 * n), dtype=np.complex128)
 
@@ -314,14 +312,15 @@ def integrate(
     t = t0
     t_end = out_times[-1]
     h = min(opts.first_step, abs(t1 - t0))
-    traj.states.append(PhaseState(u[:n].copy(), u[n:].copy(), t))
+    out[0] = u
+    filled = 1
     if guarded:
         traj.min_gap = min_pairwise_gap(u[:n])
     stage(0, t, u)
     err_prev = 1e-4  # Hairer's starting value
     no_growth = False
     while t < t_end:
-        if traj.steps + traj.rejected > opts.max_steps:
+        if traj.steps + traj.rejected > _MAX_STEPS:
             raise StepSizeUnderflow("step budget exhausted")
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
@@ -365,10 +364,11 @@ def integrate(
         t_new = t_end if last else t + h
         stop = int(np.searchsorted(out_times, t_new, side="right"))
         inner = stop - 1 if out_times[stop - 1] == t_new else stop
-        if inner > len(traj.states):
-            taus = out_times[len(traj.states):inner]
+        if inner > filled:
+            taus = out_times[filled:inner]
             theta = (taus - t) / h
-            us = u + h * np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K))
+            us = out[filled:inner]
+            us[:] = u + h * np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K))
             if guarded:
                 gaps = min_pairwise_gap(us[:, :n])
                 k = int(np.argmin(gaps))
@@ -377,10 +377,9 @@ def integrate(
                         f"collision at t~{taus[k]:.6g}: gap {gaps[k]:.3e}"
                     )
                 traj.min_gap = min(traj.min_gap, float(gaps[k]))
-            traj.states += [PhaseState.trusted(ui[:n], ui[n:], tau)
-                            for ui, tau in zip(us, taus)]
         if inner < stop:
-            traj.states.append(PhaseState.trusted(u5[:n], u5[n:], t_new))
+            out[inner] = u5
+        filled = stop
         traj.steps += 1
         if guarded:
             traj.min_gap = min(traj.min_gap, gap)

@@ -12,7 +12,6 @@ roots) used as an independent oracle against the tree engine.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -124,9 +123,6 @@ class GenerationTree:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def seed_node(poly: MonicPoly, opts: RootOptions | None = None) -> GenerationNode:
     return GenerationNode((), poly, zeros_from_coeffs(poly, opts))
@@ -145,29 +141,20 @@ def generation_step(
 def generation_tree(
     seed: MonicPoly,
     depth: int,
-    prefix: tuple[int, ...] = (),
     node_budget: int = DEFAULT_NODE_BUDGET,
     opts: RootOptions | None = None,
 ) -> GenerationTree:
     """Expand the generation tree to the given depth.
 
-    `prefix` restricts expansion to addresses starting with it.  Each level
-    is root-extracted in one batched solve.  Branches whose solve fails
-    (degenerate or unconverged zeros) are recorded in `tree.failed` and not
-    expanded further.
+    Each level is root-extracted in one batched solve.  Branches whose solve
+    fails (degenerate or unconverged zeros) are recorded in `tree.failed`
+    and not expanded further.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = seed.n
     nf = math.factorial(n)
-    count = 0
-    width = 1
-    for k in range(1, depth + 1):
-        if k <= len(prefix):
-            count += 1
-        else:
-            width *= nf
-            count += width
+    count = sum(nf**k for k in range(1, depth + 1))
     if count > node_budget:
         raise TreeBudgetExceeded(
             f"tree would hold ~{count} nodes, budget is {node_budget}"
@@ -177,17 +164,16 @@ def generation_tree(
     root = seed_node(seed, opts)
     tree = GenerationTree(seed=root, depth=depth)
     frontier = [root]
-    for k in range(1, depth + 1):
-        mus = [prefix[k - 1]] if len(prefix) >= k else range(1, nf + 1)
-        perms = np.array([mu_to_perm(mu, n) for mu in mus]) - 1
-        addresses = [parent.address + (mu,) for parent in frontier for mu in mus]
-        if not addresses:
+    mus = range(1, nf + 1)
+    perms = np.array([mu_to_perm(mu, n) for mu in mus]) - 1
+    for _ in range(depth):
+        if not frontier:
             break
+        addresses = [parent.address + (mu,) for parent in frontier for mu in mus]
         # one batched solve for the whole level: row (parent, mu) holds the
-        # mu-th ordering of the parent's canonically sorted zeros
-        coeffs = np.concatenate(
-            [canonical_sort(parent.zeros)[perms] for parent in frontier]
-        )
+        # mu-th ordering of the parent's zeros, which zeros_batch returned
+        # checked and in canonical order
+        coeffs = np.concatenate([parent.zeros.zeros[perms] for parent in frontier])
         zeros, errors = zeros_batch(coeffs, opts)
         seps = opts.sep_tol * np.maximum(1.0, np.abs(coeffs).max(axis=1))
         frontier = []

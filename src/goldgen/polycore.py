@@ -39,6 +39,9 @@ MAX_SWEEPS = 200
 _POLISH_STEPS = 5
 # rounding level of a step in the rescaled variable w, where |w| <= 2 sqrt(2)
 _STEP_FLOOR = 1e-16 * (1.0 + 2.0 * math.sqrt(2.0))
+# rotation (radians) of the starting circle, chosen so that no start sits on
+# a symmetry axis of the polynomial
+_START_ROTATION = 0.401257302210934
 
 
 def _as_complex(v) -> np.ndarray:
@@ -101,10 +104,6 @@ class MonicPoly:
     def n(self) -> int:
         return len(self.coeffs)
 
-    def full_coeffs(self) -> np.ndarray:
-        """Descending-power coefficients including the leading 1."""
-        return np.concatenate(([1.0 + 0j], self.coeffs))
-
 
 @dataclass(frozen=True)
 class ZeroSet:
@@ -140,7 +139,6 @@ class RootOptions:
     root_tol: float = DEFAULT_ROOT_TOL
     sep_tol: float = DEFAULT_SEP_TOL
     max_sweeps: int = MAX_SWEEPS
-    seed: int = 0
 
 
 def elem_sym_all(z) -> np.ndarray:
@@ -263,11 +261,9 @@ def eval_poly(p: MonicPoly, z: complex) -> tuple[complex, complex]:
 
 
 @functools.cache
-def _start_angles(n: int, seed: int) -> np.ndarray:
-    """Unit vectors of the starting circle; the seed jitters its rotation
-    so that no start sits on a symmetry axis of the polynomial."""
-    offset = 0.4 + 0.01 * np.random.default_rng(seed).standard_normal()
-    angles = np.exp(1j * (2.0 * np.pi * np.arange(n) / n + offset))
+def _start_angles(n: int) -> np.ndarray:
+    """Unit vectors of the starting circle, rotated by _START_ROTATION."""
+    angles = np.exp(1j * (2.0 * np.pi * np.arange(n) / n + _START_ROTATION))
     angles.flags.writeable = False
     return angles
 
@@ -325,10 +321,10 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
     whose radius is max_k |t_k|^(1/k) for the coefficients t of p(u + c).
 
     Each row keeps the scalar guarantees, with scale = max(1, max_k |y_k|):
-    residual <= root_tol * scale, else RootSolveFailed (also for a row that
-    does not converge within max_sweeps or whose iterates leave the
-    floating-point range); minimum pairwise gap > sep_tol * scale, else
-    DegenerateZeros.
+    residual <= root_tol * scale, else RootSolveFailed (also for a row with
+    a non-finite entry, one that does not converge within max_sweeps or one
+    whose iterates leave the floating-point range); minimum pairwise gap >
+    sep_tol * scale, else DegenerateZeros.
 
     Returns (zeros, errors): zeros[b] holds row b's zeros in canonical
     order, and errors maps each failed row, in increasing row order, to the
@@ -338,8 +334,9 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 2 or c.shape[1] < 1:
         raise ValueError("expected a (B, N) coefficient array with N >= 1")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("non-finite entries")
+    finite = np.isfinite(c).all(axis=1)
+    if not finite.all():  # such a row is solved as z^N and then failed
+        c = np.where(finite[:, None], c, 0.0)
     b, n = c.shape
     inv_deg, binom, power = _tables(n)
     mag = np.abs(c)
@@ -366,7 +363,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
         radius = (np.abs(shifted[:, 1:]) ** inv_deg).max(axis=1, keepdims=True)
         # p = (z - c)^N has radius 0: start just off the multiple zero
         radius = np.maximum(radius, 2.0**-26 * (1.0 + np.abs(center)))
-        x = center + radius * _start_angles(n, opts.seed)
+        x = center + radius * _start_angles(n)
 
         out = np.empty_like(x)
         stalled = np.zeros(b, dtype=bool)
@@ -416,13 +413,15 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
             val, der = _horner(cols, x)
         res = np.abs(val).max(axis=1)
         gap = min_pairwise_gap(x)
-        failed = stalled | ~((res <= tol_w) & (gap > sep_w))
+        failed = stalled | ~finite | ~((res <= tol_w) & (gap > sep_w))
         if rescaled:
             x = np.ldexp(x.real, e[:, None]) + 1j * np.ldexp(x.imag, e[:, None])
             failed |= ~np.isfinite(x).all(axis=1)
         errors = {}
         for r in np.flatnonzero(failed):
-            if not np.isfinite(x[r]).all():
+            if not finite[r]:
+                err = RootSolveFailed("non-finite coefficients")
+            elif not np.isfinite(x[r]).all():
                 err = RootSolveFailed(
                     "root iterates left the floating-point range; "
                     "coefficients too large or too small"

@@ -18,7 +18,6 @@ from .errors import DegenerateModes, NoPeriodFound, TrackingAmbiguity
 from .matching import distance_matrix, second_best, sum_optimal
 from .permgen import mu_to_perm
 from .polycore import (
-    MonicPoly,
     RootOptions,
     canonical_order,
     check_distinct,
@@ -63,9 +62,7 @@ class PeriodReport:
         }
 
 
-def solve_linear_seed(
-    x0, v0, a: complex, ia_sign: int, t: float, mode_tol: float = 1e-10
-) -> PhaseState:
+def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float) -> PhaseState:
     """Exact two-mode solution of xddot = (i - a) xdot + ia_sign * i a x.
 
     For ia_sign=+1 the characteristic roots are exactly {i, -a}.  `t` may
@@ -78,7 +75,7 @@ def solve_linear_seed(
     disc = np.sqrt(complex(b * b + 4 * ia_sign * 1j * a))
     lam_p = (b + disc) / 2
     lam_m = (b - disc) / 2
-    if abs(lam_p - lam_m) < mode_tol:
+    if abs(lam_p - lam_m) < 1e-10:
         raise DegenerateModes(
             f"characteristic roots coincide: {lam_p:.6g} ~ {lam_m:.6g}"
         )
@@ -132,12 +129,15 @@ def solve_iso_goldfish_at(
         weight = phase / (1j * omega)
         # t a multiple of the base period: the configuration recurs
         recur = (flat == 0.0) | (np.abs(phase) < 1e-12)
-    y0, y_dot0 = coeff_motion(x0, v0)
+    # rows that overflow fail in _solved as non-finite coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0, y_dot0 = coeff_motion(x0, v0)
+        rows = y0 + weight[~recur, None] * y_dot0
     out = np.empty((len(flat), len(x0)), dtype=np.complex128)
     if recur.any():
         out[recur] = x0[canonical_order(x0)]
     if not recur.all():
-        out[~recur] = _solved(y0 + weight[~recur, None] * y_dot0, opts)
+        out[~recur] = _solved(rows, opts)
     return out.reshape(times.shape + x0.shape)
 
 
@@ -203,22 +203,19 @@ def track_zeros(
 ) -> LabeledPath:
     """Label the zeros of a polynomial path by continuity.
 
-    `frames` is a sequence of MonicPoly (solved in one batch) or of zero
-    vectors, or a (T, N) array of zeros, one frame per grid time.  Labels
-    start from the canonical order of the first frame and propagate by
-    minimal-total-squared-distance matching between consecutive frames.
-    A frame whose nearest-zero pairing is certified optimal (see
-    `_certify`) takes it directly; any other frame is matched by optimal
-    assignment.  Raises TrackingAmbiguity when the matching is not
-    well-posed: the best and second-best matchings nearly tie, or some
-    label moves farther than half the previous frame's minimum gap.
+    `frames` is a (T, N) array of zeros (or a sequence of zero vectors),
+    one frame per grid time.  Labels start from the canonical order of the
+    first frame and propagate by minimal-total-squared-distance matching
+    between consecutive frames.  A frame whose nearest-zero pairing is
+    certified optimal (see `_certify`) takes it directly; any other frame
+    is matched by optimal assignment.  Raises TrackingAmbiguity when the
+    matching is not well-posed: the best and second-best matchings nearly
+    tie, or some label moves farther than half the previous frame's minimum
+    gap.
     """
     if len(frames) < 2:
         raise TrackingAmbiguity("need at least two frames to track")
-    if isinstance(frames[0], MonicPoly):
-        clouds = _solved(np.array([f.coeffs for f in frames]), RootOptions())
-    else:
-        clouds = np.asarray(frames, dtype=np.complex128)
+    clouds = np.asarray(frames, dtype=np.complex128)
     if times is None:
         times = np.arange(len(clouds), dtype=float)
     check_distinct(clouds[0])

@@ -31,14 +31,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray  # sorted by (re, im)
     max_residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [
-                [float(z.real), float(z.imag)] for z in self.eigenvalues
-            ],
-            "max_residual": float(self.max_residual),
-        }
-
 
 def hermite_monic_coeffs(n: int) -> np.ndarray:
     """Coefficients (after the leading 1) of the monic rescaling of the
@@ -66,12 +58,12 @@ def hermite_eval(n: int, x: complex) -> tuple[complex, complex]:
     return h, 2.0 * n * hprev  # H_n' = 2 n H_{n-1}
 
 
-def hermite_zeros(n: int, opts: RootOptions | None = None) -> np.ndarray:
+def hermite_zeros(n: int) -> np.ndarray:
     """Zeros of H_n: root-find the monic coefficients, then Newton-polish
     with the recurrence evaluation.  Real parts sorted ascending."""
     if not 2 <= n <= 12:
         raise ValueError("supported degree range is 2..12")
-    zs = zeros_from_coeffs(MonicPoly(hermite_monic_coeffs(n)), opts)
+    zs = zeros_from_coeffs(MonicPoly(hermite_monic_coeffs(n)))
     x = zs.zeros.copy()
     for i in range(n):
         for _ in range(50):
@@ -114,13 +106,14 @@ def similarity_m1(x, x_mu1) -> np.ndarray:
     return r @ m_matrix(x) @ rinv
 
 
-def jacobian_fd(fun, x, h: float | None = None) -> np.ndarray:
-    """Central finite-difference Jacobian of a vector field at x."""
+def jacobian_fd(fun, x) -> np.ndarray:
+    """Central finite-difference Jacobian of a vector field at x, with step
+    1e-6 (1 + |x_m|) in coordinate m."""
     x = np.asarray(x, dtype=np.complex128)
     n = len(x)
     jac = np.empty((n, n), dtype=np.complex128)
     for m in range(n):
-        hm = h if h is not None else 1e-6 * (1.0 + abs(x[m]))
+        hm = 1e-6 * (1.0 + abs(x[m]))
         e = np.zeros(n, dtype=np.complex128)
         e[m] = hm
         jac[:, m] = (fun(x + e) - fun(x - e)) / (2.0 * hm)
@@ -152,7 +145,7 @@ def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def eig_small(m: np.ndarray, opts: RootOptions | None = None) -> SpectrumReport:
+def eig_small(m: np.ndarray) -> SpectrumReport:
     """All eigenvalues of a small (n <= 12) dense matrix via its
     characteristic polynomial and the simultaneous root finder."""
     m = np.asarray(m, dtype=np.complex128)
@@ -160,12 +153,8 @@ def eig_small(m: np.ndarray, opts: RootOptions | None = None) -> SpectrumReport:
     if n > 12:
         raise ValueError("eig_small supports n <= 12")
     p = MonicPoly(char_poly_coeffs(m))
-    opts = opts or RootOptions(sep_tol=0.0)
     # eigenvalues may legitimately coincide more closely than zero sets
-    opts_local = RootOptions(
-        root_tol=max(opts.root_tol, 1e-10), sep_tol=0.0, seed=opts.seed
-    )
-    lam = zeros_from_coeffs(p, opts_local).zeros
+    lam = zeros_from_coeffs(p, RootOptions(root_tol=1e-10, sep_tol=0.0)).zeros
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     resid = max(abs(eval_poly(p, z)[0]) for z in lam) / scale
     # zeros_from_coeffs returns the zeros in canonical (re, im) order

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import jsonschema
 import numpy as np
@@ -72,6 +73,12 @@ class TestConfigParsing:
         assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
         assert "config rejected by schema" in capsys.readouterr().err
 
+    def test_grid_span_overflow_is_config_error(self):
+        # finite ends whose difference overflows
+        bad = dict(BASE_SIM, grid={"t0": -1e308, "t1": 1e308, "dt_out": 1.0})
+        with pytest.raises(cfgmod.ConfigError, match="not finite"):
+            cfgmod.parse_config(bad)
+
     def test_length_mismatch(self):
         bad = json.loads(json.dumps(BASE_SIM))
         bad["initial"]["velocities"] = bad["initial"]["velocities"][:2]
@@ -91,11 +98,53 @@ class TestConfigParsing:
         assert cfg.model.seed.kind == "linear_seed"
         assert cfg.model.seed.a == 0.5
 
-    def test_pairs_helpers_roundtrip(self):
-        z = np.array([1 + 2j, -0.5j])
-        np.testing.assert_array_equal(
-            cfgmod.pairs_to_complex(cfgmod.complex_to_pairs(z)), z
-        )
+
+class TestNonFiniteNumbers:
+    """JSON admits NaN, Infinity, 1e400 and integers of any size; a config
+    holding one exits 2 and names the field."""
+
+    SOLVE = dict(BASE_SIM, mu=[2],
+                 model={"kind": "generation", "seed_kind": "linear_seed",
+                        "a": [0.5, 0.0], "depth": 1})
+
+    def run(self, tmp_path, command, raw):
+        raw = dict(raw, output=str(tmp_path / "out"))
+        code = main([command, "--config", write_config(tmp_path, raw)])
+        assert not (tmp_path / "out").exists()
+        return code
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_infinite_position(self, tmp_path, capsys, command):
+        raw = json.loads(json.dumps(self.SOLVE))
+        raw["initial"]["positions"][1][0] = float("inf")
+        assert self.run(tmp_path, command, raw) == 2
+        assert "initial.positions[1][0] is not a finite number" in capsys.readouterr().err
+
+    def test_nan_position_goldfish(self, tmp_path):
+        raw = json.loads(json.dumps(BASE_SIM))
+        raw["model"] = {"kind": "goldfish"}
+        raw["initial"]["positions"][0][1] = float("nan")
+        assert self.run(tmp_path, "simulate", raw) == 2
+
+    def test_infinite_seed_coefficient(self, tmp_path, capsys):
+        raw = {"seed_coeffs": [[1.0, 0.0], [float("inf"), 0.5]], "depth": 1}
+        assert self.run(tmp_path, "generate", raw) == 2
+        assert "seed_coeffs[1][0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid.t1", "Infinity"), ("grid.t1", "1e400"), ("grid.dt_out", "NaN"),
+        ("tolerances.sep_tol", "NaN"), ("grid.t0", "1" + "0" * 400),
+    ], ids=["t1-inf", "t1-1e400", "dt_out-nan", "sep_tol-nan", "t0-400-digits"])
+    def test_field_is_named(self, tmp_path, capsys, field, value):
+        block, key = field.split(".")
+        raw = json.loads(json.dumps(BASE_SIM))
+        raw.setdefault(block, {})[key] = "@"
+        raw["output"] = str(tmp_path / "out")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw).replace('"@"', value))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"{field} is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenerate:
@@ -292,6 +341,20 @@ class TestSolve:
             for z in b:
                 assert min(abs(z - w) for w in a) < 1e-6
 
+    def test_overflowing_iso_seed_is_numeric_error(self, tmp_path, capsys):
+        # y_2 overflows to inf: the rows fail as non-finite coefficients
+        raw = json.loads(json.dumps(BASE_SIM))
+        raw["initial"]["positions"] = [[1e200, 0.0], [-1e200, 1.0], [0.0, 5.0]]
+        raw["output"] = str(tmp_path / "x.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--config", write_config(tmp_path, raw)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("solve: RootSolveFailed: ")
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_goldfish_seed_has_no_closed_form_cmd(self, tmp_path):
         raw = dict(BASE_SIM, model={"kind": "goldfish"},
                    output=str(tmp_path / "x.csv"))
@@ -312,9 +375,7 @@ class TestSolve:
 
 class TestTrajectoryCSV:
     def trajectory_csv(self, traj):
-        xs = np.array([s.x for s in traj.states])
-        vs = np.array([s.v for s in traj.states])
-        return csv_text([s.t for s in traj.states], x=xs, v=vs)
+        return csv_text(traj.times, x=traj.x, v=traj.v)
 
     def test_header_and_shape(self):
         s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
@@ -390,6 +451,19 @@ class TestConfigContradictions:
         grid = {"t0": 0.0, "t1": 0.001, "dt_out": 0.01}
         assert self.run(tmp_path, command, grid=grid) == 2
         assert "at least two output times" in capsys.readouterr().err
+
+    def test_grid_step_must_divide_span(self, tmp_path, command, capsys):
+        # 240 steps of 0.02618 end at 6.2832, 1.5e-5 past t1 = 2 pi
+        grid = {"t0": 0.0, "t1": 2 * np.pi, "dt_out": 0.02618}
+        assert self.run(tmp_path, command, grid=grid) == 2
+        assert "does not divide" in capsys.readouterr().err
+
+    def test_grid_ends_at_t1(self, tmp_path, command):
+        grid = {"t0": 0.0, "t1": 2 * np.pi, "dt_out": 2 * np.pi / 240}
+        assert self.run(tmp_path, command, grid=grid) == 0
+        t = np.genfromtxt(tmp_path / "out.csv", delimiter=",", names=True)["t"]
+        assert len(t) == 241
+        assert abs(t[-1] - 2 * np.pi) <= 4 * np.finfo(float).eps * 2 * np.pi
 
     def test_n_may_be_omitted(self, tmp_path, command):
         raw = {k: v for k, v in BASE_SIM.items() if k != "n"}

@@ -190,7 +190,7 @@ class TestGenerationKernel:
         traj = dyn.integrate(spec, s, 1e-6, out_times=np.linspace(0, 1e-6, 5),
                              opts=dyn.IntegratorOptions(sep_tol=1e-10))
         assert traj.steps > 0
-        assert pc.min_pairwise_gap(traj.states[-1].x) > 5e-9
+        assert pc.min_pairwise_gap(traj.x[-1]) > 5e-9
 
     def test_configured_sep_tol_reaches_inner_levels(self):
         # well-separated zeros whose coefficients (level 1 of a depth-2
@@ -255,16 +255,16 @@ class TestIntegrator:
         spec = dyn.ModelSpec("linear_seed", a=0.5)
         grid = np.linspace(0.0, 3.0, 31)
         traj = dyn.integrate(spec, s0, 3.0, out_times=grid)
-        for st, t in zip(traj.states, grid):
-            ref = solve_linear_seed(s0.x, s0.v, 0.5, +1, t)
-            np.testing.assert_allclose(st.x, ref.x, atol=1e-8)
-            np.testing.assert_allclose(st.v, ref.v, atol=1e-8)
+        ref = solve_linear_seed(s0.x, s0.v, 0.5, +1, grid[:, None])
+        np.testing.assert_allclose(traj.x, ref.x, atol=1e-8)
+        np.testing.assert_allclose(traj.v, ref.v, atol=1e-8)
 
     def test_output_grid_respected(self):
         s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
         grid = np.array([0.0, 0.25, 1.0, 1.5])
         traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.5, out_times=grid)
-        assert [s.t for s in traj.states] == list(grid)
+        assert list(traj.times) == list(grid)
+        assert traj.x.shape == traj.v.shape == (4, 2)
         assert traj.steps > 0
 
     def test_grid_must_start_at_t0(self):
@@ -294,7 +294,7 @@ class TestIntegrator:
         T = np.pi
         traj = dyn.integrate(spec, s0, T, out_times=[0.0, T / 2, T])
         start = pc.coeffs_from_zeros(s0.x).coeffs
-        end = pc.coeffs_from_zeros(traj.states[-1].x).coeffs
+        end = pc.coeffs_from_zeros(traj.x[-1]).coeffs
         np.testing.assert_allclose(end, start, atol=1e-7)
 
     def test_head_on_collision_detected(self):
@@ -317,7 +317,7 @@ class TestIntegrator:
 def readme_model():
     """The README's example: N=3, depth 2 over the damped linear seed."""
     seed = dyn.ModelSpec("linear_seed", a=0.5)
-    spec = dyn.ModelSpec("generation", depth=2, seed=seed, mu=(2, 2))
+    spec = dyn.ModelSpec("generation", depth=2, seed=seed)
     s0 = dyn.build_initial_state(
         dyn.PhaseState([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j],
                        [0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j]),
@@ -334,8 +334,8 @@ class TestDenseOutput:
         ends = dyn.integrate(spec, s0, grid[-1], out_times=grid[[0, -1]])
         assert (fine.steps, fine.rejected, fine.rhs_calls) == (
             ends.steps, ends.rejected, ends.rhs_calls)
-        assert np.array_equal(fine.states[-1].x, ends.states[-1].x)
-        assert np.array_equal(fine.states[-1].v, ends.states[-1].v)
+        assert np.array_equal(fine.x[-1], ends.x[-1])
+        assert np.array_equal(fine.v[-1], ends.v[-1])
 
     def test_step_count_ceiling(self):
         # 173 steps when this ceiling was set; the clipped-step integrator
@@ -343,7 +343,7 @@ class TestDenseOutput:
         spec, s0, grid = readme_model()
         traj = dyn.integrate(spec, s0, grid[-1], out_times=grid)
         assert traj.steps <= 1.2 * 173
-        assert len(traj.states) == len(grid)
+        assert len(traj.x) == len(grid)
 
     def test_linear_seed_every_frame(self):
         from goldgen.solvers import solve_linear_seed
@@ -354,8 +354,8 @@ class TestDenseOutput:
         traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5),
                              dyn.PhaseState(x0, v0), grid[-1], out_times=grid)
         ref = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
-        np.testing.assert_allclose([s.x for s in traj.states], ref.x, rtol=0, atol=1e-8)
-        np.testing.assert_allclose([s.v for s in traj.states], ref.v, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(traj.x, ref.x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(traj.v, ref.v, rtol=0, atol=1e-8)
 
     def test_iso_goldfish_every_frame(self):
         from goldgen.matching import set_distance
@@ -366,16 +366,34 @@ class TestDenseOutput:
         grid = np.linspace(0.0, 2 * np.pi, 241)
         traj = dyn.integrate(dyn.ModelSpec("iso_goldfish", omega=1.0),
                              dyn.PhaseState(x0, v0), grid[-1], out_times=grid)
-        assert [s.t for s in traj.states] == list(grid)
-        for s in traj.states:
-            assert set_distance(solve_iso_goldfish_at(x0, v0, 1.0, s.t), s.x) < 1e-8
+        assert list(traj.times) == list(grid)
+        for alg, x in zip(solve_iso_goldfish_at(x0, v0, 1.0, traj.times), traj.x):
+            assert set_distance(alg, x) < 1e-8
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 2.0, 401),
+                                      np.array([0.0, 0.7, 2.0])])
+    def test_every_row_written(self, grid):
+        # the outputs are rows of one preallocated array: on the dense grid
+        # each step fills a block of interpolated rows, on the sparse one a
+        # single interior row, and either way every row must be written
+        from goldgen.solvers import solve_linear_seed
+
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
+        traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5),
+                             dyn.PhaseState(x0, v0), 2.0, out_times=grid)
+        if len(grid) > 3:
+            assert traj.steps * 4 < len(grid)
+        ref = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
+        assert traj.x.shape == traj.v.shape == (len(grid), 3)
+        np.testing.assert_allclose(traj.x, ref.x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(traj.v, ref.v, rtol=0, atol=1e-8)
 
     def test_min_gap_covers_every_written_state(self):
         spec, s0, grid = readme_model()
         opts = dyn.IntegratorOptions()
         traj = dyn.integrate(spec, s0, grid[-1], out_times=grid, opts=opts)
-        gaps = [pc.min_pairwise_gap(s.x) for s in traj.states]
-        assert opts.sep_tol < traj.min_gap <= min(gaps)
+        assert opts.sep_tol < traj.min_gap <= pc.min_pairwise_gap(traj.x).min()
 
     def test_output_state_guard(self, monkeypatch):
         # an interpolated output at or below sep_tol aborts the run: force

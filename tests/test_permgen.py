@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -103,14 +102,6 @@ class TestGenerationTree:
         assert [len(tree.level(k)) for k in (1, 2, 3)] == [2, 4, 8]
         assert not tree.failed
 
-    def test_prefix_restricts(self):
-        tree = pg.generation_tree(
-            MonicPoly([1.0, -1.0 + 0.5j]), depth=2, prefix=(2,)
-        )
-        assert len(tree.level(1)) == 1
-        assert len(tree.level(2)) == 2
-        assert (2,) in tree.nodes and (1,) not in tree.nodes
-
     def test_budget_enforced(self):
         with pytest.raises(TreeBudgetExceeded):
             pg.generation_tree(MonicPoly([0, 0, 0, -1.0]), depth=5,
@@ -169,7 +160,7 @@ class TestGenerationTree:
 
     def test_json_schema_fields(self):
         tree = pg.generation_tree(MonicPoly([1.0, -1.0]), depth=1)
-        d = json.loads(tree.to_json())
+        d = tree.to_json_dict()
         assert set(d) == {"seed", "depth", "nodes"}
         assert d["depth"] == 1
         assert d["seed"] == [[1.0, 0.0], [-1.0, 0.0]]

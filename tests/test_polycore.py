@@ -372,6 +372,18 @@ class TestBatchRoots:
         np.testing.assert_allclose(zeros[0], [1.0, 2.0], atol=1e-12)
         np.testing.assert_array_equal(zeros[0], zeros[2])
 
+    def test_non_finite_rows_reported_per_row(self):
+        good = np.poly([1.0, 2.0])[1:]
+        coeffs = np.array([good, [np.inf, 1.0], good, [0.5, np.nan]], dtype=complex)
+        zeros, errors = pc.zeros_batch(coeffs)
+        assert sorted(errors) == [1, 3]
+        for r in (1, 3):
+            assert isinstance(errors[r], RootSolveFailed)
+            assert "non-finite coefficients" in str(errors[r])
+        alone, _ = pc.zeros_batch(good[None, :])
+        np.testing.assert_array_equal(zeros[0], alone[0])
+        np.testing.assert_array_equal(zeros[2], alone[0])
+
     def test_large_coefficients_are_rescaled(self):
         # zeros of z^10 + 1e40 have modulus 1e4, but z^10 overflows near
         # a start radius of 1e40: the power-of-two substitution avoids it

@@ -136,9 +136,3 @@ class TestEigSmall:
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         rep = sp.eig_small(m)
         assert rep.max_residual < 1e-8
-
-    def test_json_dict(self):
-        rep = sp.eig_small(np.diag([1.0, 2.0]))
-        d = rep.to_json_dict()
-        assert set(d) == {"eigenvalues", "max_residual"}
-        assert d["eigenvalues"][0] == pytest.approx([1.0, 0.0], abs=1e-9)
