@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from goldgen.dynamics import ModelSpec, PhaseState
+from goldgen.dynamics import ModelSpec
 from goldgen.solvers import solve_generation_path
 from goldgen.matching import set_distance
 
@@ -29,7 +29,7 @@ def main(argv):
     T = 2 * np.pi
     pts = 240
     grid = np.linspace(0.0, n_periods * T, n_periods * pts + 1)
-    path = solve_generation_path(seed, PhaseState(X0, V0), (2,), grid)
+    path = solve_generation_path(seed, X0, V0, (2,), grid)
 
     print(f"a = {a}, base period T = 2*pi, expected ratio "
           f"e^(-2*pi*a) = {np.exp(-2 * np.pi * a):.6f}\n")

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from goldgen.dynamics import ModelSpec, PhaseState
+from goldgen.dynamics import ModelSpec
 from goldgen.errors import GoldgenError
 from goldgen.solvers import detect_period, solve_generation_path
 
@@ -27,7 +27,7 @@ def main():
     print("branch  period multiplier  residual")
     for mu in range(1, 7):
         try:
-            path = solve_generation_path(seed, PhaseState(X0, V0), (mu,), grid)
+            path = solve_generation_path(seed, X0, V0, (mu,), grid)
             rep = detect_period(path, T, p_max)
             print(f"mu={mu}     p={rep.multiplier}              "
                   f"{rep.residual:.3e}")

@@ -93,14 +93,14 @@ def _initial_state(cfg: RunConfig):
         raise ConfigError("config needs a 'model' block")
     if cfg.model.kind == "generation":
         return dynamics.build_initial_state(
-            cfg.initial, cfg.mu, sep_tol=cfg.tolerances.sep_tol
+            *cfg.initial, cfg.mu, sep_tol=cfg.tolerances.sep_tol
         )
     return cfg.initial
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     try:
-        s0 = _initial_state(cfg)
+        x0, v0 = _initial_state(cfg)
     except ConfigError as e:
         print(f"simulate: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -110,7 +110,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     times = cfg.grid.times()
     try:
         traj = dynamics.integrate(
-            cfg.model, s0, times[-1], out_times=times, opts=cfg.integrator_options()
+            cfg.model, x0, v0, times, opts=cfg.integrator_options()
         )
     except GoldgenError as e:
         loc = f" (level {e.level})" if getattr(e, "level", None) is not None else ""
@@ -141,7 +141,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     times = cfg.grid.times()
     try:
         path = solvers.solve_generation_path(
-            seed_spec, cfg.initial, mu, times, opts=cfg.root_options()
+            seed_spec, *cfg.initial, mu, times, opts=cfg.root_options()
         )
     except GoldgenError as e:
         hint = ""
@@ -256,13 +256,11 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "generate":
-        return cmd_generate(cfg, args)
-    if args.command == "simulate":
-        return cmd_simulate(cfg, args)
-    if args.command == "solve":
-        return cmd_solve(cfg, args)
-    raise AssertionError(args.command)
+    command = {"generate": cmd_generate, "simulate": cmd_simulate,
+               "solve": cmd_solve}[args.command]
+    # every overflow is caught by an explicit finiteness check (exit 3)
+    with np.errstate(all="ignore"):
+        return command(cfg, args)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import jsonschema
 import jsonschema.exceptions
 import numpy as np
 
-from .dynamics import IntegratorOptions, ModelSpec, PhaseState
+from .dynamics import IntegratorOptions, ModelSpec
 from .polycore import RootOptions
 
 
@@ -75,7 +75,7 @@ class RunConfig:
     seed_coeffs: np.ndarray | None = None
     depth: int = 0
     node_budget: int = 10**6
-    initial: PhaseState | None = None
+    initial: tuple[np.ndarray, np.ndarray] | None = None  # (positions, velocities)
     grid: Grid = field(default_factory=Grid)
     tolerances: Tolerances = field(default_factory=Tolerances)
     output: str | None = None
@@ -141,7 +141,7 @@ def parse_config(raw: dict) -> RunConfig:
         vel = pairs_to_complex(raw["initial"]["velocities"])
         if len(pos) != len(vel):
             raise ConfigError("positions/velocities lengths differ")
-        cfg.initial = PhaseState(pos, vel, t=cfg.grid.t0)
+        cfg.initial = (pos, vel)
         nf = math.factorial(len(pos))
         for m in cfg.mu:
             if not 1 <= m <= nf:
@@ -182,7 +182,7 @@ def parse_config(raw: dict) -> RunConfig:
             )
     if "n" in raw:
         counts = {
-            "initial.positions": None if cfg.initial is None else cfg.initial.n,
+            "initial.positions": None if cfg.initial is None else len(cfg.initial[0]),
             "seed_coeffs": None if cfg.seed_coeffs is None else len(cfg.seed_coeffs),
         }
         for name, count in counts.items():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, GoldgenError, StepSizeUnderflow
+from .errors import CollisionError, GoldgenError, NonFiniteState, StepSizeUnderflow
 from .permgen import apply_mu
 from .polycore import (
     DEFAULT_SEP_TOL,
@@ -31,32 +31,6 @@ from .polycore import (
 
 SEED_KINDS = ("goldfish", "iso_goldfish", "linear_seed")
 _MAX_STEPS = 1_000_000  # accepted plus rejected steps of one integrate call
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    x: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.complex128))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.complex128))
-        if self.x.shape != self.v.shape:
-            raise ValueError("positions and velocities differ in shape")
-
-    @classmethod
-    def trusted(cls, x: np.ndarray, v: np.ndarray, t: float = 0.0) -> "PhaseState":
-        """A state from complex128 vectors of equal length, not re-validated."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "x", x)
-        object.__setattr__(s, "v", v)
-        object.__setattr__(s, "t", t)
-        return s
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -127,19 +101,17 @@ def _guarded_diffs(x: np.ndarray, sep_tol: float, level=None) -> np.ndarray:
     return diff
 
 
-def rhs_goldfish(s: PhaseState, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
+def rhs_goldfish(x, v, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """xddot_n = sum_{l != n} 2 xdot_n xdot_l / (x_n - x_l)."""
-    return goldfish_force(s.v, _guarded_diffs(s.x, sep_tol))
+    return goldfish_force(v, _guarded_diffs(x, sep_tol))
 
 
-def rhs_iso_goldfish(
-    s: PhaseState, omega: float, sep_tol: float = DEFAULT_SEP_TOL
-) -> np.ndarray:
+def rhs_iso_goldfish(x, v, omega: float, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """Goldfish forces plus the isochronizing i*omega*xdot term."""
-    return rhs_goldfish(s, sep_tol) + 1j * omega * s.v
+    return rhs_goldfish(x, v, sep_tol) + 1j * omega * v
 
 
-def rhs_linear_seed(s: PhaseState, a: complex, ia_sign: int = +1) -> np.ndarray:
+def rhs_linear_seed(x, v, a: complex, ia_sign: int = +1) -> np.ndarray:
     """xddot_n = (i - a) xdot_n + ia_sign * i a x_n.
 
     ia_sign=-1 is the force as printed in the source model; ia_sign=+1 is
@@ -147,23 +119,23 @@ def rhs_linear_seed(s: PhaseState, a: complex, ia_sign: int = +1) -> np.ndarray:
     (modes e^{it}, e^{-at}).  Both are kept; +1 is the default everywhere
     a closed form is used as an oracle.
     """
-    return (1j - a) * s.v + ia_sign * (1j * a * s.x)
+    return (1j - a) * v + ia_sign * (1j * a * x)
 
 
-def seed_rhs(s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
+def seed_rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     if spec.kind == "goldfish":
-        return rhs_goldfish(s, sep_tol)
+        return rhs_goldfish(x, v, sep_tol)
     if spec.kind == "iso_goldfish":
-        return rhs_iso_goldfish(s, spec.omega, sep_tol)
+        return rhs_iso_goldfish(x, v, spec.omega, sep_tol)
     if spec.kind == "linear_seed":
-        return rhs_linear_seed(s, spec.a, spec.ia_sign)
+        return rhs_linear_seed(x, v, spec.a, spec.ia_sign)
     raise ValueError(f"not a seed kind: {spec.kind}")
 
 
 def _finite(*arrays) -> None:
     for a in arrays:
         if not np.logical_and.reduce(np.isfinite(a)):
-            raise ValueError("non-finite entries")
+            raise NonFiniteState("non-finite entries")
 
 
 def _generation_accel(x, v, seed: ModelSpec, depth: int, sep_tol: float,
@@ -184,15 +156,15 @@ def _generation_accel(x, v, seed: ModelSpec, depth: int, sep_tol: float,
         y_ddot = _generation_accel(y, y_dot, seed, depth - 1, sep_tol, level + 1)
     else:
         try:
-            y_ddot = seed_rhs(PhaseState.trusted(y, y_dot), seed, sep_tol)
+            y_ddot = seed_rhs(y, y_dot, seed, sep_tol)
         except CollisionError as e:
             raise CollisionError(str(e), level=level + 1) from e
     _finite(y_ddot)
     return accel_transfer(x, v, diff, y_ddot)
 
 
-def rhs(s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
-    """Acceleration of the model `spec` in the state s.
+def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
+    """Acceleration of the model `spec` at positions x, velocities v.
 
     For a depth-k generation model the coefficient vector y of
     prod(z - x_n) and its velocity are reconstructed algebraically from
@@ -202,36 +174,35 @@ def rhs(s: PhaseState, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.
     coordinates) raises CollisionError with level j.
     """
     if spec.kind == "generation":
-        return _generation_accel(s.x, s.v, spec.seed, spec.depth, sep_tol, level=0)
-    return seed_rhs(s, spec, sep_tol)
+        return _generation_accel(x, v, spec.seed, spec.depth, sep_tol, level=0)
+    return seed_rhs(x, v, spec, sep_tol)
 
 
-def build_initial_state(seed_state: PhaseState, mu, sep_tol: float = DEFAULT_SEP_TOL):
+def build_initial_state(x, v, mu, sep_tol: float = DEFAULT_SEP_TOL):
     """Lift seed initial data through a mu-address to generation-k data.
 
     Per level: sort the current positions canonically (velocities carried
     along), apply the level's permutation to get the next coefficient
     vector and its velocity, root-extract the next positions, and map the
     velocities through R.  Both the root extraction and R use sep_tol.
+    Returns the positions and velocities (x, v).
     """
     mu = tuple(int(m) for m in mu)
-    x = np.asarray(seed_state.x, dtype=np.complex128)
-    v = np.asarray(seed_state.v, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
     for j, mu_j in enumerate(mu):
         order = canonical_order(x)
         y = apply_mu(mu_j, x[order])
         y_dot = apply_mu(mu_j, v[order])
         try:
-            zs = zeros_from_coeffs(MonicPoly(y), RootOptions(sep_tol=sep_tol))
+            x = zeros_from_coeffs(MonicPoly(y), RootOptions(sep_tol=sep_tol))
         except GoldgenError as e:
             raise type(e)(f"level {j + 1}: {e}") from e
-        x = zs.zeros  # already canonically ordered
         v = r_matrix(x, sep_tol) @ y_dot
-    return PhaseState(x, v, t=seed_state.t)
+    return x, v
 
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [np.array(row) for row in (
     [],
     [1 / 5],
@@ -265,37 +236,37 @@ _POWERS = np.arange(1, 5)
 
 def integrate(
     spec: ModelSpec,
-    s0: PhaseState,
-    t1: float,
+    x0,
+    v0,
     out_times,
     opts: IntegratorOptions | None = None,
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with dense output (Shampine quartic),
-    Hairer PI control and a collision guard.
+    Hairer PI control and a collision guard, from the state (x0, v0) at
+    out_times[0] to out_times[-1].
 
     The complex state (x, v) is advanced directly (RK stages are linear
-    combinations); the error norm runs over real and imaginary parts.
-    Steps run freely towards t1 (only the last one is clipped), and each
-    output time inside an accepted step is filled from the step's quartic
-    interpolant, with no extra right-hand-side calls; the output at t1 is
-    the last step's end state.  The outputs are the rows of one (T, 2N)
-    array, which the trajectory's x and v view.  The step size follows
-    Hairer's PI controller (0.9 err^-0.17 err_prev^0.04 within [0.2, 10],
-    no growth right after a rejection).  Steps predicted to bring particles
-    within 10*sep_tol of each other are rejected and halved; a step end or
-    an output state at or below sep_tol aborts with CollisionError.
+    combinations); the error norm runs over real and imaginary parts, and a
+    step is accepted only when it is at most 1 (so a NaN norm rejects the
+    step, and a run that keeps producing one ends in StepSizeUnderflow).
+    Steps run freely towards the last output time (only the last one is
+    clipped), and each output time inside an accepted step is filled from
+    the step's quartic interpolant, with no extra right-hand-side calls; the
+    last output is the last step's end state.  The outputs are the rows of
+    one (T, 2N) array, which the trajectory's x and v view.  The step size
+    follows Hairer's PI controller (0.9 err^-0.17 err_prev^0.04 within
+    [0.2, 10], no growth right after a rejection).  A step with a stage
+    (its end included) within sep_tol at any level is rejected and halved,
+    and the run aborts with CollisionError once that collapses the step
+    size; a close approach that stays above sep_tol is left to the error
+    test.  An initial or output state at or below sep_tol also aborts.
     """
     opts = opts or IntegratorOptions()
-    t0 = s0.t
     out_times = np.asarray(out_times, dtype=float)
-    if out_times[0] != t0:
-        raise ValueError("output grid must start at the initial time")
     if np.any(np.diff(out_times) <= 0):
         raise ValueError("output grid must be strictly increasing")
-    if out_times[-1] != t1:
-        raise ValueError("output grid must end at t1")
 
-    n = s0.n
+    n = len(x0)
     guarded = spec.kind in ("goldfish", "iso_goldfish", "generation")
     # row k holds the state (x, v) at out_times[k]; rows < filled are written
     out = np.empty((len(out_times), 2 * n), dtype=np.complex128)
@@ -303,20 +274,20 @@ def integrate(
     # stage k_i of the state u = (x, v) is row i: (v, acceleration)
     K = np.empty((7, 2 * n), dtype=np.complex128)
 
-    def stage(i, t, u):
+    def stage(i, u):
         traj.rhs_calls += 1
         K[i, :n] = u[n:]
-        K[i, n:] = rhs(PhaseState.trusted(u[:n], u[n:], t), spec, opts.sep_tol)
+        K[i, n:] = rhs(u[:n], u[n:], spec, opts.sep_tol)
 
-    u = np.concatenate([s0.x, s0.v])
-    t = t0
+    u = np.concatenate([x0, v0], dtype=np.complex128)
+    t = out_times[0]
     t_end = out_times[-1]
-    h = min(opts.first_step, abs(t1 - t0))
+    h = min(opts.first_step, t_end - t)
     out[0] = u
     filled = 1
     if guarded:
         traj.min_gap = min_pairwise_gap(u[:n])
-    stage(0, t, u)
+    stage(0, u)
     err_prev = 1e-4  # Hairer's starting value
     no_growth = False
     while t < t_end:
@@ -328,21 +299,13 @@ def integrate(
         if last:
             h = t_end - t
         # the last stage is evaluated at u5 (its row of A is B5)
-        collided = False
         try:
             for i in range(1, 7):
                 u5 = u + h * np.dot(_DP_A[i], K[:i])
-                stage(i, t + _DP_C[i] * h, u5)
+                stage(i, u5)
         except CollisionError:
             if min_pairwise_gap(u[:n]) <= opts.sep_tol:
                 raise
-            collided = True
-        if guarded and not collided:
-            gap = min_pairwise_gap(u5[:n])
-            if gap <= opts.sep_tol:
-                raise CollisionError(f"collision at t~{t + h:.6g}: gap {gap:.3e}")
-            collided = gap <= 10.0 * opts.sep_tol
-        if collided:
             traj.rejected_guard += 1
             no_growth = True
             h *= 0.5
@@ -353,9 +316,13 @@ def integrate(
                     f"and shrinking, step size collapsed"
                 )
             continue
+        if guarded:
+            gap = min_pairwise_gap(u5[:n])
+            if gap <= opts.sep_tol:
+                raise CollisionError(f"collision at t~{t + h:.6g}: gap {gap:.3e}")
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(u), np.abs(u5))
         err = np.sqrt(np.mean((np.abs(h * np.dot(_DP_E, K)) / scale) ** 2))
-        if err > 1.0:
+        if not err <= 1.0:
             traj.rejected_error += 1
             no_growth = True
             h *= max(0.2, 0.9 * err ** -0.2)

@@ -25,6 +25,10 @@ class CollisionError(GoldgenError):
         self.level = level
 
 
+class NonFiniteState(GoldgenError):
+    """A state, acceleration or closed-form path left the floating-point range."""
+
+
 class StepSizeUnderflow(GoldgenError):
     """Adaptive integrator step size fell below the representable minimum."""
 

@@ -19,33 +19,9 @@ import numpy as np
 
 from .errors import DegenerateZeros, TreeBudgetExceeded
 from .matching import bottleneck, distance_matrix
-from .polycore import (
-    DEFAULT_SEP_TOL,
-    MonicPoly,
-    RootOptions,
-    ZeroSet,
-    canonical_order,
-    check_distinct,
-    zeros_batch,
-    zeros_from_coeffs,
-)
+from .polycore import MonicPoly, RootOptions, zeros_batch, zeros_from_coeffs
 
 DEFAULT_NODE_BUDGET = 10**6
-
-
-def canonical_sort(zs) -> np.ndarray:
-    """Order zeros by ascending real part, ties by ascending imaginary part.
-
-    This is the 'first permutation' of the unordered set; all mu-indexing
-    is relative to it.
-    """
-    if isinstance(zs, ZeroSet):
-        x, sep = zs.zeros, zs.sep_tol
-    else:
-        x = np.asarray(zs, dtype=np.complex128)
-        sep = DEFAULT_SEP_TOL
-    check_distinct(x, sep)
-    return x[canonical_order(x)]
 
 
 def mu_to_perm(mu: int, n: int) -> tuple[int, ...]:
@@ -92,7 +68,7 @@ def apply_mu(mu: int, values) -> np.ndarray:
 class GenerationNode:
     address: tuple[int, ...]
     poly: MonicPoly
-    zeros: ZeroSet
+    zeros: np.ndarray  # in canonical order
 
 
 @dataclass
@@ -117,7 +93,7 @@ class GenerationTree:
                 {
                     "mu": list(addr),
                     "coeffs": cvec(node.poly.coeffs),
-                    "zeros": cvec(node.zeros.zeros),
+                    "zeros": cvec(node.zeros),
                 }
                 for addr, node in sorted(self.nodes.items())
             ],
@@ -133,8 +109,7 @@ def generation_step(
 ) -> GenerationNode:
     """Child polynomial whose coefficients are the mu-th ordering of the
     parent's zeros."""
-    y = apply_mu(mu, canonical_sort(parent.zeros))
-    child = MonicPoly(y)
+    child = MonicPoly(apply_mu(mu, parent.zeros))
     return GenerationNode(parent.address + (mu,), child, zeros_from_coeffs(child, opts))
 
 
@@ -173,20 +148,15 @@ def generation_tree(
         # one batched solve for the whole level: row (parent, mu) holds the
         # mu-th ordering of the parent's zeros, which zeros_batch returned
         # checked and in canonical order
-        coeffs = np.concatenate([parent.zeros.zeros[perms] for parent in frontier])
+        coeffs = np.concatenate([parent.zeros[perms] for parent in frontier])
         zeros, errors = zeros_batch(coeffs, opts)
-        seps = opts.sep_tol * np.maximum(1.0, np.abs(coeffs).max(axis=1))
         frontier = []
         for i, address in enumerate(addresses):
             if i in errors:
                 tree.failed[address] = str(errors[i])
                 continue
-            # zeros_batch has checked both rows (finite, gap > seps[i])
-            node = GenerationNode(
-                address,
-                MonicPoly.trusted(coeffs[i]),
-                ZeroSet.trusted(zeros[i], sep_tol=seps[i]),
-            )
+            # zeros_batch fails every row with a non-finite coefficient
+            node = GenerationNode(address, MonicPoly.trusted(coeffs[i]), zeros[i])
             tree.nodes[address] = node
             frontier.append(node)
     return tree

@@ -105,35 +105,6 @@ class MonicPoly:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class ZeroSet:
-    """Unordered set of N pairwise-distinct zeros.
-
-    Stored in an (arbitrary but fixed) order; equality of zero sets is
-    always up to permutation.
-    """
-
-    zeros: np.ndarray
-    sep_tol: float = DEFAULT_SEP_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeros", _as_complex(self.zeros))
-        check_distinct(self.zeros, self.sep_tol)
-
-    @classmethod
-    def trusted(cls, zeros: np.ndarray, sep_tol: float = DEFAULT_SEP_TOL) -> "ZeroSet":
-        """A set from finite complex128 zeros already checked to lie more
-        than sep_tol apart, not re-validated."""
-        z = object.__new__(cls)
-        object.__setattr__(z, "zeros", zeros)
-        object.__setattr__(z, "sep_tol", sep_tol)
-        return z
-
-    @property
-    def n(self) -> int:
-        return len(self.zeros)
-
-
 @dataclass
 class RootOptions:
     root_tol: float = DEFAULT_ROOT_TOL
@@ -242,11 +213,8 @@ def accel_transfer(x: np.ndarray, v: np.ndarray, diff: np.ndarray,
 
 def coeffs_from_zeros(zs) -> MonicPoly:
     """Vieta map: y_m = (-1)^m sigma_m of the zeros."""
-    if isinstance(zs, ZeroSet):
-        x = zs.zeros
-    else:
-        x = _as_complex(zs)
-        check_distinct(x)
+    x = _as_complex(zs)
+    check_distinct(x)
     return MonicPoly(_signs_powers(len(x))[0] * elem_sym_all(x))
 
 
@@ -445,8 +413,9 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
     return x[np.arange(b)[:, None], canonical_order(x)], errors
 
 
-def zeros_from_coeffs(p: MonicPoly, opts: RootOptions | None = None) -> ZeroSet:
-    """All zeros of p: zeros_batch on one row, with the same guarantees.
+def zeros_from_coeffs(p: MonicPoly, opts: RootOptions | None = None) -> np.ndarray:
+    """All zeros of p in canonical order: zeros_batch on one row, with the
+    same guarantees.
 
     Raises RootSolveFailed on non-convergence or a residual above
     root_tol * scale, and DegenerateZeros when two zeros lie within
@@ -456,8 +425,7 @@ def zeros_from_coeffs(p: MonicPoly, opts: RootOptions | None = None) -> ZeroSet:
     zeros, errors = zeros_batch(p.coeffs[None, :], opts)
     if errors:
         raise errors[0]
-    sep = opts.sep_tol * max(1.0, float(np.max(np.abs(p.coeffs))))
-    return ZeroSet(zeros[0], sep_tol=sep)
+    return zeros[0]
 
 
 def diff_prefactor(x) -> np.ndarray:
@@ -501,15 +469,16 @@ def zeros_acceleration(x, x_dot, y_ddot) -> np.ndarray:
     return accel_transfer(x, x_dot, pair_diffs(x), y_ddot)
 
 
-def identity_residuals(p: MonicPoly, zs: ZeroSet) -> dict:
-    """Residuals of the two zero/coefficient identities.
+def identity_residuals(p: MonicPoly, x) -> dict:
+    """Residuals of the two zero/coefficient identities for the zeros x.
 
     identity1: max_n |x_n^N + sum_m y_m x_n^{N-m}|  (uses p's coefficients)
     identity2: same with y_m replaced by (-1)^m sigma_m of the zeros
     """
-    if p.n != zs.n:
+    x = _as_complex(x)
+    if p.n != len(x):
         raise ValueError("degree mismatch")
-    r1 = max(abs(eval_poly(p, x)[0]) for x in zs.zeros)
-    p2 = coeffs_from_zeros(zs)
-    r2 = max(abs(eval_poly(p2, x)[0]) for x in zs.zeros)
+    r1 = max(abs(eval_poly(p, z)[0]) for z in x)
+    p2 = coeffs_from_zeros(x)
+    r2 = max(abs(eval_poly(p2, z)[0]) for z in x)
     return {"identity1": float(r1), "identity2": float(r2)}

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSpec, PhaseState
-from .errors import DegenerateModes, NoPeriodFound, TrackingAmbiguity
+from .dynamics import ModelSpec
+from .errors import DegenerateModes, NoPeriodFound, NonFiniteState, TrackingAmbiguity
 from .matching import distance_matrix, second_best, sum_optimal
 from .permgen import mu_to_perm
 from .polycore import (
@@ -62,11 +62,13 @@ class PeriodReport:
         }
 
 
-def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float) -> PhaseState:
-    """Exact two-mode solution of xddot = (i - a) xdot + ia_sign * i a x.
+def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float):
+    """Exact two-mode solution (x, v) of xddot = (i - a) xdot + ia_sign * i a x
+    at time t after the state (x0, v0).
 
     For ia_sign=+1 the characteristic roots are exactly {i, -a}.  `t` may
     be an array: grid[:, None] gives the whole path, one row per time.
+    Raises NonFiniteState when the solution overflows.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     v0 = np.asarray(v0, dtype=np.complex128)
@@ -86,7 +88,9 @@ def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float) -> PhaseState:
     em = np.exp(lam_m * t)
     x = A * ep + B * em
     v = lam_p * A * ep + lam_m * B * em
-    return PhaseState(x, v, t)
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise NonFiniteState("linear seed solution overflows")
+    return x, v
 
 
 def _solved(coeff_rows, opts: RootOptions) -> np.ndarray:
@@ -178,6 +182,8 @@ def _assign(prev, cur, k: int, ambiguity_tol: float) -> np.ndarray:
     """Sum-optimal pairing of the labelled zeros `prev` with frame k's
     zeros `cur` (row i goes to column cols[i]), or TrackingAmbiguity."""
     cost = distance_matrix(prev, cur) ** 2
+    if not np.isfinite(cost).all():
+        raise TrackingAmbiguity(f"frame {k}: non-finite matching costs")
     cols = sum_optimal(cost)
     best = cost[np.arange(len(cols)), cols].sum()
     disp = np.max(np.abs(cur[cols] - prev))
@@ -235,43 +241,40 @@ def track_zeros(
     return LabeledPath(times=np.asarray(times, dtype=float), values=out)
 
 
-def _seed_labeled_path(
-    spec: ModelSpec, state0: PhaseState, grid, opts: RootOptions
-) -> LabeledPath:
-    """Closed-form seed path (labels = components)."""
-    grid = np.asarray(grid, dtype=float)
+def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, opts: RootOptions) -> LabeledPath:
+    """Closed-form seed path from (x0, v0) at grid[0] (labels = components)."""
+    elapsed = grid - grid[0]
     if spec.kind == "linear_seed":
-        st = solve_linear_seed(state0.x, state0.v, spec.a, spec.ia_sign, grid[:, None])
-        return LabeledPath(grid, st.x)
+        x, _ = solve_linear_seed(x0, v0, spec.a, spec.ia_sign, elapsed[:, None])
+        return LabeledPath(grid, x)
     if spec.kind == "iso_goldfish":
-        clouds = solve_iso_goldfish_at(state0.x, state0.v, spec.omega, grid, opts)
+        clouds = solve_iso_goldfish_at(x0, v0, spec.omega, elapsed, opts)
         path = track_zeros(clouds, times=grid)
-        # shift labels so the first frame equals the given ordering of x0
-        perm = np.argsort(
-            sum_optimal(distance_matrix(path.values[0], state0.x) ** 2)
-        )
-        return LabeledPath(grid, path.values[:, perm])
+        # frame 0 is x0 in canonical order: relabel it to the order of x0
+        return LabeledPath(grid, path.values[:, np.argsort(canonical_order(x0))])
     raise ValueError(f"seed kind {spec.kind!r} has no closed-form path")
 
 
 def solve_generation_path(
     seed_spec: ModelSpec,
-    seed_state0: PhaseState,
+    x0,
+    v0,
     mu,
     grid,
     opts: RootOptions | None = None,
 ) -> LabeledPath:
-    """Depth-k labeled zero path by the algebraic route.
+    """Depth-k labeled zero path by the algebraic route, from the seed state
+    (x0, v0) at grid[0].
 
     Level 0 is the closed-form seed path.  At each level the coefficient
     path is the level's permutation of the previous labeled path, with the
-    permutation fixed at t=0 and carried by the labels; the zeros of all
+    permutation fixed at grid[0] and carried by the labels; the zeros of all
     times are then extracted in one batched solve and continuity-tracked.
     """
     opts = opts or RootOptions()
     mu = tuple(int(m) for m in mu)
     grid = np.asarray(grid, dtype=float)
-    path = _seed_labeled_path(seed_spec, seed_state0, grid, opts)
+    path = _seed_labeled_path(seed_spec, x0, v0, grid, opts)
     for mu_j in mu:
         perm = np.asarray(mu_to_perm(mu_j, path.n)) - 1
         label_order = canonical_order(path.values[0])[perm]

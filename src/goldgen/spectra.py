@@ -17,6 +17,7 @@ from .errors import DegenerateZeros
 from .polycore import (
     MonicPoly,
     RootOptions,
+    canonical_order,
     eval_poly,
     min_pairwise_gap,
     pair_diffs,
@@ -60,11 +61,10 @@ def hermite_eval(n: int, x: complex) -> tuple[complex, complex]:
 
 def hermite_zeros(n: int) -> np.ndarray:
     """Zeros of H_n: root-find the monic coefficients, then Newton-polish
-    with the recurrence evaluation.  Real parts sorted ascending."""
+    with the recurrence evaluation.  Returned in canonical order."""
     if not 2 <= n <= 12:
         raise ValueError("supported degree range is 2..12")
-    zs = zeros_from_coeffs(MonicPoly(hermite_monic_coeffs(n)))
-    x = zs.zeros.copy()
+    x = zeros_from_coeffs(MonicPoly(hermite_monic_coeffs(n)))
     for i in range(n):
         for _ in range(50):
             v, d = hermite_eval(n, x[i])
@@ -76,7 +76,7 @@ def hermite_zeros(n: int) -> np.ndarray:
                 break
     # Hermite zeros are real; drop rounding-level imaginary parts
     x = np.where(np.abs(x.imag) < 1e-10, x.real + 0j, x)
-    return np.sort_complex(x)
+    return x[canonical_order(x)]
 
 
 def equilibrium_residual(x) -> float:
@@ -154,7 +154,7 @@ def eig_small(m: np.ndarray) -> SpectrumReport:
         raise ValueError("eig_small supports n <= 12")
     p = MonicPoly(char_poly_coeffs(m))
     # eigenvalues may legitimately coincide more closely than zero sets
-    lam = zeros_from_coeffs(p, RootOptions(root_tol=1e-10, sep_tol=0.0)).zeros
+    lam = zeros_from_coeffs(p, RootOptions(root_tol=1e-10, sep_tol=0.0))
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     resid = max(abs(eval_poly(p, z)[0]) for z in lam) / scale
     # zeros_from_coeffs returns the zeros in canonical (re, im) order

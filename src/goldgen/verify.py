@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, permgen, polycore, solvers, spectra
-from .dynamics import ModelSpec, PhaseState
+from .dynamics import ModelSpec
 from .errors import DegenerateZeros, GoldgenError
 from .matching import set_distance
 
@@ -49,7 +49,7 @@ def suite_identities(seed: int = 0, count: int = 200) -> list[Check]:
     for z in sets:
         scale = max(1.0, float(np.max(np.abs(z))) ** len(z))
         p = polycore.coeffs_from_zeros(z)
-        res = polycore.identity_residuals(p, polycore.ZeroSet(z, sep_tol=1e-6))
+        res = polycore.identity_residuals(p, z)
         worst_id = max(worst_id, res["identity1"] / scale, res["identity2"] / scale)
         r = polycore.r_matrix(z, sep_tol=1e-6)
         rinv = polycore.r_matrix_inverse(z, sep_tol=1e-6)
@@ -118,9 +118,7 @@ def suite_goldfish(seed: int = 0, n: int = 3, trials: int = 20) -> list[Check]:
             continue
         times = np.linspace(0.0, 2 * np.pi, 101)
         try:
-            traj = dynamics.integrate(
-                spec, PhaseState(x0, v0), 2 * np.pi, out_times=times
-            )
+            traj = dynamics.integrate(spec, x0, v0, times)
             alg = solvers.solve_iso_goldfish_at(x0, v0, omega, traj.times)
             for a, x in zip(alg, traj.x):
                 worst_mid = max(worst_mid, set_distance(a, x))
@@ -145,19 +143,19 @@ def suite_linear_seed(seed: int = 0) -> list[Check]:
     v0 = 0.5 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     spec = ModelSpec("linear_seed", a=a, ia_sign=+1)
     times = np.linspace(0.0, 2 * np.pi, 101)
-    traj = dynamics.integrate(spec, PhaseState(x0, v0), 2 * np.pi, out_times=times)
-    cf = solvers.solve_linear_seed(x0, v0, a, +1, traj.times[:, None])
-    worst = float(np.max(np.abs(cf.x - traj.x)))
+    traj = dynamics.integrate(spec, x0, v0, times)
+    cf_x, _ = solvers.solve_linear_seed(x0, v0, a, +1, traj.times[:, None])
+    worst = float(np.max(np.abs(cf_x - traj.x)))
     # observed order of the second finite difference vs the RHS
     t_probe = 1.0
     errs = []
     hs = [1e-2, 5e-3]
     for h in hs:
-        sm = solvers.solve_linear_seed(x0, v0, a, +1, t_probe - h)
-        s0 = solvers.solve_linear_seed(x0, v0, a, +1, t_probe)
-        sp = solvers.solve_linear_seed(x0, v0, a, +1, t_probe + h)
-        fd2 = (sp.x - 2 * s0.x + sm.x) / h**2
-        acc = dynamics.rhs_linear_seed(s0, a, +1)
+        xm, _ = solvers.solve_linear_seed(x0, v0, a, +1, t_probe - h)
+        x, v = solvers.solve_linear_seed(x0, v0, a, +1, t_probe)
+        xp, _ = solvers.solve_linear_seed(x0, v0, a, +1, t_probe + h)
+        fd2 = (xp - 2 * x + xm) / h**2
+        acc = dynamics.rhs_linear_seed(x, v, a, +1)
         errs.append(float(np.max(np.abs(fd2 - acc))))
     order = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1])
     return [
@@ -185,9 +183,8 @@ def suite_generations(seed: int = 0) -> list[Check]:
         v = rng.uniform(-1, 1, nn) + 1j * rng.uniform(-1, 1, nn)
         if polycore.min_pairwise_gap(x) < 0.2:
             continue
-        st = PhaseState(x, v)
-        general = dynamics.rhs(st, gen1)
-        gold = dynamics.rhs_goldfish(st)
+        general = dynamics.rhs(x, v, gen1)
+        gold = dynamics.rhs_goldfish(x, v)
         pref = polycore.diff_prefactor(x)
         simplified = gold + (1j - a) * v - 1j * a * pref * x**nn
         worst_simpl = max(worst_simpl, float(np.max(np.abs(general - simplified))))
@@ -201,12 +198,12 @@ def suite_generations(seed: int = 0) -> list[Check]:
             mu = tuple([2] * depth)
             x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
             v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
-            seed_state = PhaseState(x0, v0)
             grid = np.linspace(0.0, 2 * np.pi, 241)
-            path = solvers.solve_generation_path(sspec, seed_state, mu, grid)
-            s0 = dynamics.build_initial_state(seed_state, mu)
+            path = solvers.solve_generation_path(sspec, x0, v0, mu, grid)
             gspec = ModelSpec("generation", depth=depth, seed=sspec)
-            traj = dynamics.integrate(gspec, s0, grid[-1], out_times=grid)
+            traj = dynamics.integrate(
+                gspec, *dynamics.build_initial_state(x0, v0, mu), grid
+            )
             worst = max(map(set_distance, traj.x, path.values))
             checks.append(
                 Check(
@@ -241,7 +238,7 @@ def suite_generations(seed: int = 0) -> list[Check]:
         }
         orderings = {
             tuple(np.round(np.array(p), 9).tolist())
-            for p in itertools.permutations(parent.zeros.zeros)
+            for p in itertools.permutations(parent.zeros)
         }
         if children != orderings:
             bad += 1
@@ -258,7 +255,7 @@ def suite_isochrony() -> list[Check]:
     p_max = math.factorial(n)
     steps_per = 240
     grid = np.linspace(0.0, (p_max + 1) * T, (p_max + 1) * steps_per + 1)
-    path = solvers.solve_generation_path(sspec0, PhaseState(x0, v0), (2,), grid)
+    path = solvers.solve_generation_path(sspec0, x0, v0, (2,), grid)
     try:
         solvers.detect_period(path, T, p_max)
         ok = 0.0
@@ -271,7 +268,7 @@ def suite_isochrony() -> list[Check]:
     # p > 1 phenomenon, so the decaying observable is the set deviation.
     sspec = ModelSpec("linear_seed", a=0.5, ia_sign=+1)
     grid = np.linspace(0.0, 6 * T, 6 * steps_per + 1)
-    path = solvers.solve_generation_path(sspec, PhaseState(x0, v0), (2,), grid)
+    path = solvers.solve_generation_path(sspec, x0, v0, (2,), grid)
     devs = []
     for j in range(5):
         lo = j * steps_per
@@ -314,9 +311,9 @@ def suite_hermite(n_max: int = 10) -> list[Check]:
         x = spectra.hermite_zeros(n)
         base = np.sort(spectra.eig_small(spectra.m_matrix(x)).eigenvalues.real)
         for mu1 in range(1, math.factorial(n) + 1):
-            y = permgen.apply_mu(mu1, permgen.canonical_sort(x))
-            zs = polycore.zeros_from_coeffs(polycore.MonicPoly(y))
-            m1 = spectra.similarity_m1(x, zs.zeros)
+            # hermite_zeros are in canonical order
+            y = polycore.MonicPoly(permgen.apply_mu(mu1, x))
+            m1 = spectra.similarity_m1(x, polycore.zeros_from_coeffs(y))
             lam = spectra.eig_small(m1).eigenvalues
             worst_branch = max(
                 worst_branch,

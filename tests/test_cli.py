@@ -1,16 +1,22 @@
 import json
+import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldgen import config as cfgmod
 from goldgen import dynamics as dyn
 from goldgen import permgen
 from goldgen import solvers as sv
 from goldgen.cli import csv_text, main
+from goldgen.matching import set_distance
 from goldgen.polycore import MonicPoly
 
 
@@ -36,7 +42,7 @@ class TestConfigParsing:
         cfg = cfgmod.parse_config(BASE_SIM)
         assert cfg.model.kind == "iso_goldfish"
         assert cfg.model.omega == 1.0
-        assert cfg.initial.n == 3
+        assert [len(a) for a in cfg.initial] == [3, 3]
         np.testing.assert_allclose(cfg.grid.times()[:2], [0.0, 0.1])
 
     def test_schema_rejects_unknown_kind(self):
@@ -341,6 +347,29 @@ class TestSolve:
             for z in b:
                 assert min(abs(z - w) for w in a) < 1e-6
 
+    @pytest.mark.parametrize("seed_model", [
+        {"seed_kind": "linear_seed", "a": [0.5, 0.0]},
+        {"seed_kind": "iso_goldfish", "omega": 1.0},
+    ])
+    def test_solve_matches_simulate_from_a_later_start(self, tmp_path, seed_model):
+        # the initial state sits at t0 = 1: both routes start there
+        raw = dict(BASE_SIM, mu=[2], grid={"t0": 1.0, "t1": 2.0, "dt_out": 0.025},
+                   model={"kind": "generation", "depth": 1, **seed_model})
+        cfg = write_config(tmp_path, raw)
+        sim_out, sol_out = tmp_path / "sim.csv", tmp_path / "sol.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(sim_out)]) == 0
+        assert main(["solve", "--config", cfg, "--output", str(sol_out)]) == 0
+        sim = np.genfromtxt(sim_out, delimiter=",", names=True)
+        sol = np.genfromtxt(sol_out, delimiter=",", names=True)
+        assert sim["t"][0] == sol["t"][0] == 1.0
+        assert np.array_equal(sim["t"], sol["t"])
+
+        def clouds(data):
+            return np.stack([data[f"x{i}_re"] + 1j * data[f"x{i}_im"]
+                             for i in range(1, 4)], axis=1)
+
+        assert max(map(set_distance, clouds(sim), clouds(sol))) <= 1e-6
+
     def test_overflowing_iso_seed_is_numeric_error(self, tmp_path, capsys):
         # y_2 overflows to inf: the rows fail as non-finite coefficients
         raw = json.loads(json.dumps(BASE_SIM))
@@ -378,9 +407,8 @@ class TestTrajectoryCSV:
         return csv_text(traj.times, x=traj.x, v=traj.v)
 
     def test_header_and_shape(self):
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
-        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 0.5,
-                             out_times=np.linspace(0, 0.5, 6))
+        traj = dyn.integrate(dyn.ModelSpec("goldfish"), [1.0, -1.0], [0.1, -0.1],
+                             np.linspace(0, 0.5, 6))
         text = self.trajectory_csv(traj)
         lines = text.strip().split("\n")
         assert lines[0] == (
@@ -389,9 +417,8 @@ class TestTrajectoryCSV:
         assert len(lines) == 7
 
     def test_roundtrip_precision(self):
-        s0 = dyn.PhaseState([1 / 3, -1.0], [0.1, -0.1])
-        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 0.2,
-                             out_times=[0.0, 0.2])
+        traj = dyn.integrate(dyn.ModelSpec("goldfish"), [1 / 3, -1.0], [0.1, -0.1],
+                             [0.0, 0.2])
         text = self.trajectory_csv(traj)
         data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
         assert data["x1_re"][0] == 1 / 3
@@ -535,3 +562,58 @@ class TestVerifyAndPeriod:
     def test_period_missing_file_is_config_error(self, tmp_path):
         assert main(["period", str(tmp_path / "nope.csv"),
                      "--period", "1.0"]) == 2
+
+
+# numbers of ordinary size, and of sizes that overflow a product, a square or
+# an exponential; the band in between (|z| ~ 1e3..1e10) makes the explicit
+# integrator take up to its step budget, which is slow but not a failure
+_numbers = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+              st.sampled_from([-300, -200, -100, -30, 30, 100, 200, 300])),
+)
+_pairs = st.lists(_numbers, min_size=2, max_size=2)
+
+
+@st.composite
+def run_configs(draw):
+    """Schema-valid configs, some of them contradicting themselves."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(dyn.SEED_KINDS + ("generation",)))
+    model = {"kind": kind}
+    raw = {"n": n, "model": model}
+    if kind == "generation":
+        depth = draw(st.integers(1, 2))
+        model.update(seed_kind=draw(st.sampled_from(dyn.SEED_KINDS)), depth=depth)
+        # n! + 1 is out of range: exit 2
+        raw["mu"] = draw(st.lists(st.integers(1, math.factorial(n) + 1),
+                                  min_size=depth, max_size=depth))
+    if draw(st.booleans()):
+        model["omega"] = draw(_numbers)
+    if draw(st.booleans()):
+        model["a"] = draw(_pairs)
+    count = draw(st.sampled_from([n, n, n, n + 1]))  # n + 1 contradicts n
+    states = st.lists(_pairs, min_size=count, max_size=count)
+    raw["initial"] = {"positions": draw(states), "velocities": draw(states)}
+    frames = draw(st.integers(1, 30))
+    dt_out = draw(st.floats(1e-3, 0.5))
+    t0 = draw(st.floats(-5.0, 5.0))
+    raw["grid"] = {"t0": t0, "t1": t0 + frames * dt_out, "dt_out": dt_out}
+    return raw
+
+
+class TestCliProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(run_configs(), st.sampled_from(["simulate", "solve"]))
+    def test_exit_codes_and_finite_output(self, raw, command):
+        with tempfile.TemporaryDirectory() as work:
+            out = Path(work) / "out.csv"
+            cfg = Path(work) / "run.json"
+            cfg.write_text(json.dumps(dict(raw, output=str(out))))
+            code = main([command, "--config", str(cfg)])
+            assert code in (0, 1, 2, 3)
+            if code == 0:
+                text = out.read_text().lower()
+                assert "nan" not in text and "inf" not in text
+            else:
+                assert not out.exists()

@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 
 from goldgen import dynamics as dyn
 from goldgen import polycore as pc
-from goldgen.errors import CollisionError, DegenerateZeros, GoldgenError
+from goldgen.errors import (
+    CollisionError,
+    DegenerateZeros,
+    GoldgenError,
+    NonFiniteState,
+    StepSizeUnderflow,
+)
+
+
+GOLDFISH_PAIR = ([1.0, -1.0], [0.1, -0.1])
 
 
 def random_state(rng, n, gap=0.3):
@@ -14,7 +23,7 @@ def random_state(rng, n, gap=0.3):
         if pc.min_pairwise_gap(x) > gap:
             break
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return dyn.PhaseState(x, v)
+    return x, v
 
 
 class TestModelSpec:
@@ -40,39 +49,38 @@ class TestModelSpec:
 
 class TestSeedRHS:
     def test_goldfish_two_body(self):
-        s = dyn.PhaseState([1, -1], [1, 1])
-        np.testing.assert_allclose(dyn.rhs_goldfish(s), [1, -1])
+        x, v = np.array([1, -1], dtype=complex), np.array([1, 1], dtype=complex)
+        np.testing.assert_allclose(dyn.rhs_goldfish(x, v), [1, -1])
 
     def test_goldfish_zero_velocity(self):
-        s = dyn.PhaseState([1, -1, 1j], [0, 0, 0])
-        np.testing.assert_allclose(dyn.rhs_goldfish(s), 0)
+        x, v = np.array([1, -1, 1j]), np.zeros(3, dtype=complex)
+        np.testing.assert_allclose(dyn.rhs_goldfish(x, v), 0)
 
     def test_iso_reduces_at_omega0(self):
         rng = np.random.default_rng(0)
-        s = random_state(rng, 4)
+        x, v = random_state(rng, 4)
         np.testing.assert_allclose(
-            dyn.rhs_iso_goldfish(s, 0.0), dyn.rhs_goldfish(s)
+            dyn.rhs_iso_goldfish(x, v, 0.0), dyn.rhs_goldfish(x, v)
         )
 
     def test_iso_extra_term(self):
         rng = np.random.default_rng(1)
-        s = random_state(rng, 3)
+        x, v = random_state(rng, 3)
         np.testing.assert_allclose(
-            dyn.rhs_iso_goldfish(s, 2.5) - dyn.rhs_goldfish(s), 2.5j * s.v
+            dyn.rhs_iso_goldfish(x, v, 2.5) - dyn.rhs_goldfish(x, v), 2.5j * v
         )
 
     def test_linear_seed_signs(self):
-        s = dyn.PhaseState([1.0], [1.0])
+        x, v = np.array([1.0 + 0j]), np.array([1.0 + 0j])
         a = 0.5
-        plus = dyn.rhs_linear_seed(s, a, +1)
-        minus = dyn.rhs_linear_seed(s, a, -1)
+        plus = dyn.rhs_linear_seed(x, v, a, +1)
+        minus = dyn.rhs_linear_seed(x, v, a, -1)
         np.testing.assert_allclose(plus, [(1j - a) + 1j * a])
         np.testing.assert_allclose(minus, [(1j - a) - 1j * a])
 
     def test_collision_guard(self):
-        s = dyn.PhaseState([0.0, 1e-12], [1.0, 1.0])
         with pytest.raises(CollisionError):
-            dyn.rhs_goldfish(s)
+            dyn.rhs_goldfish(np.array([0.0, 1e-12]), np.array([1.0, 1.0]))
 
 
 class TestGenerationRHS:
@@ -80,43 +88,43 @@ class TestGenerationRHS:
         # build x from a coefficient state, compare rhs against the
         # explicit transfer pipeline
         rng = np.random.default_rng(2)
-        y_state = random_state(rng, 3)
-        x = pc.zeros_from_coeffs(pc.MonicPoly(y_state.x)).zeros
-        v = pc.zeros_velocity(x, y_state.v)
+        y, y_dot = random_state(rng, 3)
+        x = pc.zeros_from_coeffs(pc.MonicPoly(y))
+        v = pc.zeros_velocity(x, y_dot)
         spec = dyn.ModelSpec(
             "generation", depth=1, seed=dyn.ModelSpec("iso_goldfish", omega=1.0)
         )
-        got = dyn.rhs(dyn.PhaseState(x, v), spec)
-        y_ddot = dyn.rhs_iso_goldfish(y_state, 1.0)
+        got = dyn.rhs(x, v, spec)
+        y_ddot = dyn.rhs_iso_goldfish(y, y_dot, 1.0)
         want = pc.zeros_acceleration(x, v, y_ddot)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_depth2_equals_nesting_by_hand(self):
         rng = np.random.default_rng(3)
-        s = random_state(rng, 3)
+        x, v = random_state(rng, 3)
         spec2 = dyn.ModelSpec(
             "generation", depth=2, seed=dyn.ModelSpec("goldfish")
         )
-        got = dyn.rhs(s, spec2)
+        got = dyn.rhs(x, v, spec2)
         # manual two-level unwind
         signs = (-1.0) ** np.arange(1, 4)
-        y = signs * pc.elem_sym_all(s.x)
-        ydot = pc.coeffs_velocity(s.x, s.v)
+        y = signs * pc.elem_sym_all(x)
+        ydot = pc.coeffs_velocity(x, v)
         spec1 = dyn.ModelSpec(
             "generation", depth=1, seed=dyn.ModelSpec("goldfish")
         )
-        yddot = dyn.rhs(dyn.PhaseState(y, ydot), spec1)
-        want = pc.zeros_acceleration(s.x, s.v, yddot)
+        yddot = dyn.rhs(y, ydot, spec1)
+        want = pc.zeros_acceleration(x, v, yddot)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_collision_reports_level(self):
         # coefficients coincide while zeros stay separated
-        x = pc.zeros_from_coeffs(pc.MonicPoly([0.5, 0.5 + 1e-13])).zeros
+        x = pc.zeros_from_coeffs(pc.MonicPoly([0.5, 0.5 + 1e-13]))
         spec = dyn.ModelSpec(
             "generation", depth=1, seed=dyn.ModelSpec("goldfish")
         )
         with pytest.raises(CollisionError) as exc:
-            dyn.rhs(dyn.PhaseState(x, [1.0, 1.0]), spec)
+            dyn.rhs(x, np.array([1.0, 1.0]), spec)
         assert exc.value.level == 1
 
 
@@ -171,146 +179,169 @@ class TestGenerationKernel:
         except (GoldgenError, ValueError):
             # some level collides: the kernel refuses the state as well
             with pytest.raises((GoldgenError, ValueError)):
-                dyn.rhs(dyn.PhaseState(x, v), spec)
+                dyn.rhs(x, v, spec)
             return
-        got = dyn.rhs(dyn.PhaseState(x, v), spec)
+        got = dyn.rhs(x, v, spec)
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_configured_sep_tol_reaches_every_level(self):
         # two zeros 5e-9 apart: a collision under the default sep_tol, a
         # regular state under a configured 1e-10
-        s = dyn.PhaseState([0.5, 0.5 + 5e-9, -0.7 + 0.2j], [-0.1, 0.1, 0.2j])
+        x = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j])
+        v = np.array([-0.1, 0.1, 0.2j])
         spec = dyn.ModelSpec(
             "generation", depth=1, seed=dyn.ModelSpec("linear_seed", a=0.5)
         )
         with pytest.raises(CollisionError) as exc:
-            dyn.rhs(s, spec)
+            dyn.rhs(x, v, spec)
         assert exc.value.level == 0
-        assert np.all(np.isfinite(dyn.rhs(s, spec, sep_tol=1e-10)))
-        traj = dyn.integrate(spec, s, 1e-6, out_times=np.linspace(0, 1e-6, 5),
+        assert np.all(np.isfinite(dyn.rhs(x, v, spec, sep_tol=1e-10)))
+        traj = dyn.integrate(spec, x, v, np.linspace(0, 1e-6, 5),
                              opts=dyn.IntegratorOptions(sep_tol=1e-10))
         assert traj.steps > 0
         assert pc.min_pairwise_gap(traj.x[-1]) > 5e-9
+
+    def test_overflow_is_a_goldgen_error(self):
+        # finite zeros near 1e200 whose coefficient y_2 = -1e400 overflows
+        spec = dyn.ModelSpec(
+            "generation", depth=1, seed=dyn.ModelSpec("linear_seed", a=0.5)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState):
+                dyn.rhs(np.array([1e200, -1e200 + 0j]), np.array([1.0, 1.0 + 0j]), spec)
 
     def test_configured_sep_tol_reaches_inner_levels(self):
         # well-separated zeros whose coefficients (level 1 of a depth-2
         # model) lie 5e-9 apart
         y = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j])
-        x = pc.zeros_from_coeffs(pc.MonicPoly(y)).zeros
+        x = pc.zeros_from_coeffs(pc.MonicPoly(y))
         assert pc.min_pairwise_gap(x) > 1.0
-        s = dyn.PhaseState(x, [-0.1, 0.1, 0.2j])
+        v = np.array([-0.1, 0.1, 0.2j])
         spec = dyn.ModelSpec(
             "generation", depth=2, seed=dyn.ModelSpec("linear_seed", a=0.5)
         )
         with pytest.raises(CollisionError) as exc:
-            dyn.rhs(s, spec)
+            dyn.rhs(x, v, spec)
         assert exc.value.level == 1
-        assert np.all(np.isfinite(dyn.rhs(s, spec, sep_tol=1e-10)))
+        assert np.all(np.isfinite(dyn.rhs(x, v, spec, sep_tol=1e-10)))
 
 
 class TestBuildInitialState:
     def test_depth1_positions_are_roots(self):
-        seed = dyn.PhaseState([0.6 + 0.1j, -0.7 - 0.2j], [0.1, -0.3j])
-        lifted = dyn.build_initial_state(seed, (1,))
+        x0 = np.array([0.6 + 0.1j, -0.7 - 0.2j])
+        x, _ = dyn.build_initial_state(x0, np.array([0.1, -0.3j]), (1,))
         # coefficient vector is the sorted seed positions
-        y = np.sort_complex(seed.x)
-        want = pc.zeros_from_coeffs(pc.MonicPoly(y)).zeros
-        np.testing.assert_allclose(np.sort_complex(lifted.x),
+        want = pc.zeros_from_coeffs(pc.MonicPoly(np.sort_complex(x0)))
+        np.testing.assert_allclose(np.sort_complex(x),
                                    np.sort_complex(want), atol=1e-10)
 
     def test_velocity_transfer_consistent(self):
-        seed = dyn.PhaseState([0.6 + 0.1j, -0.7 - 0.2j, 0.2 + 0.9j],
-                              [0.1, -0.3j, 0.2 + 0.1j])
-        lifted = dyn.build_initial_state(seed, (3,))
-        # invert: coefficients of lifted.x should move at the permuted
+        x0 = np.array([0.6 + 0.1j, -0.7 - 0.2j, 0.2 + 0.9j])
+        v0 = np.array([0.1, -0.3j, 0.2 + 0.1j])
+        x, v = dyn.build_initial_state(x0, v0, (3,))
+        # invert: coefficients of the lifted x should move at the permuted
         # seed velocity
-        ydot = pc.coeffs_velocity(lifted.x, lifted.v)
-        order = np.lexsort((seed.x.imag, seed.x.real))
+        ydot = pc.coeffs_velocity(x, v)
+        order = np.lexsort((x0.imag, x0.real))
         from goldgen.permgen import apply_mu
-        want = apply_mu(3, seed.v[order])
+        want = apply_mu(3, v0[order])
         np.testing.assert_allclose(ydot, want, atol=1e-10)
 
     def test_root_extraction_uses_sep_tol(self):
         # mu=2 makes the coefficients (0, -6.25e-18): zeros +-2.5e-9
-        seed = dyn.PhaseState([0.0, -6.25e-18], [0.1, 0.2])
+        seed = ([0.0, -6.25e-18], [0.1, 0.2])
         with pytest.raises(DegenerateZeros):
-            dyn.build_initial_state(seed, (2,))
-        lifted = dyn.build_initial_state(seed, (2,), sep_tol=1e-10)
-        assert pc.min_pairwise_gap(lifted.x) > 1e-10
+            dyn.build_initial_state(*seed, (2,))
+        x, _ = dyn.build_initial_state(*seed, (2,), sep_tol=1e-10)
+        assert pc.min_pairwise_gap(x) > 1e-10
 
     def test_two_levels_compose(self):
-        seed = dyn.PhaseState([0.6 + 0.1j, -0.7 - 0.2j], [0.1, -0.3j])
-        once = dyn.build_initial_state(seed, (2,))
-        twice_direct = dyn.build_initial_state(seed, (2, 1))
-        twice_stepwise = dyn.build_initial_state(once, (1,))
-        np.testing.assert_allclose(twice_direct.x, twice_stepwise.x, atol=1e-10)
-        np.testing.assert_allclose(twice_direct.v, twice_stepwise.v, atol=1e-10)
+        seed = ([0.6 + 0.1j, -0.7 - 0.2j], [0.1, -0.3j])
+        once = dyn.build_initial_state(*seed, (2,))
+        twice_direct = dyn.build_initial_state(*seed, (2, 1))
+        twice_stepwise = dyn.build_initial_state(*once, (1,))
+        np.testing.assert_allclose(twice_direct[0], twice_stepwise[0], atol=1e-10)
+        np.testing.assert_allclose(twice_direct[1], twice_stepwise[1], atol=1e-10)
 
 
 class TestIntegrator:
     def test_linear_seed_against_closed_form(self):
         from goldgen.solvers import solve_linear_seed
 
-        s0 = dyn.PhaseState([0.9 + 0.1j, -0.2 - 0.5j], [0.1 - 0.2j, 0.25 + 0.1j])
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j])
         spec = dyn.ModelSpec("linear_seed", a=0.5)
         grid = np.linspace(0.0, 3.0, 31)
-        traj = dyn.integrate(spec, s0, 3.0, out_times=grid)
-        ref = solve_linear_seed(s0.x, s0.v, 0.5, +1, grid[:, None])
-        np.testing.assert_allclose(traj.x, ref.x, atol=1e-8)
-        np.testing.assert_allclose(traj.v, ref.v, atol=1e-8)
+        traj = dyn.integrate(spec, x0, v0, grid)
+        ref_x, ref_v = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
+        np.testing.assert_allclose(traj.x, ref_x, atol=1e-8)
+        np.testing.assert_allclose(traj.v, ref_v, atol=1e-8)
 
     def test_output_grid_respected(self):
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
         grid = np.array([0.0, 0.25, 1.0, 1.5])
-        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.5, out_times=grid)
+        traj = dyn.integrate(dyn.ModelSpec("goldfish"), *GOLDFISH_PAIR, grid)
         assert list(traj.times) == list(grid)
         assert traj.x.shape == traj.v.shape == (4, 2)
         assert traj.steps > 0
 
-    def test_grid_must_start_at_t0(self):
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
-        with pytest.raises(ValueError):
-            dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,
-                          out_times=[0.5, 1.0])
-
     def test_grid_must_increase(self):
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
         for grid in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0, out_times=grid)
+                dyn.integrate(dyn.ModelSpec("goldfish"), *GOLDFISH_PAIR, grid)
 
-    def test_grid_must_end_at_t1(self):
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
-        with pytest.raises(ValueError, match="end at t1"):
-            dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,
-                          out_times=[0.0, 0.5, 0.9])
+    def test_grid_carries_time(self):
+        # every model is autonomous: the state (x0, v0) at out_times[0]
+        # evolves as it would from time 0
+        x0, v0 = GOLDFISH_PAIR
+        spec = dyn.ModelSpec("linear_seed", a=0.5)
+        later = dyn.integrate(spec, x0, v0, 1.0 + np.array([0.0, 0.25, 1.5]))
+        early = dyn.integrate(spec, x0, v0, np.array([0.0, 0.25, 1.5]))
+        assert list(later.times) == [1.0, 1.25, 2.5]
+        np.testing.assert_allclose(later.x, early.x, rtol=0, atol=1e-12)
 
     def test_iso_goldfish_periodicity(self):
         # omega=2: base period pi; labeled positions recur up to a permutation,
         # and the coefficient path recurs exactly
-        s0 = dyn.PhaseState([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j],
-                            [0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
         spec = dyn.ModelSpec("iso_goldfish", omega=2.0)
         T = np.pi
-        traj = dyn.integrate(spec, s0, T, out_times=[0.0, T / 2, T])
-        start = pc.coeffs_from_zeros(s0.x).coeffs
+        traj = dyn.integrate(spec, x0, v0, [0.0, T / 2, T])
+        start = pc.coeffs_from_zeros(x0).coeffs
         end = pc.coeffs_from_zeros(traj.x[-1]).coeffs
         np.testing.assert_allclose(end, start, atol=1e-7)
 
     def test_head_on_collision_detected(self):
         # velocities diverge approaching the collision, so the run aborts
         # either on the gap guard or on step-size collapse
-        from goldgen.errors import StepSizeUnderflow
-
-        s0 = dyn.PhaseState([1.0, -1.0], [-1.0, 1.0])
         with pytest.raises((CollisionError, StepSizeUnderflow)):
-            dyn.integrate(dyn.ModelSpec("goldfish"), s0, 5.0,
-                          out_times=np.linspace(0, 5, 11))
+            dyn.integrate(dyn.ModelSpec("goldfish"), [1.0, -1.0], [-1.0, 1.0],
+                          np.linspace(0, 5, 11))
+
+    def test_close_approach_passes_the_guard(self):
+        # the smallest gap, 0.141, is far above sep_tol: the run takes the
+        # same steps whether sep_tol is 0.015 or 0.013
+        runs = [dyn.integrate(dyn.ModelSpec("goldfish"), [1.0 + 0.01j, -1.0],
+                              [-1.0, 1.0], np.linspace(0, 1, 11),
+                              opts=dyn.IntegratorOptions(sep_tol=sep_tol))
+                for sep_tol in (0.015, 0.013)]
+        for traj in runs:
+            assert traj.rejected_guard == 0
+            assert 0.141 < traj.min_gap < 0.142
+        assert runs[0].steps == runs[1].steps
+        assert np.array_equal(runs[0].x, runs[1].x)
+
+    def test_non_finite_error_norm_rejects(self):
+        # the first stages overflow to inf, so the error norm is NaN: each
+        # attempt is rejected until the step size underflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepSizeUnderflow):
+                dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), [1.0, -1.0],
+                              [1e308, 1e308], np.linspace(0, 1, 5))
 
     def test_min_gap_tracked(self):
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1j, -0.1j])
-        traj = dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,
-                             out_times=np.linspace(0, 1, 11))
+        traj = dyn.integrate(dyn.ModelSpec("goldfish"), [1.0, -1.0],
+                             [0.1j, -0.1j], np.linspace(0, 1, 11))
         assert 0 < traj.min_gap <= 2.0
 
 
@@ -319,8 +350,8 @@ def readme_model():
     seed = dyn.ModelSpec("linear_seed", a=0.5)
     spec = dyn.ModelSpec("generation", depth=2, seed=seed)
     s0 = dyn.build_initial_state(
-        dyn.PhaseState([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j],
-                       [0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j]),
+        [0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j],
+        [0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j],
         (2, 2),
     )
     return spec, s0, 0.02618 * np.arange(241)
@@ -330,8 +361,8 @@ class TestDenseOutput:
     def test_grid_independence(self):
         # the steps depend on t1 only; outputs come from the interpolant
         spec, s0, grid = readme_model()
-        fine = dyn.integrate(spec, s0, grid[-1], out_times=grid)
-        ends = dyn.integrate(spec, s0, grid[-1], out_times=grid[[0, -1]])
+        fine = dyn.integrate(spec, *s0, grid)
+        ends = dyn.integrate(spec, *s0, grid[[0, -1]])
         assert (fine.steps, fine.rejected, fine.rhs_calls) == (
             ends.steps, ends.rejected, ends.rhs_calls)
         assert np.array_equal(fine.x[-1], ends.x[-1])
@@ -341,7 +372,7 @@ class TestDenseOutput:
         # 173 steps when this ceiling was set; the clipped-step integrator
         # with the mistuned controller took 433
         spec, s0, grid = readme_model()
-        traj = dyn.integrate(spec, s0, grid[-1], out_times=grid)
+        traj = dyn.integrate(spec, *s0, grid)
         assert traj.steps <= 1.2 * 173
         assert len(traj.x) == len(grid)
 
@@ -351,11 +382,10 @@ class TestDenseOutput:
         x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
         v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
         grid = np.linspace(0.0, 2 * np.pi, 241)
-        traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5),
-                             dyn.PhaseState(x0, v0), grid[-1], out_times=grid)
-        ref = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
-        np.testing.assert_allclose(traj.x, ref.x, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(traj.v, ref.v, rtol=0, atol=1e-8)
+        traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), x0, v0, grid)
+        ref_x, ref_v = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
+        np.testing.assert_allclose(traj.x, ref_x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(traj.v, ref_v, rtol=0, atol=1e-8)
 
     def test_iso_goldfish_every_frame(self):
         from goldgen.matching import set_distance
@@ -364,8 +394,7 @@ class TestDenseOutput:
         x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
         v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
         grid = np.linspace(0.0, 2 * np.pi, 241)
-        traj = dyn.integrate(dyn.ModelSpec("iso_goldfish", omega=1.0),
-                             dyn.PhaseState(x0, v0), grid[-1], out_times=grid)
+        traj = dyn.integrate(dyn.ModelSpec("iso_goldfish", omega=1.0), x0, v0, grid)
         assert list(traj.times) == list(grid)
         for alg, x in zip(solve_iso_goldfish_at(x0, v0, 1.0, traj.times), traj.x):
             assert set_distance(alg, x) < 1e-8
@@ -380,19 +409,18 @@ class TestDenseOutput:
 
         x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
         v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
-        traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5),
-                             dyn.PhaseState(x0, v0), 2.0, out_times=grid)
+        traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), x0, v0, grid)
         if len(grid) > 3:
             assert traj.steps * 4 < len(grid)
-        ref = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
+        ref_x, ref_v = solve_linear_seed(x0, v0, 0.5, +1, grid[:, None])
         assert traj.x.shape == traj.v.shape == (len(grid), 3)
-        np.testing.assert_allclose(traj.x, ref.x, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(traj.v, ref.v, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(traj.x, ref_x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(traj.v, ref_v, rtol=0, atol=1e-8)
 
     def test_min_gap_covers_every_written_state(self):
         spec, s0, grid = readme_model()
         opts = dyn.IntegratorOptions()
-        traj = dyn.integrate(spec, s0, grid[-1], out_times=grid, opts=opts)
+        traj = dyn.integrate(spec, *s0, grid, opts=opts)
         assert opts.sep_tol < traj.min_gap <= pc.min_pairwise_gap(traj.x).min()
 
     def test_output_state_guard(self, monkeypatch):
@@ -404,10 +432,9 @@ class TestDenseOutput:
             return np.zeros(len(xs)) if np.ndim(xs) == 2 else gap(xs)
 
         monkeypatch.setattr(dyn, "min_pairwise_gap", outputs_collide)
-        s0 = dyn.PhaseState([1.0, -1.0], [0.1, -0.1])
         with pytest.raises(CollisionError, match="collision at t~0.25"):
-            dyn.integrate(dyn.ModelSpec("goldfish"), s0, 1.0,
-                          out_times=[0.0, 0.25, 1.0])
+            dyn.integrate(dyn.ModelSpec("goldfish"), *GOLDFISH_PAIR,
+                          [0.0, 0.25, 1.0])
 
 
 class TestIntegratorCounters:
@@ -423,9 +450,9 @@ class TestIntegratorCounters:
     def test_error_rejections(self, monkeypatch):
         # a first step of 1 fails the error test; six RHS calls per attempt
         # plus the first stage of the first step
-        s0 = dyn.PhaseState([1.0, -1.0], [-1.0 + 0.5j, 1.0])
-        traj = self.run_counted(monkeypatch, dyn.ModelSpec("goldfish"), s0, 2.0,
-                                out_times=np.linspace(0, 2, 11),
+        traj = self.run_counted(monkeypatch, dyn.ModelSpec("goldfish"),
+                                [1.0, -1.0], [-1.0 + 0.5j, 1.0],
+                                np.linspace(0, 2, 11),
                                 opts=dyn.IntegratorOptions(first_step=1.0))
         assert traj.rejected_error > 0 and traj.rejected_guard == 0
         assert traj.rhs_calls == 6 * (traj.steps + traj.rejected_error) + 1
@@ -433,10 +460,9 @@ class TestIntegratorCounters:
     def test_guard_rejection_mid_stage(self, monkeypatch):
         # a first step of 5 puts the second stage 0.005 from a collision
         # (<= sep_tol 0.006); the guard rejects it after one RHS call
-        s0 = dyn.PhaseState([1.0 + 0.005j, -1.0], [-1.0, 1.0])
         traj = self.run_counted(
-            monkeypatch, dyn.ModelSpec("goldfish"), s0, 5.0,
-            out_times=np.linspace(0, 5, 11),
+            monkeypatch, dyn.ModelSpec("goldfish"), [1.0 + 0.005j, -1.0], [-1.0, 1.0],
+            np.linspace(0, 5, 11),
             opts=dyn.IntegratorOptions(sep_tol=0.006, first_step=5.0))
         assert traj.rejected_guard == 1
         assert traj.rhs_calls == 6 * (traj.steps + traj.rejected_error) + 1 + 1

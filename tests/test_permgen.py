@@ -8,21 +8,31 @@ from hypothesis import strategies as st
 
 from goldgen import permgen as pg
 from goldgen.errors import DegenerateZeros, TreeBudgetExceeded
-from goldgen.polycore import MonicPoly, ZeroSet, coeffs_from_zeros
+from goldgen.polycore import (
+    MonicPoly,
+    canonical_order,
+    check_distinct,
+    coeffs_from_zeros,
+)
+
+
+def canonical_sort(x):
+    x = np.asarray(x, dtype=np.complex128)
+    return x[canonical_order(x)]
 
 
 class TestCanonicalSort:
     def test_real_parts_ascending(self):
-        out = pg.canonical_sort([2.0, -1.0, 0.5])
+        out = canonical_sort([2.0, -1.0, 0.5])
         np.testing.assert_array_equal(out, [-1.0, 0.5, 2.0])
 
     def test_tie_breaks_on_imag(self):
-        out = pg.canonical_sort([1 + 2j, 1 - 1j, 0.0])
+        out = canonical_sort([1 + 2j, 1 - 1j, 0.0])
         np.testing.assert_array_equal(out, [0.0, 1 - 1j, 1 + 2j])
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateZeros):
-            pg.canonical_sort([1.0, 1.0 + 1e-12])
+            check_distinct([1.0, 1.0 + 1e-12])
 
 
 class TestMuIndexing:
@@ -87,7 +97,7 @@ class TestGenerationStep:
     def test_child_zeros_consistent(self):
         root = pg.seed_node(MonicPoly([0.3 - 1j, -0.8, 1.1 + 0.2j]))
         child = pg.generation_step(root, 4)
-        back = coeffs_from_zeros(child.zeros.zeros)
+        back = coeffs_from_zeros(child.zeros)
         np.testing.assert_allclose(back.coeffs, child.poly.coeffs, atol=1e-9)
 
     def test_address_extends(self):
@@ -135,19 +145,20 @@ class TestGenerationTree:
             parent = tree.seed if len(addr) == 1 else tree.nodes[addr[:-1]]
             single = pg.generation_step(parent, addr[-1])
             np.testing.assert_array_equal(node.poly.coeffs, single.poly.coeffs)
-            np.testing.assert_allclose(node.zeros.zeros, single.zeros.zeros,
-                                       atol=1e-12)
+            np.testing.assert_allclose(node.zeros, single.zeros, atol=1e-12)
 
     def test_nodes_pass_the_checks_they_skip(self):
-        # nodes are built unvalidated from zeros_batch rows; rebuilding
-        # them through the validating constructors changes nothing
+        # nodes are built unvalidated from zeros_batch rows; they pass the
+        # validating constructor and the separation check, and their zeros
+        # are in the canonical order the next level branches on
         tree = pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j, 0.3j]), depth=2)
         for node in tree.nodes.values():
             poly = MonicPoly(node.poly.coeffs)
-            zs = ZeroSet(node.zeros.zeros, sep_tol=node.zeros.sep_tol)
-            assert node.poly.coeffs.dtype == node.zeros.zeros.dtype == np.complex128
+            assert node.poly.coeffs.dtype == node.zeros.dtype == np.complex128
             np.testing.assert_array_equal(poly.coeffs, node.poly.coeffs)
-            np.testing.assert_array_equal(zs.zeros, node.zeros.zeros)
+            check_distinct(node.zeros, 1e-8 * max(1.0, np.abs(poly.coeffs).max()))
+            np.testing.assert_array_equal(canonical_order(node.zeros),
+                                          np.arange(len(node.zeros)))
 
     def test_failed_branch_message_matches_single_step(self):
         from goldgen.polycore import RootOptions

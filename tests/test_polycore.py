@@ -145,11 +145,11 @@ class TestEvalPoly:
 class TestRootFinder:
     def test_simple_factorization(self):
         zs = pc.zeros_from_coeffs(pc.MonicPoly([-3, 2]))
-        np.testing.assert_allclose(zs.zeros, [1, 2], atol=1e-10)
+        np.testing.assert_allclose(zs, [1, 2], atol=1e-10)
 
     def test_plus_minus_one(self):
         zs = pc.zeros_from_coeffs(pc.MonicPoly([0, -1]))
-        np.testing.assert_allclose(zs.zeros, [-1, 1], atol=1e-10)
+        np.testing.assert_allclose(zs, [-1, 1], atol=1e-10)
 
     def test_double_root_rejected(self):
         # a double root splits at the rounding scale; any separation
@@ -168,7 +168,7 @@ class TestRootFinder:
                 continue
             p = pc.coeffs_from_zeros(z)
             zs = pc.zeros_from_coeffs(p)
-            res = max(abs(pc.eval_poly(p, x)[0]) for x in zs.zeros)
+            res = max(abs(pc.eval_poly(p, x)[0]) for x in zs)
             assert res <= 1e-11 * max(1.0, float(np.max(np.abs(p.coeffs))))
 
     def test_roundtrip_set_equality(self):
@@ -179,7 +179,7 @@ class TestRootFinder:
             if pc.min_pairwise_gap(z) < 1e-2:
                 continue
             zs = pc.zeros_from_coeffs(pc.coeffs_from_zeros(z))
-            got = np.sort_complex(np.round(zs.zeros, 8))
+            got = np.sort_complex(np.round(zs, 8))
             want = np.sort_complex(np.round(z, 8))
             np.testing.assert_allclose(got, want, atol=1e-7)
 
@@ -259,10 +259,10 @@ class TestDerivativeTransfer:
         p0 = pc.coeffs_from_zeros(z).coeffs
         ydot = rng.normal(size=3) + 1j * rng.normal(size=3)
         h = 1e-6
-        za = pc.zeros_from_coeffs(pc.MonicPoly(p0 - h * ydot)).zeros
-        zb = pc.zeros_from_coeffs(pc.MonicPoly(p0 + h * ydot)).zeros
+        za = pc.zeros_from_coeffs(pc.MonicPoly(p0 - h * ydot))
+        zb = pc.zeros_from_coeffs(pc.MonicPoly(p0 + h * ydot))
         fd = (zb - za) / (2 * h)
-        x0 = pc.zeros_from_coeffs(pc.MonicPoly(p0)).zeros
+        x0 = pc.zeros_from_coeffs(pc.MonicPoly(p0))
         np.testing.assert_allclose(
             pc.zeros_velocity(x0, ydot), fd, atol=1e-6
         )
@@ -275,7 +275,7 @@ class TestAcceleration:
         x = np.array([0.4 + 0.1j, -0.9 + 0.3j, 0.2 - 0.7j])
         v = np.array([1.0, -0.5 + 0.5j, 0.25j])
         acc = pc.zeros_acceleration(x, v, np.zeros(3))
-        gold = dynamics.rhs_goldfish(dynamics.PhaseState(x, v))
+        gold = dynamics.rhs_goldfish(x, v)
         np.testing.assert_allclose(acc, gold, atol=1e-12)
 
     def test_hand_computed(self):
@@ -293,7 +293,7 @@ class TestAcceleration:
 
         def roots_at(t):
             y = y0 + y1 * t + 0.5 * y2 * t * t
-            return pc.zeros_from_coeffs(pc.MonicPoly(y)).zeros
+            return pc.zeros_from_coeffs(pc.MonicPoly(y))
 
         h = 1e-4
         fd2 = (roots_at(h) - 2 * roots_at(0.0) + roots_at(-h)) / h**2
@@ -308,19 +308,19 @@ class TestIdentityResiduals:
     def test_matched_pair(self):
         z = np.array([0.3 + 1j, -0.8, 1.2 - 0.4j])
         p = pc.coeffs_from_zeros(z)
-        res = pc.identity_residuals(p, pc.ZeroSet(z))
+        res = pc.identity_residuals(p, z)
         assert res["identity1"] < 1e-12
         assert res["identity2"] < 1e-12
 
     def test_mismatched_pair(self):
         p = pc.MonicPoly([0, -1])  # z^2 - 1
-        res = pc.identity_residuals(p, pc.ZeroSet([1, 2]))
+        res = pc.identity_residuals(p, [1, 2])
         assert res["identity1"] == pytest.approx(3.0)  # |p(2)|
 
     def test_identities_agree_for_vieta_coeffs(self):
         z = np.array([1.5, -0.5 + 0.7j, 0.2 - 0.3j])
         p = pc.coeffs_from_zeros(z)
-        res = pc.identity_residuals(p, pc.ZeroSet(z))
+        res = pc.identity_residuals(p, z)
         assert abs(res["identity1"] - res["identity2"]) < 1e-13
 
 
@@ -349,7 +349,7 @@ class TestBatchRoots:
         assert errors == {}
         for row, got in zip(coeffs, zeros):
             size = max(1.0, float(np.max(np.abs(got))))
-            single = pc.zeros_from_coeffs(pc.MonicPoly(row)).zeros
+            single = pc.zeros_from_coeffs(pc.MonicPoly(row))
             assert set_distance(got, single) <= 1e-10 * size
             assert set_distance(got, np.roots(np.concatenate(([1.0], row)))) <= 1e-10 * size
             # rows come back in canonical order
@@ -391,8 +391,8 @@ class TestBatchRoots:
         coeffs[-1] = 1e40
         # sep_tol * scale is absolute (scale = 1e40): keep it below the gaps
         zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), pc.RootOptions(sep_tol=1e-40))
-        np.testing.assert_allclose(np.abs(zs.zeros), 1e4, rtol=1e-12)
-        np.testing.assert_allclose(zs.zeros**10, -1e40, rtol=1e-10)
+        np.testing.assert_allclose(np.abs(zs), 1e4, rtol=1e-12)
+        np.testing.assert_allclose(zs**10, -1e40, rtol=1e-10)
 
     def test_overflowing_coefficients_raise(self):
         with pytest.raises(RootSolveFailed):
@@ -439,9 +439,9 @@ class TestRootFinderOracle:
             return
         zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), opts)
         with mpmath.workdps(60):
-            assert max(_mp_residual(coeffs, x) for x in zs.zeros) <= opts.root_tol * scale
-        assert set_distance(zs.zeros, _mp_zeros(coeffs)) <= 1e-8
-        assert pc.min_pairwise_gap(zs.zeros) > opts.sep_tol * scale
+            assert max(_mp_residual(coeffs, x) for x in zs) <= opts.root_tol * scale
+        assert set_distance(zs, _mp_zeros(coeffs)) <= 1e-8
+        assert pc.min_pairwise_gap(zs) > opts.sep_tol * scale
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8])
     @pytest.mark.parametrize("sep_tol", [1e-8, 1e-6])
@@ -460,7 +460,7 @@ class TestRootFinderOracle:
             assert pc.min_pairwise_gap(truth) <= sep_tol * scale + 1e-7
             return
         with mpmath.workdps(60):
-            assert max(_mp_residual(coeffs, x) for x in zs.zeros) <= opts.root_tol * scale
-        assert pc.min_pairwise_gap(zs.zeros) > sep_tol * scale
+            assert max(_mp_residual(coeffs, x) for x in zs) <= opts.root_tol * scale
+        assert pc.min_pairwise_gap(zs) > sep_tol * scale
         # a pair at distance 2 delta is resolved to ~ eps / delta
-        assert set_distance(zs.zeros, truth) <= 1e-15 / delta + 1e-12
+        assert set_distance(zs, truth) <= 1e-15 / delta + 1e-12

@@ -7,10 +7,10 @@ from goldgen import solvers as sv
 from goldgen.errors import (
     DegenerateModes,
     NoPeriodFound,
+    NonFiniteState,
     RootSolveFailed,
     TrackingAmbiguity,
 )
-from goldgen.permgen import canonical_sort
 from goldgen.matching import set_distance
 
 X0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
@@ -20,21 +20,21 @@ V0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
 class TestLinearSeed:
     def test_modes_are_i_and_minus_a(self):
         a = 0.5
-        st = sv.solve_linear_seed([1.0], [1j], a, +1, 2.0)
-        np.testing.assert_allclose(st.x, [np.exp(2j)], atol=1e-12)
-        st = sv.solve_linear_seed([1.0], [-a], a, +1, 2.0)
-        np.testing.assert_allclose(st.x, [np.exp(-2 * a)], atol=1e-12)
+        x, _ = sv.solve_linear_seed([1.0], [1j], a, +1, 2.0)
+        np.testing.assert_allclose(x, [np.exp(2j)], atol=1e-12)
+        x, _ = sv.solve_linear_seed([1.0], [-a], a, +1, 2.0)
+        np.testing.assert_allclose(x, [np.exp(-2 * a)], atol=1e-12)
 
     def test_initial_conditions(self):
-        st = sv.solve_linear_seed(X0, V0, 0.3 - 0.2j, +1, 0.0)
-        np.testing.assert_allclose(st.x, X0)
-        np.testing.assert_allclose(st.v, V0)
+        x, v = sv.solve_linear_seed(X0, V0, 0.3 - 0.2j, +1, 0.0)
+        np.testing.assert_allclose(x, X0)
+        np.testing.assert_allclose(v, V0)
 
     def test_satisfies_ode(self):
         a, t, h = 0.4 + 0.1j, 1.3, 1e-5
-        xm = sv.solve_linear_seed(X0, V0, a, +1, t - h).x
-        x0 = sv.solve_linear_seed(X0, V0, a, +1, t).x
-        xp = sv.solve_linear_seed(X0, V0, a, +1, t + h).x
+        xm = sv.solve_linear_seed(X0, V0, a, +1, t - h)[0]
+        x0 = sv.solve_linear_seed(X0, V0, a, +1, t)[0]
+        xp = sv.solve_linear_seed(X0, V0, a, +1, t + h)[0]
         acc = (xp - 2 * x0 + xm) / h**2
         vel = (xp - xm) / (2 * h)
         np.testing.assert_allclose(acc, (1j - a) * vel + 1j * a * x0, atol=1e-5)
@@ -44,12 +44,18 @@ class TestLinearSeed:
         with pytest.raises(DegenerateModes):
             sv.solve_linear_seed([1.0], [0.0], -1j, +1, 1.0)
 
+    def test_overflow_is_an_error(self):
+        # the damped mode e^{-a t} grows like e^{800} backwards in time
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState):
+                sv.solve_linear_seed(X0, V0, 0.5, +1, np.array([[0.0], [-1600.0]]))
+
     def test_both_signs_solve_their_ode(self):
         a, t, h = 0.5, 0.7, 1e-5
         for sgn in (+1, -1):
-            xm = sv.solve_linear_seed(X0, V0, a, sgn, t - h).x
-            x0 = sv.solve_linear_seed(X0, V0, a, sgn, t).x
-            xp = sv.solve_linear_seed(X0, V0, a, sgn, t + h).x
+            xm = sv.solve_linear_seed(X0, V0, a, sgn, t - h)[0]
+            x0 = sv.solve_linear_seed(X0, V0, a, sgn, t)[0]
+            xp = sv.solve_linear_seed(X0, V0, a, sgn, t + h)[0]
             acc = (xp - 2 * x0 + xm) / h**2
             vel = (xp - xm) / (2 * h)
             np.testing.assert_allclose(
@@ -60,16 +66,16 @@ class TestLinearSeed:
 class TestIsoGoldfishClosedForm:
     def test_t0_returns_initial_set(self):
         out = sv.solve_iso_goldfish_at(X0, V0, 1.0, 0.0)
-        np.testing.assert_allclose(out, canonical_sort(X0))
+        np.testing.assert_allclose(out, X0[pc.canonical_order(X0)])
 
     def test_period_recurrence(self):
         out = sv.solve_iso_goldfish_at(X0, V0, 1.0, 2 * np.pi)
-        np.testing.assert_allclose(out, canonical_sort(X0), atol=1e-10)
+        np.testing.assert_allclose(out, X0[pc.canonical_order(X0)], atol=1e-10)
 
     def test_matches_ode_omega1(self):
         spec = dyn.ModelSpec("iso_goldfish", omega=1.0)
         grid = np.linspace(0.0, 2 * np.pi, 41)
-        traj = dyn.integrate(spec, dyn.PhaseState(X0, V0), grid[-1], grid)
+        traj = dyn.integrate(spec, X0, V0, grid)
         for x, t in zip(traj.x, grid):
             alg = sv.solve_iso_goldfish_at(X0, V0, 1.0, t)
             assert set_distance(alg, x) < 1e-7
@@ -77,7 +83,7 @@ class TestIsoGoldfishClosedForm:
     def test_omega0_limit_is_goldfish(self):
         spec = dyn.ModelSpec("goldfish")
         grid = np.linspace(0.0, 0.8, 9)
-        traj = dyn.integrate(spec, dyn.PhaseState(X0, V0), grid[-1], grid)
+        traj = dyn.integrate(spec, X0, V0, grid)
         for x, t in zip(traj.x, grid):
             alg = sv.solve_iso_goldfish_at(X0, V0, 0.0, t)
             assert set_distance(alg, x) < 1e-7
@@ -119,31 +125,27 @@ class TestGenerationPath:
         seed_spec = dyn.ModelSpec("linear_seed", a=a)
         mu = (2,) * depth
         grid = np.linspace(0.0, 2 * np.pi, 121)
-        path = sv.solve_generation_path(
-            seed_spec, dyn.PhaseState(X0, V0), mu, grid
-        )
+        path = sv.solve_generation_path(seed_spec, X0, V0, mu, grid)
         gen_spec = dyn.ModelSpec("generation", depth=depth, seed=seed_spec)
-        s0 = dyn.build_initial_state(dyn.PhaseState(X0, V0), mu)
-        traj = dyn.integrate(gen_spec, s0, grid[-1], grid)
+        traj = dyn.integrate(gen_spec, *dyn.build_initial_state(X0, V0, mu), grid)
         dev = max(map(set_distance, path.values, traj.x))
         assert dev < 1e-6
 
     def test_initial_frame_consistent_with_lift(self):
         seed_spec = dyn.ModelSpec("linear_seed", a=0.5)
         grid = np.linspace(0.0, 0.5, 11)
-        path = sv.solve_generation_path(
-            seed_spec, dyn.PhaseState(X0, V0), (3,), grid
-        )
-        s0 = dyn.build_initial_state(dyn.PhaseState(X0, V0), (3,))
-        assert set_distance(path.values[0], s0.x) < 1e-10
+        path = sv.solve_generation_path(seed_spec, X0, V0, (3,), grid)
+        x, _ = dyn.build_initial_state(X0, V0, (3,))
+        assert set_distance(path.values[0], x) < 1e-10
 
     def test_iso_goldfish_seed_supported(self):
         seed_spec = dyn.ModelSpec("iso_goldfish", omega=1.0)
         grid = np.linspace(0.0, 1.0, 41)
-        path = sv.solve_generation_path(
-            seed_spec, dyn.PhaseState(X0, V0), (1,), grid
-        )
+        path = sv.solve_generation_path(seed_spec, X0, V0, (1,), grid)
         assert path.values.shape == (41, 3)
+        # labels start as the components of x0
+        np.testing.assert_array_equal(
+            sv.solve_generation_path(seed_spec, X0, V0, (), grid).values[0], X0)
 
 
 class TestDetectPeriod:
@@ -259,7 +261,7 @@ class TestCertifiedTracking:
         monkeypatch.setattr(sv, "_assign", lambda *a: calls.append(a[2]) or real(*a))
         grid = np.linspace(0.0, 2 * np.pi, 241)
         path = sv.solve_generation_path(
-            dyn.ModelSpec("linear_seed", a=0.5), dyn.PhaseState(X0, V0), (2, 5), grid
+            dyn.ModelSpec("linear_seed", a=0.5), X0, V0, (2, 5), grid
         )
         assert path.values.shape == (241, 3)
         assert len(calls) <= 0.01 * 2 * 240
@@ -269,3 +271,10 @@ class TestCertifiedTracking:
         huge = [1e200, 1e300]  # residual cannot reach root_tol * scale
         with pytest.raises(RootSolveFailed):
             sv._solved(np.array([good, huge, good]), pc.RootOptions())
+
+    def test_overflowing_costs_are_an_ambiguity(self):
+        # squared distances of zeros near 1e200 overflow to inf
+        prev = np.array([1e200, -1e200])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrackingAmbiguity, match="non-finite"):
+                sv._assign(prev, prev[::-1], 1, sv.DEFAULT_AMBIGUITY_TOL)
