@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -72,7 +73,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
             MonicPoly(cfg.seed_coeffs),
             depth,
             node_budget=cfg.node_budget,
-            opts=cfg.root_options(),
+            tol=cfg.tolerances,
         )
     except GoldgenError as e:
         print(f"generate: {type(e).__name__}: {e}", file=sys.stderr)
@@ -92,9 +93,7 @@ def _initial_state(cfg: RunConfig):
     if cfg.model is None:
         raise ConfigError("config needs a 'model' block")
     if cfg.model.kind == "generation":
-        return dynamics.build_initial_state(
-            *cfg.initial, cfg.mu, sep_tol=cfg.tolerances.sep_tol
-        )
+        return dynamics.build_initial_state(*cfg.initial, cfg.mu, cfg.tolerances)
     return cfg.initial
 
 
@@ -109,9 +108,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         return EXIT_NUMERIC
     times = cfg.grid.times()
     try:
-        traj = dynamics.integrate(
-            cfg.model, x0, v0, times, opts=cfg.integrator_options()
-        )
+        traj = dynamics.integrate(cfg.model, x0, v0, times, cfg.tolerances)
     except GoldgenError as e:
         loc = f" (level {e.level})" if getattr(e, "level", None) is not None else ""
         print(f"simulate: {type(e).__name__}{loc}: {e}", file=sys.stderr)
@@ -141,7 +138,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     times = cfg.grid.times()
     try:
         path = solvers.solve_generation_path(
-            seed_spec, *cfg.initial, mu, times, opts=cfg.root_options()
+            seed_spec, *cfg.initial, mu, times, cfg.tolerances
         )
     except GoldgenError as e:
         hint = ""
@@ -173,28 +170,43 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
-def cmd_period(args) -> int:
-    try:
-        data = np.genfromtxt(args.trajectory, delimiter=",", names=True)
-    except OSError as e:
-        print(f"period: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if data.size < 2:  # a one-row file reads as a 0-d record
-        print("period: the CSV needs at least two rows of data", file=sys.stderr)
-        return EXIT_CONFIG
-    names = [n for n in data.dtype.names if n.startswith("x")]
-    n = max(1, len(names) // 2)
+def _read_path_csv(path: str):
+    """Times and positions (T, N) from the t, x1_re, x1_im, ... columns of
+    a CSV; ValueError saying what is wrong with it."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError("the CSV is empty")
+    header = [name.strip() for name in rows[0]]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("the CSV has rows of unequal length")
+    if len(rows) < 3:
+        raise ValueError("the CSV needs at least two rows of data")
+    n = max(1, sum(name.startswith("x") for name in header) // 2)
     needed = ["t"] + [f"x{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
-    missing = [c for c in needed if c not in data.dtype.names]
+    missing = [c for c in needed if c not in header]
     if missing:
-        print(f"period: the CSV lacks column(s) {', '.join(missing)}",
+        raise ValueError(f"the CSV lacks column(s) {', '.join(missing)}")
+    cols = [header.index(c) for c in needed]
+    table = np.array([[float(row[c]) for c in cols] for row in rows[1:]])
+    times, values = table[:, 0], table[:, 1::2] + 1j * table[:, 2::2]
+    if not (np.isfinite(times).all() and np.isfinite(np.abs(values)).all()):
+        raise ValueError("the CSV holds a value that is not a finite number")
+    if not (np.diff(times) > 0).all():
+        raise ValueError("the times are not strictly increasing")
+    return times, values
+
+
+def cmd_period(args) -> int:
+    if not (math.isfinite(args.period) and args.period > 0):
+        print(f"period: --period must be finite and > 0, not {args.period!r}",
               file=sys.stderr)
         return EXIT_CONFIG
-    times = np.asarray(data["t"], dtype=float)
-    values = np.empty((len(times), n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        values[:, i - 1] = data[f"x{i}_re"] + 1j * data[f"x{i}_im"]
-    path = solvers.LabeledPath(times, values)
+    try:
+        path = solvers.LabeledPath(*_read_path_csv(args.trajectory))
+    except (OSError, ValueError, csv.Error) as e:
+        print(f"period: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         rep = solvers.detect_period(
             path, args.period, args.p_max, period_tol=args.tol
@@ -249,17 +261,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args)
-    if args.command == "period":
-        return cmd_period(args)
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    command = {"generate": cmd_generate, "simulate": cmd_simulate,
-               "solve": cmd_solve}[args.command]
-    # every overflow is caught by an explicit finiteness check (exit 3)
+    # every overflow is caught by an explicit finiteness check (exit 2 or 3)
     with np.errstate(all="ignore"):
+        if args.command == "period":
+            return cmd_period(args)
+        try:
+            cfg = load_config(args.config)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        command = {"generate": cmd_generate, "simulate": cmd_simulate,
+                   "solve": cmd_solve}[args.command]
         return command(cfg, args)
 
 

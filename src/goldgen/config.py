@@ -12,8 +12,8 @@ import jsonschema
 import jsonschema.exceptions
 import numpy as np
 
-from .dynamics import IntegratorOptions, ModelSpec
-from .polycore import RootOptions
+from .dynamics import ModelSpec
+from .polycore import Tolerances
 
 
 class ConfigError(Exception):
@@ -35,14 +35,6 @@ def _validator() -> jsonschema.Draft202012Validator:
 
 def pairs_to_complex(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-
-
-@dataclass
-class Tolerances:
-    ode_rel: float = 1e-9
-    ode_abs: float = 1e-12
-    root_tol: float = 1e-12
-    sep_tol: float = 1e-8
 
 
 @dataclass
@@ -79,14 +71,6 @@ class RunConfig:
     grid: Grid = field(default_factory=Grid)
     tolerances: Tolerances = field(default_factory=Tolerances)
     output: str | None = None
-
-    def root_options(self) -> RootOptions:
-        t = self.tolerances
-        return RootOptions(root_tol=t.root_tol, sep_tol=t.sep_tol)
-
-    def integrator_options(self) -> IntegratorOptions:
-        t = self.tolerances
-        return IntegratorOptions(rel_tol=t.ode_rel, abs_tol=t.ode_abs, sep_tol=t.sep_tol)
 
 
 def load_config(path: str) -> RunConfig:

@@ -18,7 +18,7 @@ from .permgen import apply_mu
 from .polycore import (
     DEFAULT_SEP_TOL,
     MonicPoly,
-    RootOptions,
+    Tolerances,
     accel_transfer,
     canonical_order,
     coeff_motion,
@@ -31,6 +31,7 @@ from .polycore import (
 
 SEED_KINDS = ("goldfish", "iso_goldfish", "linear_seed")
 _MAX_STEPS = 1_000_000  # accepted plus rejected steps of one integrate call
+_FIRST_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,6 @@ class ModelSpec:
                 raise ValueError("generation must nest over a seed kind")
         if self.ia_sign not in (+1, -1):
             raise ValueError("ia_sign must be +1 or -1")
-
-
-@dataclass
-class IntegratorOptions:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    sep_tol: float = DEFAULT_SEP_TOL
-    first_step: float = 1e-4
 
 
 @dataclass
@@ -178,13 +171,13 @@ def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     return seed_rhs(x, v, spec, sep_tol)
 
 
-def build_initial_state(x, v, mu, sep_tol: float = DEFAULT_SEP_TOL):
+def build_initial_state(x, v, mu, tol: Tolerances = Tolerances()):
     """Lift seed initial data through a mu-address to generation-k data.
 
     Per level: sort the current positions canonically (velocities carried
     along), apply the level's permutation to get the next coefficient
     vector and its velocity, root-extract the next positions, and map the
-    velocities through R.  Both the root extraction and R use sep_tol.
+    velocities through R.  Both the root extraction and R use tol.
     Returns the positions and velocities (x, v).
     """
     mu = tuple(int(m) for m in mu)
@@ -195,10 +188,10 @@ def build_initial_state(x, v, mu, sep_tol: float = DEFAULT_SEP_TOL):
         y = apply_mu(mu_j, x[order])
         y_dot = apply_mu(mu_j, v[order])
         try:
-            x = zeros_from_coeffs(MonicPoly(y), RootOptions(sep_tol=sep_tol))
+            x = zeros_from_coeffs(MonicPoly(y), tol)
         except GoldgenError as e:
             raise type(e)(f"level {j + 1}: {e}") from e
-        v = r_matrix(x, sep_tol) @ y_dot
+        v = r_matrix(x, tol.sep_tol) @ y_dot
     return x, v
 
 
@@ -239,7 +232,7 @@ def integrate(
     x0,
     v0,
     out_times,
-    opts: IntegratorOptions | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with dense output (Shampine quartic),
     Hairer PI control and a collision guard, from the state (x0, v0) at
@@ -248,7 +241,8 @@ def integrate(
     The complex state (x, v) is advanced directly (RK stages are linear
     combinations); the error norm runs over real and imaginary parts, and a
     step is accepted only when it is at most 1 (so a NaN norm rejects the
-    step, and a run that keeps producing one ends in StepSizeUnderflow).
+    step, and a run that keeps producing one ends in StepSizeUnderflow);
+    tol gives its ode_rel, ode_abs and sep_tol.
     Steps run freely towards the last output time (only the last one is
     clipped), and each output time inside an accepted step is filled from
     the step's quartic interpolant, with no extra right-hand-side calls; the
@@ -256,12 +250,12 @@ def integrate(
     one (T, 2N) array, which the trajectory's x and v view.  The step size
     follows Hairer's PI controller (0.9 err^-0.17 err_prev^0.04 within
     [0.2, 10], no growth right after a rejection).  A step with a stage
-    (its end included) within sep_tol at any level is rejected and halved,
-    and the run aborts with CollisionError once that collapses the step
-    size; a close approach that stays above sep_tol is left to the error
-    test.  An initial or output state at or below sep_tol also aborts.
+    within sep_tol at any level is rejected and halved (the last stage is
+    the end state, so every accepted state passed the guard), and the run
+    aborts with CollisionError once that collapses the step size; a close
+    approach that stays above sep_tol is left to the error test.  An
+    initial state or an interpolated output at or below sep_tol aborts.
     """
-    opts = opts or IntegratorOptions()
     out_times = np.asarray(out_times, dtype=float)
     if np.any(np.diff(out_times) <= 0):
         raise ValueError("output grid must be strictly increasing")
@@ -277,12 +271,12 @@ def integrate(
     def stage(i, u):
         traj.rhs_calls += 1
         K[i, :n] = u[n:]
-        K[i, n:] = rhs(u[:n], u[n:], spec, opts.sep_tol)
+        K[i, n:] = rhs(u[:n], u[n:], spec, tol.sep_tol)
 
     u = np.concatenate([x0, v0], dtype=np.complex128)
     t = out_times[0]
     t_end = out_times[-1]
-    h = min(opts.first_step, t_end - t)
+    h = min(_FIRST_STEP, t_end - t)
     out[0] = u
     filled = 1
     if guarded:
@@ -304,8 +298,6 @@ def integrate(
                 u5 = u + h * np.dot(_DP_A[i], K[:i])
                 stage(i, u5)
         except CollisionError:
-            if min_pairwise_gap(u[:n]) <= opts.sep_tol:
-                raise
             traj.rejected_guard += 1
             no_growth = True
             h *= 0.5
@@ -316,11 +308,7 @@ def integrate(
                     f"and shrinking, step size collapsed"
                 )
             continue
-        if guarded:
-            gap = min_pairwise_gap(u5[:n])
-            if gap <= opts.sep_tol:
-                raise CollisionError(f"collision at t~{t + h:.6g}: gap {gap:.3e}")
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(u), np.abs(u5))
+        scale = tol.ode_abs + tol.ode_rel * np.maximum(np.abs(u), np.abs(u5))
         err = np.sqrt(np.mean((np.abs(h * np.dot(_DP_E, K)) / scale) ** 2))
         if not err <= 1.0:
             traj.rejected_error += 1
@@ -339,7 +327,7 @@ def integrate(
             if guarded:
                 gaps = min_pairwise_gap(us[:, :n])
                 k = int(np.argmin(gaps))
-                if gaps[k] <= opts.sep_tol:
+                if gaps[k] <= tol.sep_tol:
                     raise CollisionError(
                         f"collision at t~{taus[k]:.6g}: gap {gaps[k]:.3e}"
                     )
@@ -349,7 +337,7 @@ def integrate(
         filled = stop
         traj.steps += 1
         if guarded:
-            traj.min_gap = min(traj.min_gap, gap)
+            traj.min_gap = min(traj.min_gap, min_pairwise_gap(u5[:n]))
         t, u = t_new, u5
         K[0] = K[6]  # first same as last
         # Hairer's PI controller (HNW I, II.4): alpha = 0.17, beta = 0.04

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateZeros, TreeBudgetExceeded
 from .matching import bottleneck, distance_matrix
-from .polycore import MonicPoly, RootOptions, zeros_batch, zeros_from_coeffs
+from .polycore import MonicPoly, Tolerances, zeros_batch, zeros_from_coeffs
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -100,24 +100,24 @@ class GenerationTree:
         }
 
 
-def seed_node(poly: MonicPoly, opts: RootOptions | None = None) -> GenerationNode:
-    return GenerationNode((), poly, zeros_from_coeffs(poly, opts))
+def seed_node(poly: MonicPoly, tol: Tolerances = Tolerances()) -> GenerationNode:
+    return GenerationNode((), poly, zeros_from_coeffs(poly, tol))
 
 
 def generation_step(
-    parent: GenerationNode, mu: int, opts: RootOptions | None = None
+    parent: GenerationNode, mu: int, tol: Tolerances = Tolerances()
 ) -> GenerationNode:
     """Child polynomial whose coefficients are the mu-th ordering of the
     parent's zeros."""
     child = MonicPoly(apply_mu(mu, parent.zeros))
-    return GenerationNode(parent.address + (mu,), child, zeros_from_coeffs(child, opts))
+    return GenerationNode(parent.address + (mu,), child, zeros_from_coeffs(child, tol))
 
 
 def generation_tree(
     seed: MonicPoly,
     depth: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    opts: RootOptions | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> GenerationTree:
     """Expand the generation tree to the given depth.
 
@@ -135,8 +135,7 @@ def generation_tree(
             f"tree would hold ~{count} nodes, budget is {node_budget}"
         )
 
-    opts = opts or RootOptions()
-    root = seed_node(seed, opts)
+    root = seed_node(seed, tol)
     tree = GenerationTree(seed=root, depth=depth)
     frontier = [root]
     mus = range(1, nf + 1)
@@ -149,7 +148,7 @@ def generation_tree(
         # mu-th ordering of the parent's zeros, which zeros_batch returned
         # checked and in canonical order
         coeffs = np.concatenate([parent.zeros[perms] for parent in frontier])
-        zeros, errors = zeros_batch(coeffs, opts)
+        zeros, errors = zeros_batch(coeffs, tol)
         frontier = []
         for i, address in enumerate(addresses):
             if i in errors:

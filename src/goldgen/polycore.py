@@ -34,8 +34,7 @@ import numpy as np
 from .errors import DegenerateZeros, RootSolveFailed
 
 DEFAULT_SEP_TOL = 1e-8
-DEFAULT_ROOT_TOL = 1e-12
-MAX_SWEEPS = 200
+MAX_SWEEPS = 200  # read at call time
 _POLISH_STEPS = 5
 # rounding level of a step in the rescaled variable w, where |w| <= 2 sqrt(2)
 _STEP_FLOOR = 1e-16 * (1.0 + 2.0 * math.sqrt(2.0))
@@ -105,11 +104,17 @@ class MonicPoly:
         return len(self.coeffs)
 
 
-@dataclass
-class RootOptions:
-    root_tol: float = DEFAULT_ROOT_TOL
+@dataclass(frozen=True)
+class Tolerances:
+    """The four tolerances of a run, one record from the config to every
+    check: the integrator's error test (ode_rel, ode_abs), the root
+    finder's residual (root_tol) and the separation of zeros, which the
+    root finder, the tracker and the collision guard share (sep_tol)."""
+
+    ode_rel: float = 1e-9
+    ode_abs: float = 1e-12
+    root_tol: float = 1e-12
     sep_tol: float = DEFAULT_SEP_TOL
-    max_sweeps: int = MAX_SWEEPS
 
 
 def elem_sym_all(z) -> np.ndarray:
@@ -276,7 +281,7 @@ def canonical_order(x) -> np.ndarray:
     return np.lexsort((x.imag, x.real), axis=-1)
 
 
-def zeros_batch(coeffs, opts: RootOptions | None = None):
+def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
     """Zeros of every row of a (B, N) array of monic coefficient vectors.
 
     One Aberth-Ehrlich iteration runs on all rows at once; a row leaves the
@@ -290,7 +295,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
 
     Each row keeps the scalar guarantees, with scale = max(1, max_k |y_k|):
     residual <= root_tol * scale, else RootSolveFailed (also for a row with
-    a non-finite entry, one that does not converge within max_sweeps or one
+    a non-finite entry, one that does not converge within MAX_SWEEPS or one
     whose iterates leave the floating-point range); minimum pairwise gap >
     sep_tol * scale, else DegenerateZeros.
 
@@ -298,7 +303,6 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
     order, and errors maps each failed row, in increasing row order, to the
     exception it raises (its zeros are then meaningless).
     """
-    opts = opts or RootOptions()
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 2 or c.shape[1] < 1:
         raise ValueError("expected a (B, N) coefficient array with N >= 1")
@@ -309,8 +313,8 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
     inv_deg, binom, power = _tables(n)
     mag = np.abs(c)
     scale = np.maximum(1.0, mag.max(axis=1))
-    tol = opts.root_tol * scale
-    sep = opts.sep_tol * scale
+    res_tol = tol.root_tol * scale
+    sep = tol.sep_tol * scale
     with np.errstate(all="ignore"):
         e = np.rint(np.max(np.log2(mag) * inv_deg, axis=1))
         if not np.isfinite(e).all():  # all-zero rows
@@ -321,9 +325,9 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
             ek = e[:, None] * np.arange(1, n + 1)
             c = np.ldexp(c.real, -ek) + 1j * np.ldexp(c.imag, -ek)
             # |p(2^e w)| = 2^(eN) |p_w(w)| exactly: the tolerances move with e
-            tol_w, sep_w = np.ldexp(tol, -e * n), np.ldexp(sep, -e)
+            tol_w, sep_w = np.ldexp(res_tol, -e * n), np.ldexp(sep, -e)
         else:
-            tol_w, sep_w = tol, sep
+            tol_w, sep_w = res_tol, sep
 
         center = -c[:, :1] / n
         full = np.concatenate((np.ones((b, 1)), c), axis=1)
@@ -338,7 +342,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
         rows = np.arange(b)
         work_c, work_tol = c, tol_w
         cols = [work_c[:, k, None] for k in range(n)]
-        for _ in range(opts.max_sweeps):
+        for _ in range(MAX_SWEEPS):
             val, der = _horner(cols, x)
             # a NaN residual also stops the row; the final check rejects it
             settled = ~(np.maximum.reduce(np.abs(val), axis=1) > work_tol)
@@ -402,7 +406,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
             elif not res[r] <= tol_w[r]:
                 err = RootSolveFailed(
                     f"root residual {np.ldexp(res[r], e[r] * n):.3e} exceeds "
-                    f"{tol[r]:.3e}"
+                    f"{res_tol[r]:.3e}"
                 )
             else:
                 err = DegenerateZeros(
@@ -413,7 +417,7 @@ def zeros_batch(coeffs, opts: RootOptions | None = None):
     return x[np.arange(b)[:, None], canonical_order(x)], errors
 
 
-def zeros_from_coeffs(p: MonicPoly, opts: RootOptions | None = None) -> np.ndarray:
+def zeros_from_coeffs(p: MonicPoly, tol: Tolerances = Tolerances()) -> np.ndarray:
     """All zeros of p in canonical order: zeros_batch on one row, with the
     same guarantees.
 
@@ -421,8 +425,7 @@ def zeros_from_coeffs(p: MonicPoly, opts: RootOptions | None = None) -> np.ndarr
     root_tol * scale, and DegenerateZeros when two zeros lie within
     sep_tol * scale, where scale = max(1, max_k |y_k|).
     """
-    opts = opts or RootOptions()
-    zeros, errors = zeros_batch(p.coeffs[None, :], opts)
+    zeros, errors = zeros_batch(p.coeffs[None, :], tol)
     if errors:
         raise errors[0]
     return zeros[0]

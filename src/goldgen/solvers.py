@@ -18,7 +18,7 @@ from .errors import DegenerateModes, NoPeriodFound, NonFiniteState, TrackingAmbi
 from .matching import distance_matrix, second_best, sum_optimal
 from .permgen import mu_to_perm
 from .polycore import (
-    RootOptions,
+    Tolerances,
     canonical_order,
     check_distinct,
     coeff_motion,
@@ -27,7 +27,7 @@ from .polycore import (
 )
 
 DEFAULT_PERIOD_TOL = 1e-6
-DEFAULT_AMBIGUITY_TOL = 1e-12
+AMBIGUITY_TOL = 1e-12  # read at call time
 
 
 @dataclass
@@ -93,9 +93,9 @@ def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float):
     return x, v
 
 
-def _solved(coeff_rows, opts: RootOptions) -> np.ndarray:
+def _solved(coeff_rows, tol: Tolerances) -> np.ndarray:
     """Zeros of every row, raising the first row's failure."""
-    zeros, errors = zeros_batch(coeff_rows, opts)
+    zeros, errors = zeros_batch(coeff_rows, tol)
     if errors:
         raise next(iter(errors.values()))
     return zeros
@@ -106,7 +106,7 @@ def solve_iso_goldfish_at(
     v0,
     omega: float,
     t,
-    opts: RootOptions | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> np.ndarray:
     """Zero set solving the isochronous goldfish model at time t.
 
@@ -119,11 +119,10 @@ def solve_iso_goldfish_at(
     (semantically unordered).  `t` may be an array of times: the result
     then holds one zero set per time, all found in one batched solve.
     """
-    opts = opts or RootOptions()
     x0 = np.asarray(x0, dtype=np.complex128)
     v0 = np.asarray(v0, dtype=np.complex128)
     times = np.asarray(t, dtype=float)
-    check_distinct(x0, opts.sep_tol)
+    check_distinct(x0, tol.sep_tol)
     flat = times.reshape(-1)
     if omega == 0.0:
         weight = flat.astype(np.complex128)
@@ -141,11 +140,11 @@ def solve_iso_goldfish_at(
     if recur.any():
         out[recur] = x0[canonical_order(x0)]
     if not recur.all():
-        out[~recur] = _solved(rows, opts)
+        out[~recur] = _solved(rows, tol)
     return out.reshape(times.shape + x0.shape)
 
 
-def _certify(clouds: np.ndarray, ambiguity_tol: float):
+def _certify(clouds: np.ndarray):
     """Nearest-zero pairing of every frame k-1 with frame k, and whether it
     is certified to be the one optimal assignment would choose.
 
@@ -173,12 +172,12 @@ def _certify(clouds: np.ndarray, ambiguity_tol: float):
     ok = (
         is_perm
         & (d < 0.5 * g)
-        & (margin > 2.0 * ambiguity_tol * np.maximum(1.0, best) + rounding)
+        & (margin > 2.0 * AMBIGUITY_TOL * np.maximum(1.0, best) + rounding)
     )
     return nearest, ok
 
 
-def _assign(prev, cur, k: int, ambiguity_tol: float) -> np.ndarray:
+def _assign(prev, cur, k: int) -> np.ndarray:
     """Sum-optimal pairing of the labelled zeros `prev` with frame k's
     zeros `cur` (row i goes to column cols[i]), or TrackingAmbiguity."""
     cost = distance_matrix(prev, cur) ** 2
@@ -195,18 +194,14 @@ def _assign(prev, cur, k: int, ambiguity_tol: float) -> np.ndarray:
         )
     if len(prev) > 1:
         second = second_best(cost, cols)
-        if second - best <= ambiguity_tol * max(1.0, best):
+        if second - best <= AMBIGUITY_TOL * max(1.0, best):
             raise TrackingAmbiguity(
                 f"frame {k}: ambiguous matching (gap {second - best:.3e})"
             )
     return cols
 
 
-def track_zeros(
-    frames,
-    times=None,
-    ambiguity_tol: float = DEFAULT_AMBIGUITY_TOL,
-) -> LabeledPath:
+def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPath:
     """Label the zeros of a polynomial path by continuity.
 
     `frames` is a (T, N) array of zeros (or a sequence of zero vectors),
@@ -214,42 +209,43 @@ def track_zeros(
     first frame and propagate by minimal-total-squared-distance matching
     between consecutive frames.  A frame whose nearest-zero pairing is
     certified optimal (see `_certify`) takes it directly; any other frame
-    is matched by optimal assignment.  Raises TrackingAmbiguity when the
-    matching is not well-posed: the best and second-best matchings nearly
-    tie, or some label moves farther than half the previous frame's minimum
-    gap.
+    is matched by optimal assignment.  Raises DegenerateZeros when two
+    zeros of the first frame lie within tol.sep_tol, and TrackingAmbiguity
+    when the matching is not well-posed: the best and second-best
+    matchings nearly tie, or some label moves farther than half the
+    previous frame's minimum gap.
     """
     if len(frames) < 2:
         raise TrackingAmbiguity("need at least two frames to track")
     clouds = np.asarray(frames, dtype=np.complex128)
     if times is None:
         times = np.arange(len(clouds), dtype=float)
-    check_distinct(clouds[0])
+    check_distinct(clouds[0], tol.sep_tol)
     # label -> index into each frame; composed on lists, cheaper than numpy
     # for a handful of labels
     idx = canonical_order(clouds[0]).tolist()
     order = [idx]
-    nearest, certified = _certify(clouds, ambiguity_tol)
+    nearest, certified = _certify(clouds)
     nearest, certified = nearest.tolist(), certified.tolist()
     for k in range(1, len(clouds)):
         if certified[k - 1]:
             idx = [nearest[k - 1][i] for i in idx]
         else:
-            idx = _assign(clouds[k - 1][idx], clouds[k], k, ambiguity_tol).tolist()
+            idx = _assign(clouds[k - 1][idx], clouds[k], k).tolist()
         order.append(idx)
     out = np.take_along_axis(clouds, np.array(order), axis=1)
     return LabeledPath(times=np.asarray(times, dtype=float), values=out)
 
 
-def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, opts: RootOptions) -> LabeledPath:
+def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, tol: Tolerances) -> LabeledPath:
     """Closed-form seed path from (x0, v0) at grid[0] (labels = components)."""
     elapsed = grid - grid[0]
     if spec.kind == "linear_seed":
         x, _ = solve_linear_seed(x0, v0, spec.a, spec.ia_sign, elapsed[:, None])
         return LabeledPath(grid, x)
     if spec.kind == "iso_goldfish":
-        clouds = solve_iso_goldfish_at(x0, v0, spec.omega, elapsed, opts)
-        path = track_zeros(clouds, times=grid)
+        clouds = solve_iso_goldfish_at(x0, v0, spec.omega, elapsed, tol)
+        path = track_zeros(clouds, grid, tol)
         # frame 0 is x0 in canonical order: relabel it to the order of x0
         return LabeledPath(grid, path.values[:, np.argsort(canonical_order(x0))])
     raise ValueError(f"seed kind {spec.kind!r} has no closed-form path")
@@ -261,7 +257,7 @@ def solve_generation_path(
     v0,
     mu,
     grid,
-    opts: RootOptions | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> LabeledPath:
     """Depth-k labeled zero path by the algebraic route, from the seed state
     (x0, v0) at grid[0].
@@ -271,14 +267,13 @@ def solve_generation_path(
     permutation fixed at grid[0] and carried by the labels; the zeros of all
     times are then extracted in one batched solve and continuity-tracked.
     """
-    opts = opts or RootOptions()
     mu = tuple(int(m) for m in mu)
     grid = np.asarray(grid, dtype=float)
-    path = _seed_labeled_path(seed_spec, x0, v0, grid, opts)
+    path = _seed_labeled_path(seed_spec, x0, v0, grid, tol)
     for mu_j in mu:
         perm = np.asarray(mu_to_perm(mu_j, path.n)) - 1
         label_order = canonical_order(path.values[0])[perm]
-        path = track_zeros(_solved(path.values[:, label_order], opts), times=grid)
+        path = track_zeros(_solved(path.values[:, label_order], tol), grid, tol)
     return path
 
 
@@ -297,8 +292,10 @@ def detect_period(
     if not np.allclose(np.diff(times), dt, rtol=1e-6, atol=1e-12):
         raise ValueError("detect_period needs a uniform grid")
     per = T / dt
+    if not np.isfinite(per):
+        raise ValueError("base period / grid spacing overflows")
     shift = int(round(per))
-    if abs(per - shift) > 1e-6 * per:
+    if shift < 1 or abs(per - shift) > 1e-6 * per:
         raise ValueError("grid spacing must divide the base period")
     scale = max(1.0, float(np.max(np.abs(path.values))))
     for p in range(1, p_max + 1):

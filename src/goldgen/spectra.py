@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateZeros
 from .polycore import (
     MonicPoly,
-    RootOptions,
+    Tolerances,
     canonical_order,
     eval_poly,
     min_pairwise_gap,
@@ -154,7 +154,7 @@ def eig_small(m: np.ndarray) -> SpectrumReport:
         raise ValueError("eig_small supports n <= 12")
     p = MonicPoly(char_poly_coeffs(m))
     # eigenvalues may legitimately coincide more closely than zero sets
-    lam = zeros_from_coeffs(p, RootOptions(root_tol=1e-10, sep_tol=0.0))
+    lam = zeros_from_coeffs(p, Tolerances(root_tol=1e-10, sep_tol=0.0))
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     resid = max(abs(eval_poly(p, z)[0]) for z in lam) / scale
     # zeros_from_coeffs returns the zeros in canonical (re, im) order

@@ -40,9 +40,9 @@ def _random_zero_sets(rng, count):
     return out
 
 
-def suite_identities(seed: int = 0, count: int = 200) -> list[Check]:
-    rng = np.random.default_rng(seed)
-    sets = _random_zero_sets(rng, count)
+def suite_identities() -> list[Check]:
+    rng = np.random.default_rng(0)
+    sets = _random_zero_sets(rng, 200)
     worst_id = 0.0
     worst_rr = 0.0
     worst_vel = 0.0
@@ -69,12 +69,12 @@ def suite_identities(seed: int = 0, count: int = 200) -> list[Check]:
     ]
 
 
-def suite_radical_family(seed: int = 0, count: int = 50) -> list[Check]:
-    rng = np.random.default_rng(seed)
+def suite_radical_family() -> list[Check]:
+    rng = np.random.default_rng(0)
     worst = [0.0, 0.0, 0.0]
     sizes_ok = True
     done = 0
-    while done < count:
+    while done < 50:
         b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         try:
@@ -104,14 +104,15 @@ def suite_radical_family(seed: int = 0, count: int = 50) -> list[Check]:
     return checks
 
 
-def suite_goldfish(seed: int = 0, n: int = 3, trials: int = 20) -> list[Check]:
-    rng = np.random.default_rng(seed)
+def suite_goldfish() -> list[Check]:
+    rng = np.random.default_rng(0)
+    n = 3
     omega = 1.0
     spec = ModelSpec("iso_goldfish", omega=omega)
     worst_mid = 0.0
     worst_ret = 0.0
     done = 0
-    while done < trials:
+    while done < 20:
         x0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
         v0 = 0.5 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
         if polycore.min_pairwise_gap(x0) < 0.3:
@@ -131,12 +132,12 @@ def suite_goldfish(seed: int = 0, n: int = 3, trials: int = 20) -> list[Check]:
         Check("ODE vs algebraic (iso-goldfish)", worst_mid, 1e-6),
         Check("set return after one period", worst_ret, 1e-6),
     ]
-    checks += suite_linear_seed(seed)
+    checks += suite_linear_seed()
     return checks
 
 
-def suite_linear_seed(seed: int = 0) -> list[Check]:
-    rng = np.random.default_rng(seed + 1)
+def suite_linear_seed() -> list[Check]:
+    rng = np.random.default_rng(1)
     n = 3
     a = 0.3 + 0.1j
     x0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
@@ -164,8 +165,8 @@ def suite_linear_seed(seed: int = 0) -> list[Check]:
     ]
 
 
-def suite_generations(seed: int = 0) -> list[Check]:
-    rng = np.random.default_rng(seed)
+def suite_generations() -> list[Check]:
+    rng = np.random.default_rng(0)
     n = 3
     checks = []
 
@@ -289,10 +290,10 @@ def suite_isochrony() -> list[Check]:
     return checks
 
 
-def suite_hermite(n_max: int = 10) -> list[Check]:
+def suite_hermite() -> list[Check]:
     worst_eq = 0.0
     worst_spec = 0.0
-    for n in range(2, n_max + 1):
+    for n in range(2, 11):
         x = spectra.hermite_zeros(n)
         worst_eq = max(worst_eq, spectra.equilibrium_residual(x))
         lam = spectra.eig_small(spectra.m_matrix(x)).eigenvalues

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -174,7 +176,7 @@ class TestGenerate:
         text = (tmp_path / "tree.json").read_text()
         cfg = cfgmod.parse_config(raw)
         tree = permgen.generation_tree(MonicPoly(cfg.seed_coeffs), 2,
-                                       opts=cfg.root_options())
+                                       tol=cfg.tolerances)
         indented = json.dumps(tree.to_json_dict(), indent=1)
         assert json.loads(text) == json.loads(indented)
         assert "\n" not in text
@@ -227,6 +229,16 @@ class TestGenerate:
              "output": str(tmp_path / "tree.json")},
         )
         assert main(["generate", "--config", cfg]) == 3
+
+
+README_CONFIG = {
+    "n": 3,
+    "mu": [2, 2],
+    "model": {"kind": "generation", "seed_kind": "linear_seed",
+              "a": [0.5, 0.0], "depth": 2},
+    "initial": BASE_SIM["initial"],
+    "grid": {"t0": 0.0, "t1": 6.283185307179586, "dt_out": 0.02617993877991494},
+}
 
 
 class TestSimulate:
@@ -295,6 +307,19 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 3
         assert "RootSolveFailed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_root_tol_reaches_the_lift(self, tmp_path, capsys, command):
+        # level 1's roots reach a residual of 2.2e-16, above root_tol 1e-16:
+        # simulate's lift and solve's path extraction both refuse them
+        raw = dict(README_CONFIG, tolerances={"root_tol": 1e-16},
+                   output=str(tmp_path / "x.csv"))
+        assert main([command, "--config", write_config(tmp_path, raw)]) == 3
+        err = capsys.readouterr().err
+        assert "RootSolveFailed" in err and "1.000e-16" in err
+        if command == "simulate":
+            assert "level 1:" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_initial_is_config_error(self, tmp_path):
@@ -543,7 +568,9 @@ class TestVerifyAndPeriod:
 
     def test_period_grid_mismatch_is_config_error(self, tmp_path, capsys):
         uniform = np.linspace(0.0, 10.0, 101)
-        for ts, period in ((uniform, "0.25"), (uniform**2 / 10.0, "1.0")):
+        # period / spacing underflows to 0 or overflows to inf in the last two
+        for ts, period in ((uniform, "0.25"), (uniform**2 / 10.0, "1.0"),
+                           (uniform * 1e301, "1e-300"), (uniform * 1e-299, "1e300")):
             lines = ["t,x1_re,x1_im"]
             lines += [f"{t:.17g},{np.cos(t):.17g},0" for t in ts]
             p = tmp_path / "path.csv"
@@ -562,6 +589,28 @@ class TestVerifyAndPeriod:
     def test_period_missing_file_is_config_error(self, tmp_path):
         assert main(["period", str(tmp_path / "nope.csv"),
                      "--period", "1.0"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "t,x1_re,x1_im\n0,1,0\n1,1\n2,1,0\n",
+        "t,x1_re,x1_im\n0,1,0\n0,1,0\n0,1,0\n",
+        "t,x1_re,x1_im\n0,1,0\n2,1,0\n1,1,0\n",
+        "t,x1_re,x1_im\n0,1,0\n1,one,0\n2,1,0\n",
+        "t,x1_re,x1_im\n0,1,0\n1,nan,0\n2,1,0\n",
+        "t,x1_re,x1_im\n0,1,0\n1,1,0\ninf,1,0\n",
+    ], ids=["empty", "ragged", "repeated", "decreasing", "text", "nan", "inf"])
+    def test_period_bad_csv_is_config_error(self, tmp_path, capsys, text):
+        p = tmp_path / "path.csv"
+        p.write_text(text)
+        assert main(["period", str(p), "--period", "1.0"]) == 2
+        assert capsys.readouterr().err.startswith("period: ")
+
+    @pytest.mark.parametrize("period", ["0", "-1", "inf", "nan"])
+    def test_period_must_be_finite_and_positive(self, tmp_path, capsys, period):
+        p = tmp_path / "path.csv"
+        p.write_text("t,x1_re,x1_im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
+        assert main(["period", str(p), f"--period={period}"]) == 2
+        assert capsys.readouterr().err.startswith("period: --period must be")
 
 
 # numbers of ordinary size, and of sizes that overflow a product, a square or
@@ -617,3 +666,71 @@ class TestCliProperty:
                 assert "nan" not in text and "inf" not in text
             else:
                 assert not out.exists()
+
+
+@st.composite
+def period_csvs(draw):
+    """CSV text near what simulate writes: a t column and x columns, with
+    at most one fault: junk headers, a ragged row, a non-numeric cell, or
+    times that repeat, decrease or are not uniform."""
+    n = draw(st.integers(1, 2))
+    header = ["t"] + [f"x{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
+    fault = draw(st.sampled_from([None] * 4 + ["header", "cell", "ragged", "time"]))
+    if fault == "header":
+        header = draw(st.one_of(
+            st.permutations(header + ["v1_re", "junk"]),
+            st.lists(st.sampled_from(header + ["x3_re", "junk"]), max_size=6),
+        ))
+    count = draw(st.one_of(st.integers(0, 2), st.integers(10, 30)))
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0, 1e-300, 1e300]))
+    times = [k * dt for k in range(count)]
+    if fault == "time" and count:
+        k = draw(st.integers(0, count - 1))
+        times[k] = draw(st.sampled_from(
+            [times[k - 1], -times[k], times[k] * 1.1, times[k] + 0.3 * dt]))
+    freq = draw(st.sampled_from([0.0, np.pi / 2, np.pi, 1.0]))
+    rows = []
+    for t in times:
+        cells = {"t": repr(t)}
+        for i in range(1, n + 1):
+            z = np.exp(1j * freq * t / i)
+            cells[f"x{i}_re"], cells[f"x{i}_im"] = repr(float(z.real)), repr(float(z.imag))
+        rows.append([cells.get(name, "0") for name in header])
+    if fault in ("cell", "ragged") and rows and header:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(["nan", "inf", "-inf", "one", "", "1e400"]))
+        else:
+            row.append("0") if draw(st.booleans()) else row.pop()
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+_period_flags = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "-1e300"]),
+    st.builds(lambda m, dt: repr(m * dt), st.integers(1, 4),
+              st.sampled_from([0.25, 0.5, 1.0, 1e300])),
+    st.builds(lambda m, dt: repr(m * dt), st.integers(1, 4),
+              st.sampled_from([0.25, 0.5, 1.0, 1e-300])),
+)
+
+
+class TestPeriodProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(period_csvs(), _period_flags, st.integers(-1, 8),
+           st.sampled_from(["1e-6", "0", "-1", "nan", "inf", "1e-300", "1e300"]))
+    def test_exit_codes_and_report(self, text, period, p_max, tol):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "path.csv"
+            path.write_text(text)
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main(["period", str(path), f"--period={period}",
+                             f"--p-max={p_max}", f"--tol={tol}"])
+        assert code in (0, 1, 2)
+        if code == 0:
+            rep = json.loads(out.getvalue())
+            assert math.isfinite(rep["base_period"]) and rep["base_period"] > 0
+            assert 1 <= rep["multiplier"] <= p_max

@@ -197,7 +197,7 @@ class TestGenerationKernel:
         assert exc.value.level == 0
         assert np.all(np.isfinite(dyn.rhs(x, v, spec, sep_tol=1e-10)))
         traj = dyn.integrate(spec, x, v, np.linspace(0, 1e-6, 5),
-                             opts=dyn.IntegratorOptions(sep_tol=1e-10))
+                             pc.Tolerances(sep_tol=1e-10))
         assert traj.steps > 0
         assert pc.min_pairwise_gap(traj.x[-1]) > 5e-9
 
@@ -252,7 +252,7 @@ class TestBuildInitialState:
         seed = ([0.0, -6.25e-18], [0.1, 0.2])
         with pytest.raises(DegenerateZeros):
             dyn.build_initial_state(*seed, (2,))
-        x, _ = dyn.build_initial_state(*seed, (2,), sep_tol=1e-10)
+        x, _ = dyn.build_initial_state(*seed, (2,), pc.Tolerances(sep_tol=1e-10))
         assert pc.min_pairwise_gap(x) > 1e-10
 
     def test_two_levels_compose(self):
@@ -323,7 +323,7 @@ class TestIntegrator:
         # same steps whether sep_tol is 0.015 or 0.013
         runs = [dyn.integrate(dyn.ModelSpec("goldfish"), [1.0 + 0.01j, -1.0],
                               [-1.0, 1.0], np.linspace(0, 1, 11),
-                              opts=dyn.IntegratorOptions(sep_tol=sep_tol))
+                              pc.Tolerances(sep_tol=sep_tol))
                 for sep_tol in (0.015, 0.013)]
         for traj in runs:
             assert traj.rejected_guard == 0
@@ -419,9 +419,9 @@ class TestDenseOutput:
 
     def test_min_gap_covers_every_written_state(self):
         spec, s0, grid = readme_model()
-        opts = dyn.IntegratorOptions()
-        traj = dyn.integrate(spec, *s0, grid, opts=opts)
-        assert opts.sep_tol < traj.min_gap <= pc.min_pairwise_gap(traj.x).min()
+        tol = pc.Tolerances()
+        traj = dyn.integrate(spec, *s0, grid, tol)
+        assert tol.sep_tol < traj.min_gap <= pc.min_pairwise_gap(traj.x).min()
 
     def test_output_state_guard(self, monkeypatch):
         # an interpolated output at or below sep_tol aborts the run: force
@@ -450,20 +450,20 @@ class TestIntegratorCounters:
     def test_error_rejections(self, monkeypatch):
         # a first step of 1 fails the error test; six RHS calls per attempt
         # plus the first stage of the first step
+        monkeypatch.setattr(dyn, "_FIRST_STEP", 1.0)
         traj = self.run_counted(monkeypatch, dyn.ModelSpec("goldfish"),
                                 [1.0, -1.0], [-1.0 + 0.5j, 1.0],
-                                np.linspace(0, 2, 11),
-                                opts=dyn.IntegratorOptions(first_step=1.0))
+                                np.linspace(0, 2, 11))
         assert traj.rejected_error > 0 and traj.rejected_guard == 0
         assert traj.rhs_calls == 6 * (traj.steps + traj.rejected_error) + 1
 
     def test_guard_rejection_mid_stage(self, monkeypatch):
         # a first step of 5 puts the second stage 0.005 from a collision
         # (<= sep_tol 0.006); the guard rejects it after one RHS call
+        monkeypatch.setattr(dyn, "_FIRST_STEP", 5.0)
         traj = self.run_counted(
             monkeypatch, dyn.ModelSpec("goldfish"), [1.0 + 0.005j, -1.0], [-1.0, 1.0],
-            np.linspace(0, 5, 11),
-            opts=dyn.IntegratorOptions(sep_tol=0.006, first_step=5.0))
+            np.linspace(0, 5, 11), pc.Tolerances(sep_tol=0.006))
         assert traj.rejected_guard == 1
         assert traj.rhs_calls == 6 * (traj.steps + traj.rejected_error) + 1 + 1
         assert traj.min_gap > 10 * 0.006

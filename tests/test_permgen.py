@@ -119,21 +119,21 @@ class TestGenerationTree:
 
     def test_degenerate_seed_fatal(self):
         # zeros of z^2 - 2z + 1 coincide; the seed itself fails
-        from goldgen.polycore import RootOptions
+        from goldgen.polycore import Tolerances
 
         with pytest.raises(DegenerateZeros):
             pg.generation_tree(
                 MonicPoly([-2.0, 1.0]), depth=1,
-                opts=RootOptions(sep_tol=1e-6),
+                tol=Tolerances(sep_tol=1e-6),
             )
 
     def test_failed_branches_recorded(self):
         # seed zeros (1, 2): the swapped child is z^2 + 2z + 1 = (z+1)^2,
         # a double root, so branch (2,) halts while (1,) survives
-        from goldgen.polycore import RootOptions
+        from goldgen.polycore import Tolerances
 
         tree = pg.generation_tree(
-            MonicPoly([-3.0, 2.0]), depth=1, opts=RootOptions(sep_tol=1e-6)
+            MonicPoly([-3.0, 2.0]), depth=1, tol=Tolerances(sep_tol=1e-6)
         )
         assert set(tree.nodes) == {(1,)}
         assert set(tree.failed) == {(2,)}
@@ -161,12 +161,12 @@ class TestGenerationTree:
                                           np.arange(len(node.zeros)))
 
     def test_failed_branch_message_matches_single_step(self):
-        from goldgen.polycore import RootOptions
+        from goldgen.polycore import Tolerances
 
-        opts = RootOptions(sep_tol=1e-6)
-        tree = pg.generation_tree(MonicPoly([-3.0, 2.0]), depth=1, opts=opts)
+        tol = Tolerances(sep_tol=1e-6)
+        tree = pg.generation_tree(MonicPoly([-3.0, 2.0]), depth=1, tol=tol)
         with pytest.raises(DegenerateZeros) as exc:
-            pg.generation_step(tree.seed, 2, opts)
+            pg.generation_step(tree.seed, 2, tol)
         assert tree.failed[(2,)] == str(exc.value)
 
     def test_json_schema_fields(self):

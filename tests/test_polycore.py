@@ -156,7 +156,7 @@ class TestRootFinder:
         # tolerance above that catches it
         with pytest.raises(DegenerateZeros):
             pc.zeros_from_coeffs(
-                pc.MonicPoly([0, 0]), pc.RootOptions(sep_tol=1e-6)
+                pc.MonicPoly([0, 0]), pc.Tolerances(sep_tol=1e-6)
             )
 
     def test_residuals_small(self):
@@ -365,7 +365,7 @@ class TestBatchRoots:
         double = np.poly([-1.0, -1.0])[1:]
         huge = [1e200, 1e300]  # residual cannot reach root_tol * scale
         coeffs = np.array([good, double, good, huge], dtype=complex)
-        zeros, errors = pc.zeros_batch(coeffs, pc.RootOptions(sep_tol=1e-6))
+        zeros, errors = pc.zeros_batch(coeffs, pc.Tolerances(sep_tol=1e-6))
         assert sorted(errors) == [1, 3]
         assert isinstance(errors[1], DegenerateZeros)
         assert isinstance(errors[3], RootSolveFailed)
@@ -390,7 +390,7 @@ class TestBatchRoots:
         coeffs = np.zeros(10, dtype=complex)
         coeffs[-1] = 1e40
         # sep_tol * scale is absolute (scale = 1e40): keep it below the gaps
-        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), pc.RootOptions(sep_tol=1e-40))
+        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), pc.Tolerances(sep_tol=1e-40))
         np.testing.assert_allclose(np.abs(zs), 1e4, rtol=1e-12)
         np.testing.assert_allclose(zs**10, -1e40, rtol=1e-10)
 
@@ -398,10 +398,11 @@ class TestBatchRoots:
         with pytest.raises(RootSolveFailed):
             pc.zeros_from_coeffs(pc.MonicPoly([1e120, 1e200, 1.0]))
 
-    def test_stall_raises(self):
+    def test_stall_raises(self, monkeypatch):
         p = pc.coeffs_from_zeros([0.3, -0.7 + 0.2j, 0.5j])
+        monkeypatch.setattr(pc, "MAX_SWEEPS", 1)
         with pytest.raises(RootSolveFailed, match="stalled"):
-            pc.zeros_from_coeffs(p, pc.RootOptions(max_sweeps=1))
+            pc.zeros_from_coeffs(p)
 
 
 def _mp_poly(coeffs):
@@ -431,17 +432,17 @@ class TestRootFinderOracle:
 
         coeffs = np.poly(np.arange(1, n + 1))[1:].astype(complex)
         scale = float(np.max(np.abs(coeffs)))
-        opts = pc.RootOptions()
+        tol = pc.Tolerances()
         if n >= 11:
             # double-precision Horner cannot certify these residuals
             with pytest.raises(RootSolveFailed):
-                pc.zeros_from_coeffs(pc.MonicPoly(coeffs), opts)
+                pc.zeros_from_coeffs(pc.MonicPoly(coeffs), tol)
             return
-        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), opts)
+        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), tol)
         with mpmath.workdps(60):
-            assert max(_mp_residual(coeffs, x) for x in zs) <= opts.root_tol * scale
+            assert max(_mp_residual(coeffs, x) for x in zs) <= tol.root_tol * scale
         assert set_distance(zs, _mp_zeros(coeffs)) <= 1e-8
-        assert pc.min_pairwise_gap(zs) > opts.sep_tol * scale
+        assert pc.min_pairwise_gap(zs) > tol.sep_tol * scale
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8])
     @pytest.mark.parametrize("sep_tol", [1e-8, 1e-6])
@@ -450,17 +451,17 @@ class TestRootFinderOracle:
 
         coeffs = np.poly([1 + delta, 1 - delta, -0.5 + 1j, -0.5 - 1j, 0.3j])[1:]
         scale = max(1.0, float(np.max(np.abs(coeffs))))
-        opts = pc.RootOptions(sep_tol=sep_tol)
+        tol = pc.Tolerances(sep_tol=sep_tol)
         truth = _mp_zeros(coeffs)
         try:
-            zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), opts)
+            zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), tol)
         except DegenerateZeros:
             # refused only when the true pair really is within sep_tol * scale
             # (up to the rounding spread of a double zero, ~1e-8 here)
             assert pc.min_pairwise_gap(truth) <= sep_tol * scale + 1e-7
             return
         with mpmath.workdps(60):
-            assert max(_mp_residual(coeffs, x) for x in zs) <= opts.root_tol * scale
+            assert max(_mp_residual(coeffs, x) for x in zs) <= tol.root_tol * scale
         assert pc.min_pairwise_gap(zs) > sep_tol * scale
         # a pair at distance 2 delta is resolved to ~ eps / delta
         assert set_distance(zs, truth) <= 1e-15 / delta + 1e-12

@@ -6,6 +6,7 @@ from goldgen import polycore as pc
 from goldgen import solvers as sv
 from goldgen.errors import (
     DegenerateModes,
+    DegenerateZeros,
     NoPeriodFound,
     NonFiniteState,
     RootSolveFailed,
@@ -117,6 +118,19 @@ class TestTrackZeros:
         with pytest.raises(TrackingAmbiguity):
             sv.track_zeros([np.array([1.0, -1.0])])
 
+    def test_first_frame_checked_against_configured_sep_tol(self, monkeypatch):
+        # two zeros 5e-9 apart drifting by 1e-10 per frame: degenerate under
+        # the default sep_tol 1e-8, a regular path under a configured 1e-10.
+        # Swapping the pair changes the squared cost by ~1e-17, below the
+        # absolute ambiguity threshold, so that threshold is lowered too
+        monkeypatch.setattr(sv, "AMBIGUITY_TOL", 1e-20)
+        ts = np.arange(5.0)
+        frames = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j]) + 1e-10 * ts[:, None]
+        with pytest.raises(DegenerateZeros, match="sep_tol 1.000e-08"):
+            sv.track_zeros(frames, ts)
+        path = sv.track_zeros(frames, ts, pc.Tolerances(sep_tol=1e-10))
+        np.testing.assert_array_equal(path.values, frames[:, [2, 0, 1]])
+
 
 class TestGenerationPath:
     @pytest.mark.parametrize("depth", [1, 2])
@@ -181,25 +195,25 @@ class TestDetectPeriod:
             sv.detect_period(path, T=1.511, p_max=3)
 
 
-def _tracked(frames, **kw):
+def _tracked(frames):
     """track_zeros' labelled values, or the type and message it raised."""
     try:
-        return sv.track_zeros(frames, **kw).values
+        return sv.track_zeros(frames).values
     except TrackingAmbiguity as e:
         return type(e), str(e)
 
 
-def _forced_assignment(monkeypatch, frames, **kw):
+def _forced_assignment(monkeypatch, frames):
     """The same call with every frame left uncertified, so each one goes
     through optimal assignment and its second-best check."""
     real = sv._certify
 
-    def uncertified(clouds, tol):
-        return real(clouds, tol)[0], np.zeros(len(clouds) - 1, dtype=bool)
+    def uncertified(clouds):
+        return real(clouds)[0], np.zeros(len(clouds) - 1, dtype=bool)
 
     with monkeypatch.context() as m:
         m.setattr(sv, "_certify", uncertified)
-        return _tracked(frames, **kw)
+        return _tracked(frames)
 
 
 def _shuffled_path(rng, n, frames, step):
@@ -251,9 +265,10 @@ class TestCertifiedTracking:
         calls = []
         real = sv._assign
         monkeypatch.setattr(sv, "_assign", lambda *a: calls.append(a[2]) or real(*a))
-        got = _tracked(frames, ambiguity_tol=5.0)
+        monkeypatch.setattr(sv, "AMBIGUITY_TOL", 5.0)
+        got = _tracked(frames)
         assert calls == [1, 2]
-        np.testing.assert_array_equal(got, _forced_assignment(monkeypatch, frames, ambiguity_tol=5.0))
+        np.testing.assert_array_equal(got, _forced_assignment(monkeypatch, frames))
 
     def test_generation_path_frames_certified(self, monkeypatch):
         calls = []
@@ -270,11 +285,11 @@ class TestCertifiedTracking:
         good = pc.coeffs_from_zeros([1.0, -1.0]).coeffs
         huge = [1e200, 1e300]  # residual cannot reach root_tol * scale
         with pytest.raises(RootSolveFailed):
-            sv._solved(np.array([good, huge, good]), pc.RootOptions())
+            sv._solved(np.array([good, huge, good]), pc.Tolerances())
 
     def test_overflowing_costs_are_an_ambiguity(self):
         # squared distances of zeros near 1e200 overflow to inf
         prev = np.array([1e200, -1e200])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrackingAmbiguity, match="non-finite"):
-                sv._assign(prev, prev[::-1], 1, sv.DEFAULT_AMBIGUITY_TOL)
+                sv._assign(prev, prev[::-1], 1)

@@ -24,7 +24,7 @@ class TestSuitesCatchOnlyNumericalFailures:
         monkeypatch.setattr(permgen, "generation_tree",
                             raise_once_then_stop(TypeError("bug")))
         with pytest.raises(TypeError, match="bug"):
-            verify.suite_radical_family(count=1)
+            verify.suite_radical_family()
 
     def test_isochrony_propagates_programming_errors(self, monkeypatch):
         monkeypatch.setattr(solvers, "detect_period",
