@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -65,19 +66,14 @@ def _out_path(cfg: RunConfig, args, default: str) -> str:
 
 def cmd_generate(cfg: RunConfig, args) -> int:
     if cfg.seed_coeffs is None:
-        print("generate: config needs seed_coeffs", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("config needs seed_coeffs")
     depth = args.depth if args.depth is not None else cfg.depth
-    try:
-        tree = permgen.generation_tree(
-            MonicPoly(cfg.seed_coeffs),
-            depth,
-            node_budget=cfg.node_budget,
-            tol=cfg.tolerances,
-        )
-    except GoldgenError as e:
-        print(f"generate: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    tree = permgen.generation_tree(
+        MonicPoly(cfg.seed_coeffs),
+        depth,
+        node_budget=cfg.node_budget,
+        tol=cfg.tolerances,
+    )
     path = _out_path(cfg, args, "tree.json")
     _atomic_write(path, json.dumps(tree.to_json_dict()))
     print(f"wrote {path}: {len(tree.nodes)} nodes, depth {depth}")
@@ -87,32 +83,9 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _initial_state(cfg: RunConfig):
-    if cfg.initial is None:
-        raise ConfigError("config needs an 'initial' block")
-    if cfg.model is None:
-        raise ConfigError("config needs a 'model' block")
-    if cfg.model.kind == "generation":
-        return dynamics.build_initial_state(*cfg.initial, cfg.mu, cfg.tolerances)
-    return cfg.initial
-
-
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    try:
-        x0, v0 = _initial_state(cfg)
-    except ConfigError as e:
-        print(f"simulate: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GoldgenError as e:
-        print(f"simulate: initial state: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    times = cfg.grid.times()
-    try:
-        traj = dynamics.integrate(cfg.model, x0, v0, times, cfg.tolerances)
-    except GoldgenError as e:
-        loc = f" (level {e.level})" if getattr(e, "level", None) is not None else ""
-        print(f"simulate: {type(e).__name__}{loc}: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    x0, v0 = dynamics.build_initial_state(*cfg.initial, cfg.mu, cfg.tolerances)
+    traj = dynamics.integrate(cfg.model, x0, v0, cfg.grid.times(), cfg.tolerances)
     path = _out_path(cfg, args, "trajectory.csv")
     _atomic_write(path, csv_text(traj.times, x=traj.x, v=traj.v))
     print(
@@ -125,27 +98,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
-    if cfg.initial is None or cfg.model is None:
-        print("solve: config needs 'initial' and 'model'", file=sys.stderr)
-        return EXIT_CONFIG
-    model = cfg.model
-    seed_spec = model.seed if model.kind == "generation" else model
-    if seed_spec.kind not in ("linear_seed", "iso_goldfish"):
-        print(f"solve: seed kind {seed_spec.kind!r} has no closed form",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    mu = cfg.mu if model.kind == "generation" else ()
-    times = cfg.grid.times()
-    try:
-        path = solvers.solve_generation_path(
-            seed_spec, *cfg.initial, mu, times, cfg.tolerances
-        )
-    except GoldgenError as e:
-        hint = ""
-        if type(e).__name__ == "TrackingAmbiguity":
-            hint = " (try a smaller dt_out)"
-        print(f"solve: {type(e).__name__}: {e}{hint}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if cfg.model.kind not in ("linear_seed", "iso_goldfish"):
+        raise ConfigError(f"seed kind {cfg.model.kind!r} has no closed form")
+    path = solvers.solve_generation_path(
+        cfg.model, *cfg.initial, cfg.mu, cfg.grid.times(), cfg.tolerances
+    )
     out = _out_path(cfg, args, "path.csv")
     _atomic_write(out, csv_text(path.times, x=path.values))
     print(f"wrote {out}: {len(path.times)} samples")
@@ -217,7 +174,7 @@ def cmd_period(args) -> int:
     except ValueError as e:  # grid not uniform, or its step does not divide T
         print(f"period: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    print(json.dumps(rep.to_json_dict()))
+    print(json.dumps(dataclasses.asdict(rep)))
     return EXIT_OK
 
 
@@ -265,14 +222,22 @@ def main(argv=None) -> int:
     with np.errstate(all="ignore"):
         if args.command == "period":
             return cmd_period(args)
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
         command = {"generate": cmd_generate, "simulate": cmd_simulate,
                    "solve": cmd_solve}[args.command]
-        return command(cfg, args)
+        try:
+            cfg = load_config(args.config)
+            needs_path = command is not cmd_generate
+            if needs_path and (cfg.initial is None or cfg.model is None):
+                raise ConfigError("config needs 'initial' and 'model'")
+            return command(cfg, args)
+        except ConfigError as e:
+            print(f"{args.command}: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except GoldgenError as e:
+            level = getattr(e, "level", None)
+            loc = "" if level is None else f" (level {level})"
+            print(f"{args.command}: {type(e).__name__}{loc}: {e}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -61,7 +61,6 @@ class Grid:
 
 @dataclass
 class RunConfig:
-    n: int = 2
     model: ModelSpec | None = None
     mu: tuple[int, ...] = ()
     seed_coeffs: np.ndarray | None = None
@@ -108,7 +107,6 @@ def parse_config(raw: dict) -> RunConfig:
     _check_finite(raw, "")
 
     cfg = RunConfig()
-    cfg.n = int(raw.get("n", 2))
     cfg.mu = tuple(int(m) for m in raw.get("mu", []))
     cfg.depth = int(raw.get("depth", 0))
     cfg.node_budget = int(raw.get("node_budget", 10**6))
@@ -134,42 +132,33 @@ def parse_config(raw: dict) -> RunConfig:
                 )
     if "model" in raw:
         m = raw["model"]
-        a = complex(*m["a"]) if "a" in m else 0.0
         kind = m["kind"]
         if kind == "generation":
-            seed_kind = m.get("seed_kind", "linear_seed")
-            seed = ModelSpec(
-                seed_kind,
-                omega=float(m.get("omega", 0.0)),
-                a=a,
-                ia_sign=int(m.get("ia_sign", 1)),
-            )
-            try:
-                cfg.model = ModelSpec(
-                    "generation",
-                    depth=int(m.get("depth", len(cfg.mu) or 1)),
-                    seed=seed,
-                )
-            except ValueError as e:
-                raise ConfigError(str(e)) from e
+            kind = m.get("seed_kind", "linear_seed")
+            depth = m.get("depth", len(cfg.mu) or 1)
+        elif "depth" in m or "seed_kind" in m:
+            raise ConfigError(f"model kind {kind!r} takes no depth or seed_kind")
         else:
-            cfg.model = ModelSpec(
-                kind,
-                omega=float(m.get("omega", 0.0)),
-                a=a,
-                ia_sign=int(m.get("ia_sign", 1)),
-            )
-        if cfg.mu and len(cfg.mu) != cfg.model.depth:
+            depth = 0
+        cfg.model = ModelSpec(
+            kind,
+            omega=float(m.get("omega", 0.0)),
+            a=complex(*m["a"]) if "a" in m else 0.0,
+            ia_sign=int(m.get("ia_sign", 1)),
+            depth=int(depth),
+        )
+        if len(cfg.mu) != cfg.model.depth:
             raise ConfigError(
                 f"mu has length {len(cfg.mu)} but the model has depth "
                 f"{cfg.model.depth}"
             )
     if "n" in raw:
+        n = int(raw["n"])
         counts = {
             "initial.positions": None if cfg.initial is None else len(cfg.initial[0]),
             "seed_coeffs": None if cfg.seed_coeffs is None else len(cfg.seed_coeffs),
         }
         for name, count in counts.items():
-            if count is not None and count != cfg.n:
-                raise ConfigError(f"n={cfg.n} but {name} has {count} entries")
+            if count is not None and count != n:
+                raise ConfigError(f"n={n} but {name} has {count} entries")
     return cfg

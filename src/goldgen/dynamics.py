@@ -36,12 +36,11 @@ _FIRST_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which member of the hierarchy to simulate.
-
-    kind 'generation' wraps a solvable seed spec; `depth` counts how many
-    zero->coefficient layers sit between the integrated coordinates and
-    the seed.  The equations of motion do not depend on the branch mu that
-    the initial data were lifted through (build_initial_state).
+    """Which member of the hierarchy to simulate: the solvable seed model
+    `kind` (with its omega, a and ia_sign) under `depth` zero->coefficient
+    layers; depth 0 is the seed model itself.  The equations of motion do
+    not depend on the branch mu that the initial data were lifted through
+    (build_initial_state).
     """
 
     kind: str
@@ -49,16 +48,12 @@ class ModelSpec:
     a: complex = 0.0
     ia_sign: int = +1
     depth: int = 0
-    seed: "ModelSpec | None" = None
 
     def __post_init__(self):
-        if self.kind not in SEED_KINDS + ("generation",):
+        if self.kind not in SEED_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "generation":
-            if self.seed is None or self.depth < 1:
-                raise ValueError("generation model needs a seed and depth >= 1")
-            if self.seed.kind not in SEED_KINDS:
-                raise ValueError("generation must nest over a seed kind")
+        if self.depth < 0:
+            raise ValueError("depth must be >= 0")
         if self.ia_sign not in (+1, -1):
             raise ValueError("ia_sign must be +1 or -1")
 
@@ -120,9 +115,7 @@ def seed_rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndar
         return rhs_goldfish(x, v, sep_tol)
     if spec.kind == "iso_goldfish":
         return rhs_iso_goldfish(x, v, spec.omega, sep_tol)
-    if spec.kind == "linear_seed":
-        return rhs_linear_seed(x, v, spec.a, spec.ia_sign)
-    raise ValueError(f"not a seed kind: {spec.kind}")
+    return rhs_linear_seed(x, v, spec.a, spec.ia_sign)
 
 
 def _finite(*arrays) -> None:
@@ -131,9 +124,9 @@ def _finite(*arrays) -> None:
             raise NonFiniteState("non-finite entries")
 
 
-def _generation_accel(x, v, seed: ModelSpec, depth: int, sep_tol: float,
-                      level: int) -> np.ndarray:
-    """Acceleration of the zeros x (velocities v) of a depth-`depth` model.
+def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
+    """Acceleration of the zeros x (velocities v) at recursion level `level`
+    of the model `spec` (depth > level).
 
     One pass per level: the pair differences are built and guarded once
     and serve the whole transfer; x is validated once per level.  The
@@ -145,11 +138,11 @@ def _generation_accel(x, v, seed: ModelSpec, depth: int, sep_tol: float,
     diff = _guarded_diffs(x, sep_tol, level)
     _finite(x, v)
     y, y_dot = coeff_motion(x, v)
-    if depth > 1:
-        y_ddot = _generation_accel(y, y_dot, seed, depth - 1, sep_tol, level + 1)
+    if level + 1 < spec.depth:
+        y_ddot = _generation_accel(y, y_dot, spec, sep_tol, level + 1)
     else:
         try:
-            y_ddot = seed_rhs(y, y_dot, seed, sep_tol)
+            y_ddot = seed_rhs(y, y_dot, spec, sep_tol)
         except CollisionError as e:
             raise CollisionError(str(e), level=level + 1) from e
     _finite(y_ddot)
@@ -166,8 +159,8 @@ def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     zeros.  A collision at recursion level j (0 = the integrated
     coordinates) raises CollisionError with level j.
     """
-    if spec.kind == "generation":
-        return _generation_accel(x, v, spec.seed, spec.depth, sep_tol, level=0)
+    if spec.depth > 0:
+        return _generation_accel(x, v, spec, sep_tol, level=0)
     return seed_rhs(x, v, spec, sep_tol)
 
 
@@ -261,7 +254,7 @@ def integrate(
         raise ValueError("output grid must be strictly increasing")
 
     n = len(x0)
-    guarded = spec.kind in ("goldfish", "iso_goldfish", "generation")
+    guarded = spec.depth > 0 or spec.kind != "linear_seed"
     # row k holds the state (x, v) at out_times[k]; rows < filled are written
     out = np.empty((len(out_times), 2 * n), dtype=np.complex128)
     traj = Trajectory(out_times, out[:, :n], out[:, n:])

@@ -54,13 +54,6 @@ class PeriodReport:
     multiplier: int
     residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "base_period": self.base_period,
-            "multiplier": self.multiplier,
-            "residual": self.residual,
-        }
-
 
 def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float):
     """Exact two-mode solution (x, v) of xddot = (i - a) xdot + ia_sign * i a x
@@ -196,7 +189,8 @@ def _assign(prev, cur, k: int) -> np.ndarray:
         second = second_best(cost, cols)
         if second - best <= AMBIGUITY_TOL * max(1.0, best):
             raise TrackingAmbiguity(
-                f"frame {k}: ambiguous matching (gap {second - best:.3e})"
+                f"frame {k}: ambiguous matching (gap {second - best:.3e}); "
+                "refine the time grid"
             )
     return cols
 
@@ -238,7 +232,8 @@ def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPa
 
 
 def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, tol: Tolerances) -> LabeledPath:
-    """Closed-form seed path from (x0, v0) at grid[0] (labels = components)."""
+    """Closed-form path of the seed model of `spec` from (x0, v0) at grid[0]
+    (labels = components)."""
     elapsed = grid - grid[0]
     if spec.kind == "linear_seed":
         x, _ = solve_linear_seed(x0, v0, spec.a, spec.ia_sign, elapsed[:, None])
@@ -252,24 +247,26 @@ def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, tol: Tolerances) -> Labele
 
 
 def solve_generation_path(
-    seed_spec: ModelSpec,
+    spec: ModelSpec,
     x0,
     v0,
     mu,
     grid,
     tol: Tolerances = Tolerances(),
 ) -> LabeledPath:
-    """Depth-k labeled zero path by the algebraic route, from the seed state
-    (x0, v0) at grid[0].
+    """Labeled zero path by the algebraic route, from the seed state (x0, v0)
+    at grid[0], one generation level per entry of mu.
 
-    Level 0 is the closed-form seed path.  At each level the coefficient
-    path is the level's permutation of the previous labeled path, with the
-    permutation fixed at grid[0] and carried by the labels; the zeros of all
-    times are then extracted in one batched solve and continuity-tracked.
+    Level 0 is the closed-form path of the seed model that spec's kind,
+    omega, a and ia_sign name (its depth is not read).  At each level the
+    coefficient path is the level's permutation of the previous labeled
+    path, with the permutation fixed at grid[0] and carried by the labels;
+    the zeros of all times are then extracted in one batched solve and
+    continuity-tracked.
     """
     mu = tuple(int(m) for m in mu)
     grid = np.asarray(grid, dtype=float)
-    path = _seed_labeled_path(seed_spec, x0, v0, grid, tol)
+    path = _seed_labeled_path(spec, x0, v0, grid, tol)
     for mu_j in mu:
         perm = np.asarray(mu_to_perm(mu_j, path.n)) - 1
         label_order = canonical_order(path.values[0])[perm]

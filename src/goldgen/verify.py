@@ -175,8 +175,7 @@ def suite_generations() -> list[Check]:
     # so the generation model here nests the ia_sign=-1 seed.
     worst_simpl = 0.0
     a = 0.4 - 0.2j
-    seed_spec = ModelSpec("linear_seed", a=a, ia_sign=-1)
-    gen1 = ModelSpec("generation", depth=1, seed=seed_spec)
+    gen1 = ModelSpec("linear_seed", a=a, ia_sign=-1, depth=1)
     count = 0
     while count < 100:
         nn = int(rng.integers(2, 5))
@@ -194,16 +193,15 @@ def suite_generations() -> list[Check]:
 
     # algebraic path vs direct integration, depth 1 and 2, a in {0, 0.5}
     for a_val in (0.0, 0.5):
-        sspec = ModelSpec("linear_seed", a=a_val, ia_sign=+1)
         for depth in (1, 2):
+            spec = ModelSpec("linear_seed", a=a_val, ia_sign=+1, depth=depth)
             mu = tuple([2] * depth)
             x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
             v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
             grid = np.linspace(0.0, 2 * np.pi, 241)
-            path = solvers.solve_generation_path(sspec, x0, v0, mu, grid)
-            gspec = ModelSpec("generation", depth=depth, seed=sspec)
+            path = solvers.solve_generation_path(spec, x0, v0, mu, grid)
             traj = dynamics.integrate(
-                gspec, *dynamics.build_initial_state(x0, v0, mu), grid
+                spec, *dynamics.build_initial_state(x0, v0, mu), grid
             )
             worst = max(map(set_distance, traj.x, path.values))
             checks.append(

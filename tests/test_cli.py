@@ -101,10 +101,9 @@ class TestConfigParsing:
                    "a": [0.5, 0.0], "depth": 2},
         )
         cfg = cfgmod.parse_config(raw)
-        assert cfg.model.kind == "generation"
         assert cfg.model.depth == 2
-        assert cfg.model.seed.kind == "linear_seed"
-        assert cfg.model.seed.a == 0.5
+        assert cfg.model.kind == "linear_seed"
+        assert cfg.model.a == 0.5
 
 
 class TestNonFiniteNumbers:
@@ -322,6 +321,22 @@ class TestSimulate:
             assert "level 1:" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_collision_names_its_level(self, tmp_path, capsys):
+        # equal seed positions are equal level-1 coefficients: the first
+        # right-hand side refuses them one level below the coordinates
+        raw = dict(
+            BASE_SIM,
+            mu=[1],
+            model={"kind": "generation", "seed_kind": "goldfish", "depth": 1},
+            initial={"positions": [[0.5, 0.0], [0.5, 0.0], [-0.7, 0.2]],
+                     "velocities": [[0.1, 0.0], [-0.1, 0.0], [0.0, 0.2]]},
+            output=str(tmp_path / "x.csv"),
+        )
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "simulate: CollisionError (level 1): minimum gap ")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_initial_is_config_error(self, tmp_path):
         raw = {k: v for k, v in BASE_SIM.items() if k != "initial"}
         raw["output"] = str(tmp_path / "x.csv")
@@ -494,6 +509,20 @@ class TestConfigContradictions:
     def test_mu_for_a_seed_model(self, tmp_path, command):
         model = {"kind": "iso_goldfish", "omega": 1.0}
         assert self.run(tmp_path, command, model=model) == 2
+
+    @pytest.mark.parametrize("raw, message", [
+        ({k: v for k, v in README_CONFIG.items() if k != "mu"},
+         "mu has length 0 but the model has depth 2"),
+        (dict(BASE_SIM, model={"kind": "linear_seed", "depth": 2,
+                               "seed_kind": "iso_goldfish"}),
+         "model kind 'linear_seed' takes no depth or seed_kind"),
+    ], ids=["readme-without-mu", "depth-on-a-seed-kind"])
+    def test_model_levels_must_match_mu(self, tmp_path, command, capsys, raw,
+                                        message):
+        raw = dict(raw, output=str(tmp_path / "out.csv"))
+        assert main([command, "--config", write_config(tmp_path, raw)]) == 2
+        assert capsys.readouterr().err == f"{command}: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_n_must_match_positions(self, tmp_path, command, capsys):
         assert self.run(tmp_path, command, n=7) == 2

@@ -31,16 +31,12 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             dyn.ModelSpec("bogus")
 
-    def test_generation_needs_seed(self):
-        with pytest.raises(ValueError):
+    def test_generation_is_a_depth_not_a_kind(self):
+        with pytest.raises(ValueError, match="unknown model kind"):
             dyn.ModelSpec("generation", depth=1)
-        with pytest.raises(ValueError):
-            dyn.ModelSpec("generation", depth=0, seed=dyn.ModelSpec("goldfish"))
-
-    def test_nested_generation_rejected(self):
-        inner = dyn.ModelSpec("generation", depth=1, seed=dyn.ModelSpec("goldfish"))
-        with pytest.raises(ValueError):
-            dyn.ModelSpec("generation", depth=1, seed=inner)
+        with pytest.raises(ValueError, match="depth"):
+            dyn.ModelSpec("goldfish", depth=-1)
+        assert dyn.ModelSpec("goldfish", depth=2).depth == 2
 
     def test_ia_sign_validated(self):
         with pytest.raises(ValueError):
@@ -91,9 +87,7 @@ class TestGenerationRHS:
         y, y_dot = random_state(rng, 3)
         x = pc.zeros_from_coeffs(pc.MonicPoly(y))
         v = pc.zeros_velocity(x, y_dot)
-        spec = dyn.ModelSpec(
-            "generation", depth=1, seed=dyn.ModelSpec("iso_goldfish", omega=1.0)
-        )
+        spec = dyn.ModelSpec("iso_goldfish", omega=1.0, depth=1)
         got = dyn.rhs(x, v, spec)
         y_ddot = dyn.rhs_iso_goldfish(y, y_dot, 1.0)
         want = pc.zeros_acceleration(x, v, y_ddot)
@@ -102,17 +96,13 @@ class TestGenerationRHS:
     def test_depth2_equals_nesting_by_hand(self):
         rng = np.random.default_rng(3)
         x, v = random_state(rng, 3)
-        spec2 = dyn.ModelSpec(
-            "generation", depth=2, seed=dyn.ModelSpec("goldfish")
-        )
+        spec2 = dyn.ModelSpec("goldfish", depth=2)
         got = dyn.rhs(x, v, spec2)
         # manual two-level unwind
         signs = (-1.0) ** np.arange(1, 4)
         y = signs * pc.elem_sym_all(x)
         ydot = pc.coeffs_velocity(x, v)
-        spec1 = dyn.ModelSpec(
-            "generation", depth=1, seed=dyn.ModelSpec("goldfish")
-        )
+        spec1 = dyn.ModelSpec("goldfish", depth=1)
         yddot = dyn.rhs(y, ydot, spec1)
         want = pc.zeros_acceleration(x, v, yddot)
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -120,9 +110,7 @@ class TestGenerationRHS:
     def test_collision_reports_level(self):
         # coefficients coincide while zeros stay separated
         x = pc.zeros_from_coeffs(pc.MonicPoly([0.5, 0.5 + 1e-13]))
-        spec = dyn.ModelSpec(
-            "generation", depth=1, seed=dyn.ModelSpec("goldfish")
-        )
+        spec = dyn.ModelSpec("goldfish", depth=1)
         with pytest.raises(CollisionError) as exc:
             dyn.rhs(x, np.array([1.0, 1.0]), spec)
         assert exc.value.level == 1
@@ -172,10 +160,9 @@ class TestGenerationKernel:
                                              ia_sign, data):
         x = np.array(data.draw(st.lists(unit_complex, min_size=n, max_size=n)))
         v = np.array(data.draw(st.lists(unit_complex, min_size=n, max_size=n)))
-        seed = dyn.ModelSpec(kind, omega=omega, a=a, ia_sign=ia_sign)
-        spec = dyn.ModelSpec("generation", depth=depth, seed=seed)
+        spec = dyn.ModelSpec(kind, omega=omega, a=a, ia_sign=ia_sign, depth=depth)
         try:
-            want = reference_generation(x, v, seed, depth)
+            want = reference_generation(x, v, spec, depth)
         except (GoldgenError, ValueError):
             # some level collides: the kernel refuses the state as well
             with pytest.raises((GoldgenError, ValueError)):
@@ -189,9 +176,7 @@ class TestGenerationKernel:
         # regular state under a configured 1e-10
         x = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j])
         v = np.array([-0.1, 0.1, 0.2j])
-        spec = dyn.ModelSpec(
-            "generation", depth=1, seed=dyn.ModelSpec("linear_seed", a=0.5)
-        )
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=1)
         with pytest.raises(CollisionError) as exc:
             dyn.rhs(x, v, spec)
         assert exc.value.level == 0
@@ -203,9 +188,7 @@ class TestGenerationKernel:
 
     def test_overflow_is_a_goldgen_error(self):
         # finite zeros near 1e200 whose coefficient y_2 = -1e400 overflows
-        spec = dyn.ModelSpec(
-            "generation", depth=1, seed=dyn.ModelSpec("linear_seed", a=0.5)
-        )
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
                 dyn.rhs(np.array([1e200, -1e200 + 0j]), np.array([1.0, 1.0 + 0j]), spec)
@@ -217,9 +200,7 @@ class TestGenerationKernel:
         x = pc.zeros_from_coeffs(pc.MonicPoly(y))
         assert pc.min_pairwise_gap(x) > 1.0
         v = np.array([-0.1, 0.1, 0.2j])
-        spec = dyn.ModelSpec(
-            "generation", depth=2, seed=dyn.ModelSpec("linear_seed", a=0.5)
-        )
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=2)
         with pytest.raises(CollisionError) as exc:
             dyn.rhs(x, v, spec)
         assert exc.value.level == 1
@@ -347,8 +328,7 @@ class TestIntegrator:
 
 def readme_model():
     """The README's example: N=3, depth 2 over the damped linear seed."""
-    seed = dyn.ModelSpec("linear_seed", a=0.5)
-    spec = dyn.ModelSpec("generation", depth=2, seed=seed)
+    spec = dyn.ModelSpec("linear_seed", a=0.5, depth=2)
     s0 = dyn.build_initial_state(
         [0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j],
         [0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j],

@@ -136,12 +136,11 @@ class TestGenerationPath:
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("a", [0.0, 0.5])
     def test_matches_ode(self, depth, a):
-        seed_spec = dyn.ModelSpec("linear_seed", a=a)
+        spec = dyn.ModelSpec("linear_seed", a=a, depth=depth)
         mu = (2,) * depth
         grid = np.linspace(0.0, 2 * np.pi, 121)
-        path = sv.solve_generation_path(seed_spec, X0, V0, mu, grid)
-        gen_spec = dyn.ModelSpec("generation", depth=depth, seed=seed_spec)
-        traj = dyn.integrate(gen_spec, *dyn.build_initial_state(X0, V0, mu), grid)
+        path = sv.solve_generation_path(spec, X0, V0, mu, grid)
+        traj = dyn.integrate(spec, *dyn.build_initial_state(X0, V0, mu), grid)
         dev = max(map(set_distance, path.values, traj.x))
         assert dev < 1e-6
 
