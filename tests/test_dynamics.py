@@ -31,6 +31,18 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             dyn.ModelSpec("bogus")
 
+    def test_generation_needs_seed(self):
+        # a generation is named by its seed kind; "generation" alone is not one
+        with pytest.raises(ValueError, match="unknown model kind"):
+            dyn.ModelSpec("generation", depth=1)
+        spec = dyn.ModelSpec("iso_goldfish", omega=1.0, depth=1)
+        assert spec.kind == "iso_goldfish" and spec.depth == 1
+
+    def test_nested_generation_rejected(self):
+        inner = dyn.ModelSpec("goldfish", depth=1)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            dyn.ModelSpec(inner, depth=1)
+
     def test_generation_is_a_depth_not_a_kind(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             dyn.ModelSpec("generation", depth=1)
