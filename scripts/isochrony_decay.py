@@ -25,11 +25,11 @@ V0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
 def main(argv):
     a = float(argv[0]) if argv else 0.5
     n_periods = int(argv[1]) if len(argv) > 1 else 6
-    seed = ModelSpec("linear_seed", a=a)
+    spec = ModelSpec("linear_seed", a=a, depth=1)
     T = 2 * np.pi
     pts = 240
     grid = np.linspace(0.0, n_periods * T, n_periods * pts + 1)
-    path = solve_generation_path(seed, X0, V0, (2,), grid)
+    path = solve_generation_path(spec, X0, V0, (2,), grid)
 
     print(f"a = {a}, base period T = 2*pi, expected ratio "
           f"e^(-2*pi*a) = {np.exp(-2 * np.pi * a):.6f}\n")

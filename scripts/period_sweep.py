@@ -20,14 +20,14 @@ V0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
 
 
 def main():
-    seed = ModelSpec("linear_seed", a=0.0)
+    spec = ModelSpec("linear_seed", a=0.0, depth=1)
     T = 2 * np.pi
     p_max = 6
     grid = np.linspace(0.0, (p_max + 1) * T, (p_max + 1) * 240 + 1)
     print("branch  period multiplier  residual")
     for mu in range(1, 7):
         try:
-            path = solve_generation_path(seed, X0, V0, (mu,), grid)
+            path = solve_generation_path(spec, X0, V0, (mu,), grid)
             rep = detect_period(path, T, p_max)
             print(f"mu={mu}     p={rep.multiplier}              "
                   f"{rep.residual:.3e}")

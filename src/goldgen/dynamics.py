@@ -128,12 +128,12 @@ def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.n
     """Acceleration of the zeros x (velocities v) at recursion level `level`
     of the model `spec` (depth > level).
 
-    One pass per level: the pair differences are built and guarded once
-    and serve the whole transfer; x is validated once per level.  The
-    coefficient motion and the acceleration come from the polycore
-    primitives (coeff_motion, accel_transfer) that the public transfer
-    functions are built from, so the result equals their composition to
-    the bit.
+    Per level, the numpy pair differences are built and guarded once and
+    serve the whole transfer, and x is validated once.  y and its velocity
+    come from coeff_motion (one scalar forward-mode fold over the sorted
+    zeros), the acceleration from accel_transfer: the polycore primitives
+    of the public transfer functions, so the result equals their
+    composition to the bit.
     """
     diff = _guarded_diffs(x, sep_tol, level)
     _finite(x, v)

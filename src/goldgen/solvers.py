@@ -254,17 +254,18 @@ def solve_generation_path(
     grid,
     tol: Tolerances = Tolerances(),
 ) -> LabeledPath:
-    """Labeled zero path by the algebraic route, from the seed state (x0, v0)
-    at grid[0], one generation level per entry of mu.
+    """Labeled zero path of `spec` by the algebraic route, from the seed
+    state (x0, v0) at grid[0], one level per mu entry (len(mu) == depth).
 
     Level 0 is the closed-form path of the seed model that spec's kind,
-    omega, a and ia_sign name (its depth is not read).  At each level the
-    coefficient path is the level's permutation of the previous labeled
-    path, with the permutation fixed at grid[0] and carried by the labels;
-    the zeros of all times are then extracted in one batched solve and
-    continuity-tracked.
+    omega, a and ia_sign name.  At each level the coefficient path is the
+    level's permutation of the previous labeled path, with the permutation
+    fixed at grid[0] and carried by the labels; the zeros of all times are
+    then extracted in one batched solve and continuity-tracked.
     """
     mu = tuple(int(m) for m in mu)
+    if len(mu) != spec.depth:
+        raise ValueError(f"{len(mu)} mu entries for a depth-{spec.depth} model")
     grid = np.asarray(grid, dtype=float)
     path = _seed_labeled_path(spec, x0, v0, grid, tol)
     for mu_j in mu:

@@ -247,7 +247,7 @@ def suite_generations() -> list[Check]:
 
 def suite_isochrony() -> list[Check]:
     n = 3
-    sspec0 = ModelSpec("linear_seed", a=0.0, ia_sign=+1)
+    sspec0 = ModelSpec("linear_seed", a=0.0, ia_sign=+1, depth=1)
     x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
     v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
     T = 2 * np.pi
@@ -265,7 +265,7 @@ def suite_isochrony() -> list[Check]:
     # a > 0: asymptotic isochrony.  The configuration (as a set) at t+T
     # approaches the one at t; labels may still exchange, which is the
     # p > 1 phenomenon, so the decaying observable is the set deviation.
-    sspec = ModelSpec("linear_seed", a=0.5, ia_sign=+1)
+    sspec = ModelSpec("linear_seed", a=0.5, ia_sign=+1, depth=1)
     grid = np.linspace(0.0, 6 * T, 6 * steps_per + 1)
     path = solvers.solve_generation_path(sspec, x0, v0, (2,), grid)
     devs = []

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -90,6 +91,50 @@ class TestElemSymExcl:
         for i in range(len(x)):
             assert s[i, 0] == 1
             assert np.array_equal(s[i, 1:], pc.elem_sym_all(np.delete(x, i)))
+
+
+def brute_excl_matrix(x):
+    """S[n, m-1] = sigma_{n,m}(x): the sum, over the (m-1)-subsets of the
+    indices other than n, of the products of their entries."""
+    n = len(x)
+    s = np.zeros((n, n), dtype=np.complex128)
+    for i in range(n):
+        rest = [x[j] for j in range(n) if j != i]
+        for m in range(n):
+            s[i, m] = sum(math.prod(c) for c in itertools.combinations(rest, m))
+    return s
+
+
+def motion_inputs(min_size, max_size):
+    """(x, v) of one length, x with distinct entries."""
+    return st.integers(min_size, max_size).flatmap(lambda n: st.tuples(
+        st.lists(complex_entries, min_size=n, max_size=n, unique=True),
+        st.lists(complex_entries, min_size=n, max_size=n),
+    ))
+
+
+class TestCoeffMotion:
+    @settings(max_examples=60, deadline=None)
+    @given(motion_inputs(2, 12))
+    def test_velocity_matches_brute_force(self, xv):
+        # ydot = signs * (S^T v), with S from explicit subset products: a
+        # route that shares no code with the fold
+        x, v = (np.array(a, dtype=np.complex128) for a in xv)
+        s = brute_excl_matrix(x)
+        signs = (-1.0) ** np.arange(1, len(x) + 1)
+        _, y_dot = pc.coeff_motion(x, v)
+        want = signs * (s.T @ v)
+        # relative to the summed magnitudes, the scale rounding acts on
+        scale = np.abs(s).T @ np.abs(v)
+        assert np.all(np.abs(y_dot - want) <= 1e-12 * scale)
+
+    @given(motion_inputs(1, 12), st.data())
+    def test_permutation_invariant(self, xv, data):
+        x, v = (np.array(a, dtype=np.complex128) for a in xv)
+        p = np.array(data.draw(st.permutations(range(len(x)))))
+        y, y_dot = pc.coeff_motion(x, v)
+        y_p, y_dot_p = pc.coeff_motion(x[p], v[p])
+        assert np.array_equal(y_p, y) and np.array_equal(y_dot_p, y_dot)
 
 
 class TestMinPairwiseGap:

@@ -145,20 +145,29 @@ class TestGenerationPath:
         assert dev < 1e-6
 
     def test_initial_frame_consistent_with_lift(self):
-        seed_spec = dyn.ModelSpec("linear_seed", a=0.5)
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=1)
         grid = np.linspace(0.0, 0.5, 11)
-        path = sv.solve_generation_path(seed_spec, X0, V0, (3,), grid)
+        path = sv.solve_generation_path(spec, X0, V0, (3,), grid)
         x, _ = dyn.build_initial_state(X0, V0, (3,))
         assert set_distance(path.values[0], x) < 1e-10
 
     def test_iso_goldfish_seed_supported(self):
         seed_spec = dyn.ModelSpec("iso_goldfish", omega=1.0)
         grid = np.linspace(0.0, 1.0, 41)
-        path = sv.solve_generation_path(seed_spec, X0, V0, (1,), grid)
+        path = sv.solve_generation_path(
+            dyn.ModelSpec("iso_goldfish", omega=1.0, depth=1), X0, V0, (1,), grid)
         assert path.values.shape == (41, 3)
         # labels start as the components of x0
         np.testing.assert_array_equal(
             sv.solve_generation_path(seed_spec, X0, V0, (), grid).values[0], X0)
+
+    @pytest.mark.parametrize("depth, mu", [(2, (2,)), (0, (2,)), (1, ())])
+    def test_mu_must_match_depth(self, depth, mu):
+        # one level per mu entry: a depth-2 model with one mu entry would
+        # silently return a depth-1 path
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=depth)
+        with pytest.raises(ValueError, match="mu entries"):
+            sv.solve_generation_path(spec, X0, V0, mu, np.linspace(0.0, 0.5, 11))
 
 
 class TestDetectPeriod:
@@ -275,7 +284,7 @@ class TestCertifiedTracking:
         monkeypatch.setattr(sv, "_assign", lambda *a: calls.append(a[2]) or real(*a))
         grid = np.linspace(0.0, 2 * np.pi, 241)
         path = sv.solve_generation_path(
-            dyn.ModelSpec("linear_seed", a=0.5), X0, V0, (2, 5), grid
+            dyn.ModelSpec("linear_seed", a=0.5, depth=2), X0, V0, (2, 5), grid
         )
         assert path.values.shape == (241, 3)
         assert len(calls) <= 0.01 * 2 * 240
