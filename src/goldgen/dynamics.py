@@ -290,7 +290,7 @@ def integrate(
             for i in range(1, 7):
                 u5 = u + h * np.dot(_DP_A[i], K[:i])
                 stage(i, u5)
-        except CollisionError:
+        except CollisionError as e:
             traj.rejected_guard += 1
             no_growth = True
             h *= 0.5
@@ -298,8 +298,9 @@ def integrate(
                 gap = min_pairwise_gap(u[:n])
                 raise CollisionError(
                     f"collision approaching t~{t:.6g}: gap {gap:.3e} "
-                    f"and shrinking, step size collapsed"
-                )
+                    f"and shrinking, step size collapsed",
+                    level=e.level,
+                ) from e
             continue
         scale = tol.ode_abs + tol.ode_rel * np.maximum(np.abs(u), np.abs(u5))
         err = np.sqrt(np.mean((np.abs(h * np.dot(_DP_E, K)) / scale) ** 2))

@@ -38,7 +38,17 @@ class TreeBudgetExceeded(GoldgenError):
 
 
 class TrackingAmbiguity(GoldgenError):
-    """Continuity tracking of zero paths is not well-posed on this grid."""
+    """Continuity tracking of zero paths is not well-posed on this grid,
+    even after refinement.
+
+    `intervals` holds the index i of every step from time i to time i + 1
+    whose frames failed the tracking certificate (empty when none was
+    checked).
+    """
+
+    def __init__(self, msg, intervals=()):
+        super().__init__(msg)
+        self.intervals = intervals
 
 
 class NoPeriodFound(GoldgenError):

@@ -3,10 +3,13 @@
 Every comparison of two unordered sets in the package goes through here,
 under one of two named semantics:
 
-- *sum-optimal*: the pairing that minimises the total cost (zero tracking,
-  set distances between point clouds);
+- *sum-optimal*: the pairing that minimises the total cost (set distances
+  between point clouds);
 - *bottleneck*: the smallest achievable largest cost over all pairings
   (the closed-form oracle for generation families).
+
+Zero tracking pairs no sets here: `solvers.track_zeros` certifies its
+nearest-zero pairing geometrically instead.
 
 The bottleneck value is found by the threshold method (Garfinkel, Oper.
 Res. 1971): binary search over the sorted distinct costs, testing each
@@ -28,27 +31,6 @@ def distance_matrix(a, b) -> np.ndarray:
         raise ValueError("family sizes differ")
     d = np.abs(a[:, None] - b[None, :])
     return d.max(axis=-1) if d.ndim == 3 else d
-
-
-def sum_optimal(cost) -> np.ndarray:
-    """Columns of the sum-optimal pairing: row i goes to column cols[i]."""
-    _, cols = linear_sum_assignment(cost)
-    return cols
-
-
-def second_best(cost, cols) -> float:
-    """Exact second-best total cost, found by forbidding each edge of the
-    optimal pairing `cols` in turn."""
-    second = np.inf
-    sentinel = (1.0 + float(cost.max())) * (len(cols) + 1) * 1e6
-    for r, c in enumerate(cols):
-        forbidden = cost.copy()
-        forbidden[r, c] = sentinel
-        rr, cc = linear_sum_assignment(forbidden)
-        val = forbidden[rr, cc].sum()
-        if val < sentinel:  # assignment avoided the forbidden edge
-            second = min(second, val)
-    return second
 
 
 def bottleneck(cost) -> float:
@@ -78,5 +60,5 @@ def set_distance(a, b) -> float:
     """Max matched distance between two same-size point clouds under the
     sum-optimal pairing."""
     cost = distance_matrix(a, b)
-    cols = sum_optimal(cost)
-    return float(cost[np.arange(len(cols)), cols].max())
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())

@@ -3,8 +3,9 @@
 Closed forms for the linear two-mode seed and the isochronous goldfish
 model, lifting of a solved seed path through generation layers by root
 extraction (one batched solve per layer over the whole time grid),
-continuity-based zero tracking (a nearest-zero certificate per frame, with
-optimal assignment where it fails), and numerical period detection.
+continuity-based zero tracking (a geometric certificate per frame that the
+nearest-zero pairing is the unique optimal one; steps that fail it are
+bisected), and numerical period detection.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import DegenerateModes, NoPeriodFound, NonFiniteState, TrackingAmbiguity
-from .matching import distance_matrix, second_best, sum_optimal
 from .permgen import mu_to_perm
 from .polycore import (
     Tolerances,
@@ -27,7 +27,10 @@ from .polycore import (
 )
 
 DEFAULT_PERIOD_TOL = 1e-6
-AMBIGUITY_TOL = 1e-12  # read at call time
+# a step is certified when d/g (see _certify) is below 1/2 less its rounding
+_HALF_GAP = 0.5 - 4 * np.finfo(float).eps
+# solve_generation_path halves an uncertified step at most this many times
+_HALVINGS = 8
 
 
 @dataclass
@@ -138,61 +141,21 @@ def solve_iso_goldfish_at(
 
 
 def _certify(clouds: np.ndarray):
-    """Nearest-zero pairing of every frame k-1 with frame k, and whether it
-    is certified to be the one optimal assignment would choose.
+    """Nearest-zero pairing of every frame k-1 with frame k, and d/g: the
+    largest distance d from a zero of frame k-1 to its nearest zero of
+    frame k over the smallest gap g in frame k-1 (NaN for a non-finite
+    frame).
 
-    Let d be the largest distance from a zero of frame k-1 to its nearest
-    zero of frame k, and g the smallest gap in frame k-1.  If d < g/2 the
-    nearest zeros form a permutation.  Any other pairing changes the
-    partner of at least two zeros, and each new partner is at least g - d
-    away where the nearest is at most d, so its total squared cost exceeds
-    the nearest pairing's by at least 2 ((g - d)^2 - d^2) = 2 g (g - 2 d).
-    A frame is certified when that bound clears twice the ambiguity
-    threshold plus the rounding in the summed costs; optimal assignment
-    would then pick the same pairing and pass the same checks.
+    If d < g/2, two zeros cannot share a nearest zero, so the pairing is a
+    permutation, and any other pairing gives some zero another's nearest
+    partner, at least g - d > d away: every cost that grows with distance
+    is uniquely minimised by the nearest pairing.  d and g are computed to
+    within a few ulps, so a ratio below _HALF_GAP proves d < g/2.
     """
-    n = clouds.shape[1]
-    prev, cur = clouds[:-1], clouds[1:]
-    dist = np.abs(prev[:, :, None] - cur[:, None, :])
-    nearest = dist.argmin(axis=2)
-    near = dist.min(axis=2)
-    d = near.max(axis=1)
-    g = min_pairwise_gap(prev)  # inf for a single zero
-    best = (near**2).sum(axis=1)
-    is_perm = (np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)
-    margin = 2.0 * g * (g - 2.0 * d)
-    rounding = 16.0 * n * np.finfo(float).eps * (best + n * dist.max(axis=(1, 2)) ** 2)
-    ok = (
-        is_perm
-        & (d < 0.5 * g)
-        & (margin > 2.0 * AMBIGUITY_TOL * np.maximum(1.0, best) + rounding)
-    )
-    return nearest, ok
-
-
-def _assign(prev, cur, k: int) -> np.ndarray:
-    """Sum-optimal pairing of the labelled zeros `prev` with frame k's
-    zeros `cur` (row i goes to column cols[i]), or TrackingAmbiguity."""
-    cost = distance_matrix(prev, cur) ** 2
-    if not np.isfinite(cost).all():
-        raise TrackingAmbiguity(f"frame {k}: non-finite matching costs")
-    cols = sum_optimal(cost)
-    best = cost[np.arange(len(cols)), cols].sum()
-    disp = np.max(np.abs(cur[cols] - prev))
-    half_gap = 0.5 * min_pairwise_gap(prev)
-    if disp >= half_gap:
-        raise TrackingAmbiguity(
-            f"frame {k}: displacement {disp:.3e} >= half gap "
-            f"{half_gap:.3e}; refine the time grid"
-        )
-    if len(prev) > 1:
-        second = second_best(cost, cols)
-        if second - best <= AMBIGUITY_TOL * max(1.0, best):
-            raise TrackingAmbiguity(
-                f"frame {k}: ambiguous matching (gap {second - best:.3e}); "
-                "refine the time grid"
-            )
-    return cols
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.abs(clouds[:-1, :, None] - clouds[1:, None, :])
+        ratio = dist.min(axis=2).max(axis=1) / min_pairwise_gap(clouds[:-1])
+    return dist.argmin(axis=2), ratio
 
 
 def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPath:
@@ -200,14 +163,13 @@ def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPa
 
     `frames` is a (T, N) array of zeros (or a sequence of zero vectors),
     one frame per grid time.  Labels start from the canonical order of the
-    first frame and propagate by minimal-total-squared-distance matching
-    between consecutive frames.  A frame whose nearest-zero pairing is
-    certified optimal (see `_certify`) takes it directly; any other frame
-    is matched by optimal assignment.  Raises DegenerateZeros when two
-    zeros of the first frame lie within tol.sep_tol, and TrackingAmbiguity
-    when the matching is not well-posed: the best and second-best
-    matchings nearly tie, or some label moves farther than half the
-    previous frame's minimum gap.
+    first frame and each zero passes its label to its nearest zero in the
+    next frame.  Every step must be certified (see `_certify`): each zero
+    moves less than half the previous frame's smallest gap, which makes
+    this pairing the unique sum-optimal one.  Raises DegenerateZeros when
+    two zeros of the first frame lie within tol.sep_tol, and
+    TrackingAmbiguity, carrying every uncertified step in `intervals`, when
+    some step is not certified (a non-finite frame included).
     """
     if len(frames) < 2:
         raise TrackingAmbiguity("need at least two frames to track")
@@ -215,17 +177,19 @@ def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPa
     if times is None:
         times = np.arange(len(clouds), dtype=float)
     check_distinct(clouds[0], tol.sep_tol)
+    nearest, ratio = _certify(clouds)
+    bad = np.flatnonzero(~(ratio < _HALF_GAP))
+    if bad.size:
+        k = bad[0]
+        raise TrackingAmbiguity(
+            f"t={times[k]:.6g}..{times[k + 1]:.6g}: a zero moves {ratio[k]:.3g} of "
+            "the smallest gap, not under half: the grid does not resolve it", bad)
     # label -> index into each frame; composed on lists, cheaper than numpy
     # for a handful of labels
     idx = canonical_order(clouds[0]).tolist()
     order = [idx]
-    nearest, certified = _certify(clouds)
-    nearest, certified = nearest.tolist(), certified.tolist()
-    for k in range(1, len(clouds)):
-        if certified[k - 1]:
-            idx = [nearest[k - 1][i] for i in idx]
-        else:
-            idx = _assign(clouds[k - 1][idx], clouds[k], k).tolist()
+    for step in nearest.tolist():
+        idx = [step[i] for i in idx]
         order.append(idx)
     out = np.take_along_axis(clouds, np.array(order), axis=1)
     return LabeledPath(times=np.asarray(times, dtype=float), values=out)
@@ -246,6 +210,16 @@ def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, tol: Tolerances) -> Labele
     raise ValueError(f"seed kind {spec.kind!r} has no closed-form path")
 
 
+def _lift(rows, memo, tol: Tolerances) -> np.ndarray:
+    """Zeros of each coefficient row, solving in one batch only the rows
+    that `memo` ((T, 2N): rows and their zeros, NaN where unsolved) lacks."""
+    n = rows.shape[1]
+    todo = ~(memo[:, :n] == rows).all(axis=1)
+    memo[todo, :n] = rows[todo]
+    memo[todo, n:] = _solved(rows[todo], tol)
+    return memo[:, n:]
+
+
 def solve_generation_path(
     spec: ModelSpec,
     x0,
@@ -262,17 +236,47 @@ def solve_generation_path(
     level's permutation of the previous labeled path, with the permutation
     fixed at grid[0] and carried by the labels; the zeros of all times are
     then extracted in one batched solve and continuity-tracked.
+
+    A step that some level cannot track (see `track_zeros`) is bisected,
+    the seed closed form evaluated again, each level's new or changed rows
+    solved, and every level tracked through the added times; only the grid
+    rows are returned.  A step that still fails at 2^-_HALVINGS of its grid
+    step raises TrackingAmbiguity, so a true collision is refused.
     """
     mu = tuple(int(m) for m in mu)
     if len(mu) != spec.depth:
         raise ValueError(f"{len(mu)} mu entries for a depth-{spec.depth} model")
-    grid = np.asarray(grid, dtype=float)
-    path = _seed_labeled_path(spec, x0, v0, grid, tol)
-    for mu_j in mu:
-        perm = np.asarray(mu_to_perm(mu_j, path.n)) - 1
-        label_order = canonical_order(path.values[0])[perm]
-        path = track_zeros(_solved(path.values[:, label_order], tol), grid, tol)
-    return path
+    times = grid = np.asarray(grid, dtype=float)
+    n = len(x0)
+    perms = [np.asarray(mu_to_perm(m, n)) - 1 for m in mu]
+    on_grid = np.ones(len(grid), dtype=bool)
+    memo = np.full((len(mu), len(grid), 2 * n), np.nan, dtype=np.complex128)
+    while True:
+        try:
+            path = _seed_labeled_path(spec, x0, v0, times, tol)
+            # order x0 itself, as build_initial_state does: the closed form
+            # at time 0 may break a tie by rounding
+            first = np.asarray(x0)
+            for perm, level_memo in zip(perms, memo):
+                label_order = canonical_order(first)[perm]
+                zeros = _lift(path.values[:, label_order], level_memo, tol)
+                path = track_zeros(zeros, times, tol)
+                first = path.values[0]
+            return LabeledPath(grid, path.values[on_grid])
+        except TrackingAmbiguity as e:
+            at = np.asarray(e.intervals, dtype=int)
+            if not at.size:
+                raise
+            lo, hi = times[at], times[at + 1]
+            # widths are grid steps over powers of two, up to rounding
+            step = np.diff(grid)[np.cumsum(on_grid)[at] - 1]
+            if not np.all((hi - lo) * 2.0**_HALVINGS >= 1.5 * step):
+                raise TrackingAmbiguity(
+                    f"{e}, even at 2^-{_HALVINGS} of the grid step", intervals=at
+                ) from e
+            times = np.insert(times, at + 1, 0.5 * (lo + hi))
+            on_grid = np.insert(on_grid, at + 1, False)
+            memo = np.insert(memo, at + 1, np.nan, axis=1)
 
 
 def detect_period(

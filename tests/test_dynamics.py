@@ -311,6 +311,23 @@ class TestIntegrator:
             dyn.integrate(dyn.ModelSpec("goldfish"), [1.0, -1.0], [-1.0, 1.0],
                           np.linspace(0, 5, 11))
 
+    def test_collapse_keeps_the_stage_level(self, monkeypatch):
+        # every stage after the first collides at level 1: the guard halves
+        # the step until it collapses, and the final error keeps that level
+        rhs = dyn.rhs
+        calls = []
+
+        def inner_collision(*args):
+            if calls:
+                raise CollisionError("inner collision", level=1)
+            calls.append(1)
+            return rhs(*args)
+
+        monkeypatch.setattr(dyn, "rhs", inner_collision)
+        with pytest.raises(CollisionError, match="step size collapsed") as exc:
+            dyn.integrate(dyn.ModelSpec("goldfish"), [1.0, -1.0], [-1.0, 1.0], [0.0, 1.0])
+        assert exc.value.level == 1
+
     def test_close_approach_passes_the_guard(self):
         # the smallest gap, 0.141, is far above sep_tol: the run takes the
         # same steps whether sep_tol is 0.015 or 0.013

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from goldgen import dynamics as dyn
 from goldgen import polycore as pc
@@ -7,6 +12,7 @@ from goldgen import solvers as sv
 from goldgen.errors import (
     DegenerateModes,
     DegenerateZeros,
+    GoldgenError,
     NoPeriodFound,
     NonFiniteState,
     RootSolveFailed,
@@ -118,12 +124,9 @@ class TestTrackZeros:
         with pytest.raises(TrackingAmbiguity):
             sv.track_zeros([np.array([1.0, -1.0])])
 
-    def test_first_frame_checked_against_configured_sep_tol(self, monkeypatch):
+    def test_first_frame_checked_against_configured_sep_tol(self):
         # two zeros 5e-9 apart drifting by 1e-10 per frame: degenerate under
-        # the default sep_tol 1e-8, a regular path under a configured 1e-10.
-        # Swapping the pair changes the squared cost by ~1e-17, below the
-        # absolute ambiguity threshold, so that threshold is lowered too
-        monkeypatch.setattr(sv, "AMBIGUITY_TOL", 1e-20)
+        # the default sep_tol 1e-8, a regular path under a configured 1e-10
         ts = np.arange(5.0)
         frames = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j]) + 1e-10 * ts[:, None]
         with pytest.raises(DegenerateZeros, match="sep_tol 1.000e-08"):
@@ -149,6 +152,12 @@ class TestGenerationPath:
         grid = np.linspace(0.0, 0.5, 11)
         path = sv.solve_generation_path(spec, X0, V0, (3,), grid)
         x, _ = dyn.build_initial_state(X0, V0, (3,))
+        assert set_distance(path.values[0], x) < 1e-10
+        # seed zeros tied in real part: the closed form at time 0 moves the
+        # second by 3.5e-17, which must not reorder the coefficients
+        x0, v0 = np.array([0.04 + 0.5j, 0.04]), np.array([0.0, 1j])
+        path = sv.solve_generation_path(spec, x0, v0, (1,), grid)
+        x, _ = dyn.build_initial_state(x0, v0, (1,))
         assert set_distance(path.values[0], x) < 1e-10
 
     def test_iso_goldfish_seed_supported(self):
@@ -203,25 +212,47 @@ class TestDetectPeriod:
             sv.detect_period(path, T=1.511, p_max=3)
 
 
-def _tracked(frames):
-    """track_zeros' labelled values, or the type and message it raised."""
+# antipodal pair turning by pi/2 per frame: the two pairings tie exactly
+TIE = [np.array([np.exp(1j * t), -np.exp(1j * t)]) for t in (0.0, 0.3, 0.3 + np.pi / 2)]
+# a jump past half the gap
+JUMP = [np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.array([1.0j, -1.0j])]
+# near tie within the half-gap limit: the two pairings of {1, -1} with
+# {e + iy, -e - iy} differ in total squared cost by 8e = 8e-13
+NEAR_TIE = [np.array([1.0, -1.0]), np.array([1e-13 + 3e-7j, -1e-13 - 3e-7j])]
+HALF_GAP = 0.5 - 4 * np.finfo(float).eps
+
+
+def _lsa_labels(frames):
+    """Reference labelling: canonical first frame, then per frame the
+    sum-optimal (scipy LSA) pairing of squared distances, and per step the
+    largest move over the previous frame's smallest gap."""
+    clouds = np.asarray(frames, dtype=np.complex128)
+    out = np.empty_like(clouds)
+    out[0] = clouds[0][pc.canonical_order(clouds[0])]
+    ratios = []
+    for k in range(1, len(clouds)):
+        rows, cols = linear_sum_assignment(np.abs(out[k - 1][:, None] - clouds[k]) ** 2)
+        out[k, rows] = clouds[k][cols]
+        ratios.append(np.abs(out[k] - out[k - 1]).max() / pc.min_pairwise_gap(out[k - 1]))
+    return out, np.array(ratios)
+
+
+def _against_lsa(frames):
+    """Check track_zeros against the LSA reference: it returns the LSA
+    labels when every LSA step moves each zero under half the gap, and
+    otherwise refuses exactly the steps where some zero moves at least
+    that far.  Returns whether it refused."""
+    want, ratios = _lsa_labels(frames)
+    far = np.flatnonzero(ratios >= HALF_GAP)
     try:
-        return sv.track_zeros(frames).values
+        got = sv.track_zeros(frames).values
     except TrackingAmbiguity as e:
-        return type(e), str(e)
-
-
-def _forced_assignment(monkeypatch, frames):
-    """The same call with every frame left uncertified, so each one goes
-    through optimal assignment and its second-best check."""
-    real = sv._certify
-
-    def uncertified(clouds):
-        return real(clouds)[0], np.zeros(len(clouds) - 1, dtype=bool)
-
-    with monkeypatch.context() as m:
-        m.setattr(sv, "_certify", uncertified)
-        return _tracked(frames)
+        np.testing.assert_array_equal(e.intervals, far)
+        assert far.size
+        return True
+    assert not far.size
+    np.testing.assert_array_equal(got, want)
+    return False
 
 
 def _shuffled_path(rng, n, frames, step):
@@ -234,60 +265,50 @@ def _shuffled_path(rng, n, frames, step):
 
 
 class TestCertifiedTracking:
-    def test_matches_forced_assignment(self, monkeypatch):
+    def test_matches_forced_assignment(self):
         rng = np.random.default_rng(17)
-        for n in (1, 2, 3, 5, 7):
-            for step in (0.01, 0.05, 0.2):
-                frames = _shuffled_path(rng, n, 80, step)
-                got = _tracked(frames)
-                want = _forced_assignment(monkeypatch, frames)
-                if isinstance(want, tuple):
-                    assert got == want
-                else:
-                    np.testing.assert_array_equal(got, want)
+        refused = [
+            _against_lsa(_shuffled_path(rng, n, 80, step))
+            for n in (1, 2, 3, 5, 7)
+            for step in (0.01, 0.05, 0.2)
+        ]
+        assert any(refused) and not all(refused)
 
-    @pytest.mark.parametrize("frames", [
-        # antipodal pair turning by pi/2 per frame: the matchings tie
-        [np.array([np.exp(1j * t), -np.exp(1j * t)]) for t in (0.0, 0.3, 0.3 + np.pi / 2)],
-        # a jump past half the gap
-        [np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.array([1.0j, -1.0j])],
-        # near tie within the half-gap limit: the two pairings of {1, -1}
-        # with {e + iy, -e - iy} differ in cost by 8e = 8e-13
-        [np.array([1.0, -1.0]), np.array([1e-13 + 3e-7j, -1e-13 - 3e-7j])],
-    ])
-    def test_same_error_as_forced_assignment(self, monkeypatch, frames):
-        got = _tracked(frames)
-        assert isinstance(got, tuple) and got[0] is TrackingAmbiguity
-        assert got == _forced_assignment(monkeypatch, frames)
+    @pytest.mark.parametrize("frames", [TIE, JUMP, NEAR_TIE])
+    def test_same_error_as_forced_assignment(self, frames):
+        # the tie and the jump move a zero past half the gap and are
+        # refused; the near tie keeps the LSA labels
+        assert _against_lsa(frames) == (frames is not NEAR_TIE)
 
     def test_near_tie_is_an_ambiguity(self):
-        frames = [np.array([1.0, -1.0]), np.array([1e-13 + 3e-7j, -1e-13 - 3e-7j])]
-        with pytest.raises(TrackingAmbiguity, match="ambiguous matching"):
-            sv.track_zeros(frames)
+        # no longer one: each zero moves 0.5 - 2.75e-14 of the gap, so the
+        # nearest pairing is the unique optimum however close the costs
+        path = sv.track_zeros(NEAR_TIE)
+        np.testing.assert_array_equal(
+            path.values, [[-1.0, 1.0], [-1e-13 - 3e-7j, 1e-13 + 3e-7j]])
 
-    def test_uncertified_frame_still_accepted(self, monkeypatch):
-        # moving one zero by delta leaves a second-best margin of 8 + 4 delta
-        # while the certificate proves only 8 - 8 delta: with an ambiguity
-        # threshold of 5 the frame needs the assignment and passes it
+    def test_uncertified_frame_still_accepted(self):
+        # one zero moving by 0.05 per frame: the cost margin the old
+        # certificate needed is not needed, the geometric one holds
         frames = [np.array([1.0, -1.0]), np.array([1.05, -1.0]), np.array([1.1, -1.0])]
-        calls = []
-        real = sv._assign
-        monkeypatch.setattr(sv, "_assign", lambda *a: calls.append(a[2]) or real(*a))
-        monkeypatch.setattr(sv, "AMBIGUITY_TOL", 5.0)
-        got = _tracked(frames)
-        assert calls == [1, 2]
-        np.testing.assert_array_equal(got, _forced_assignment(monkeypatch, frames))
+        _, ratio = sv._certify(np.array(frames))
+        np.testing.assert_allclose(ratio, [0.025, 0.05 / 2.05])
+        assert _against_lsa(frames) is False
+        np.testing.assert_array_equal(
+            sv.track_zeros(frames).values, [[-1.0, 1.0], [-1.0, 1.05], [-1.0, 1.1]])
 
     def test_generation_path_frames_certified(self, monkeypatch):
+        # the README path: every level tracks the grid itself, no refinement
         calls = []
-        real = sv._assign
-        monkeypatch.setattr(sv, "_assign", lambda *a: calls.append(a[2]) or real(*a))
+        real = sv.track_zeros
+        monkeypatch.setattr(
+            sv, "track_zeros", lambda f, t, tol: calls.append(len(t)) or real(f, t, tol))
         grid = np.linspace(0.0, 2 * np.pi, 241)
         path = sv.solve_generation_path(
             dyn.ModelSpec("linear_seed", a=0.5, depth=2), X0, V0, (2, 5), grid
         )
         assert path.values.shape == (241, 3)
-        assert len(calls) <= 0.01 * 2 * 240
+        assert calls == [241, 241]
 
     def test_failed_frame_raises_its_error(self):
         good = pc.coeffs_from_zeros([1.0, -1.0]).coeffs
@@ -296,8 +317,76 @@ class TestCertifiedTracking:
             sv._solved(np.array([good, huge, good]), pc.Tolerances())
 
     def test_overflowing_costs_are_an_ambiguity(self):
-        # squared distances of zeros near 1e200 overflow to inf
-        prev = np.array([1e200, -1e200])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrackingAmbiguity, match="non-finite"):
-                sv._assign(prev, prev[::-1], 1)
+        # zeros near 1e200 track (no squared costs to overflow); a frame
+        # holding inf or NaN is refused
+        big = np.array([1e200, -1e200 + 1e199j])
+        path = sv.track_zeros([big, big * (1 + 1e-3j), big * (1 + 2e-3j)])
+        np.testing.assert_array_equal(path.values[:, 0].real < 0, True)
+        for bad in (np.inf, np.nan, complex(np.inf, np.nan)):
+            with pytest.raises(TrackingAmbiguity) as exc:
+                sv.track_zeros([big, np.array([bad, -1e200]), big])
+            np.testing.assert_array_equal(exc.value.intervals, [0, 1])
+
+
+# a bench-style input (linear seed, a = 0, N = 4, mu = (20,)) whose level-1
+# zeros move 0.61 of their smallest gap in one step of the 241-point grid
+SWEPT_X0 = np.array([-0.2785747051566412 + 0.5003234256719118j,
+                     0.05658909205151419 - 0.6026742044113065j,
+                     -0.4766188493070871 - 0.650266589475081j,
+                     0.9394484242814685 + 0.478127007912986j])
+SWEPT_V0 = np.array([-0.0684929991032448 - 0.28091060670263834j,
+                     0.1472875665731083 - 0.008269894051938297j,
+                     -0.215730276592797 + 0.0812262265508056j,
+                     0.14476646013906685 - 0.19914035889348106j])
+
+
+def _labelled_deviation(path, traj):
+    """Largest distance between the two labelled paths, with the labels
+    matched by nearest zero at the first time."""
+    labels = [int(np.argmin(np.abs(traj.x[0] - z))) for z in path.values[0]]
+    return np.abs(path.values - traj.x[:, labels]).max()
+
+
+class TestRefinedGenerationPath:
+    def test_refused_input_now_solves(self, monkeypatch):
+        spec = dyn.ModelSpec("linear_seed", a=0.0, depth=1)
+        grid = np.linspace(0.0, 2 * np.pi, 241)
+        tracked = []
+        real = sv.track_zeros
+        monkeypatch.setattr(
+            sv, "track_zeros", lambda f, t, tol: tracked.append(len(t)) or real(f, t, tol))
+        path = sv.solve_generation_path(spec, SWEPT_X0, SWEPT_V0, (20,), grid)
+        assert max(tracked) > 241  # the grid alone does not resolve it
+        traj = dyn.integrate(spec, *dyn.build_initial_state(SWEPT_X0, SWEPT_V0, (20,)), grid)
+        np.testing.assert_array_equal(path.times, grid)
+        assert _labelled_deviation(path, traj) < 1e-6
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from([("linear_seed", 0.0), ("linear_seed", 0.5), ("iso_goldfish", 1.0)]),
+        x=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=2, max_size=3),
+        v=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3),
+        mu=st.integers(1, 6),
+        frames=st.integers(2, 6),
+    )
+    def test_solve_agrees_with_simulate(self, kind, x, v, mu, frames):
+        # coarse grids, so that some inputs need refinement
+        spec = dyn.ModelSpec(kind[0], a=kind[1], omega=kind[1], depth=1)
+        x, v = np.array(x), np.array(v[: len(x)])
+        mu = (min(mu, math.factorial(len(x))),)
+        grid = np.linspace(0.0, 1.5, frames)
+        try:
+            path = sv.solve_generation_path(spec, x, v, mu, grid)
+            traj = dyn.integrate(spec, *dyn.build_initial_state(x, v, mu), grid)
+        except GoldgenError:
+            return
+        assert max(map(set_distance, path.values, traj.x)) < 1e-6
+
+    def test_head_on_collision_is_refused(self):
+        # y(t) = z^2 - (1 - 2t): the zeros +-sqrt(1 - 2t) meet at t = 0.5,
+        # so no labelled path runs through it, however fine the grid
+        spec = dyn.ModelSpec("iso_goldfish", omega=0.0)
+        with pytest.raises(GoldgenError) as exc:
+            sv.solve_generation_path(spec, [1.0, -1.0], [-1.0, 1.0], (),
+                                     [0.0, 0.35, 0.7])
+        assert "2^-8" in str(exc.value)
