@@ -363,15 +363,17 @@ class TestRefinedGenerationPath:
 
     @settings(max_examples=15, deadline=None)
     @given(
-        kind=st.sampled_from([("linear_seed", 0.0), ("linear_seed", 0.5), ("iso_goldfish", 1.0)]),
+        seed=st.sampled_from([{"kind": "linear_seed", "a": 0.0},
+                              {"kind": "linear_seed", "a": 0.5},
+                              {"kind": "iso_goldfish", "omega": 1.0}]),
         x=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=2, max_size=3),
         v=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3),
         mu=st.integers(1, 6),
         frames=st.integers(2, 6),
     )
-    def test_solve_agrees_with_simulate(self, kind, x, v, mu, frames):
+    def test_solve_agrees_with_simulate(self, seed, x, v, mu, frames):
         # coarse grids, so that some inputs need refinement
-        spec = dyn.ModelSpec(kind[0], a=kind[1], omega=kind[1], depth=1)
+        spec = dyn.ModelSpec(**seed, depth=1)
         x, v = np.array(x), np.array(v[: len(x)])
         mu = (min(mu, math.factorial(len(x))),)
         grid = np.linspace(0.0, 1.5, frames)
