@@ -210,16 +210,6 @@ def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, tol: Tolerances) -> Labele
     raise ValueError(f"seed kind {spec.kind!r} has no closed-form path")
 
 
-def _lift(rows, memo, tol: Tolerances) -> np.ndarray:
-    """Zeros of each coefficient row, solving in one batch only the rows
-    that `memo` ((T, 2N): rows and their zeros, NaN where unsolved) lacks."""
-    n = rows.shape[1]
-    todo = ~(memo[:, :n] == rows).all(axis=1)
-    memo[todo, :n] = rows[todo]
-    memo[todo, n:] = _solved(rows[todo], tol)
-    return memo[:, n:]
-
-
 def solve_generation_path(
     spec: ModelSpec,
     x0,
@@ -238,10 +228,10 @@ def solve_generation_path(
     then extracted in one batched solve and continuity-tracked.
 
     A step that some level cannot track (see `track_zeros`) is bisected,
-    the seed closed form evaluated again, each level's new or changed rows
-    solved, and every level tracked through the added times; only the grid
-    rows are returned.  A step that still fails at 2^-_HALVINGS of its grid
-    step raises TrackingAmbiguity, so a true collision is refused.
+    the seed closed form and every level solved and tracked again through
+    the added times; only the grid rows are returned.  A step still refused
+    after _HALVINGS halvings of its grid step, or too narrow to halve in
+    floating point, raises TrackingAmbiguity, so a true collision is refused.
     """
     mu = tuple(int(m) for m in mu)
     if len(mu) != spec.depth:
@@ -249,34 +239,34 @@ def solve_generation_path(
     times = grid = np.asarray(grid, dtype=float)
     n = len(x0)
     perms = [np.asarray(mu_to_perm(m, n)) - 1 for m in mu]
-    on_grid = np.ones(len(grid), dtype=bool)
-    memo = np.full((len(mu), len(grid), 2 * n), np.nan, dtype=np.complex128)
+    # how many halvings of its grid step made each time (0 on the grid);
+    # the step after a time is as deep as the deeper of its two ends
+    halved = np.zeros(len(grid), dtype=int)
     while True:
         try:
             path = _seed_labeled_path(spec, x0, v0, times, tol)
             # order x0 itself, as build_initial_state does: the closed form
             # at time 0 may break a tie by rounding
             first = np.asarray(x0)
-            for perm, level_memo in zip(perms, memo):
+            for perm in perms:
                 label_order = canonical_order(first)[perm]
-                zeros = _lift(path.values[:, label_order], level_memo, tol)
-                path = track_zeros(zeros, times, tol)
+                path = track_zeros(_solved(path.values[:, label_order], tol), times, tol)
                 first = path.values[0]
-            return LabeledPath(grid, path.values[on_grid])
+            return LabeledPath(grid, path.values[halved == 0])
         except TrackingAmbiguity as e:
             at = np.asarray(e.intervals, dtype=int)
             if not at.size:
                 raise
             lo, hi = times[at], times[at + 1]
-            # widths are grid steps over powers of two, up to rounding
-            step = np.diff(grid)[np.cumsum(on_grid)[at] - 1]
-            if not np.all((hi - lo) * 2.0**_HALVINGS >= 1.5 * step):
+            mid = 0.5 * (lo + hi)
+            depth = np.maximum(halved[at], halved[at + 1])
+            if np.any(depth >= _HALVINGS) or not np.all((lo < mid) & (mid < hi)):
                 raise TrackingAmbiguity(
-                    f"{e}, even at 2^-{_HALVINGS} of the grid step", intervals=at
+                    f"{e}, even halved to 2^-{_HALVINGS} of the grid step or to one ulp",
+                    intervals=at,
                 ) from e
-            times = np.insert(times, at + 1, 0.5 * (lo + hi))
-            on_grid = np.insert(on_grid, at + 1, False)
-            memo = np.insert(memo, at + 1, np.nan, axis=1)
+            times = np.insert(times, at + 1, mid)
+            halved = np.insert(halved, at + 1, depth + 1)
 
 
 def detect_period(

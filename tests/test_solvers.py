@@ -219,7 +219,6 @@ JUMP = [np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.array([1.0j, -1.0j])]
 # near tie within the half-gap limit: the two pairings of {1, -1} with
 # {e + iy, -e - iy} differ in total squared cost by 8e = 8e-13
 NEAR_TIE = [np.array([1.0, -1.0]), np.array([1e-13 + 3e-7j, -1e-13 - 3e-7j])]
-HALF_GAP = 0.5 - 4 * np.finfo(float).eps
 
 
 def _lsa_labels(frames):
@@ -243,7 +242,7 @@ def _against_lsa(frames):
     otherwise refuses exactly the steps where some zero moves at least
     that far.  Returns whether it refused."""
     want, ratios = _lsa_labels(frames)
-    far = np.flatnonzero(ratios >= HALF_GAP)
+    far = np.flatnonzero(ratios >= sv._HALF_GAP)
     try:
         got = sv.track_zeros(frames).values
     except TrackingAmbiguity as e:
@@ -372,23 +371,31 @@ class TestRefinedGenerationPath:
         frames=st.integers(2, 6),
     )
     def test_solve_agrees_with_simulate(self, seed, x, v, mu, frames):
-        # coarse grids, so that some inputs need refinement
+        # coarse grids, so that some inputs need refinement; where simulate
+        # succeeds, solve agrees or refuses a step it cannot resolve
         spec = dyn.ModelSpec(**seed, depth=1)
         x, v = np.array(x), np.array(v[: len(x)])
         mu = (min(mu, math.factorial(len(x))),)
         grid = np.linspace(0.0, 1.5, frames)
         try:
-            path = sv.solve_generation_path(spec, x, v, mu, grid)
             traj = dyn.integrate(spec, *dyn.build_initial_state(x, v, mu), grid)
         except GoldgenError:
             return
+        try:
+            path = sv.solve_generation_path(spec, x, v, mu, grid)
+        except TrackingAmbiguity as e:
+            assert "2^-8" in str(e)
+            return
         assert max(map(set_distance, path.values, traj.x)) < 1e-6
 
-    def test_head_on_collision_is_refused(self):
-        # y(t) = z^2 - (1 - 2t): the zeros +-sqrt(1 - 2t) meet at t = 0.5,
-        # so no labelled path runs through it, however fine the grid
+    @pytest.mark.parametrize("t0, rate", [(0.0, 2.0), (1e13, 40.0)])
+    def test_head_on_collision_is_refused(self, t0, rate):
+        # y(t) = z^2 - (1 - rate t): the zeros +-sqrt(1 - rate t) meet at
+        # t = 1/rate, so no labelled path runs through it, however fine the
+        # grid.  At t0 = 1e13 the steps are a few ulps of t wide: halving
+        # reaches one ulp before 2^-8 of the step, and must stop there
         spec = dyn.ModelSpec("iso_goldfish", omega=0.0)
+        grid = t0 + np.array([0.0, 0.7, 1.4]) / rate
         with pytest.raises(GoldgenError) as exc:
-            sv.solve_generation_path(spec, [1.0, -1.0], [-1.0, 1.0], (),
-                                     [0.0, 0.35, 0.7])
+            sv.solve_generation_path(spec, [1.0, -1.0], [-rate / 2, rate / 2], (), grid)
         assert "2^-8" in str(exc.value)
