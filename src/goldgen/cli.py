@@ -98,8 +98,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
-    if cfg.model.kind not in ("linear_seed", "iso_goldfish"):
-        raise ConfigError(f"seed kind {cfg.model.kind!r} has no closed form")
     path = solvers.solve_generation_path(
         cfg.model, *cfg.initial, cfg.mu, cfg.grid.times(), cfg.tolerances
     )

@@ -14,19 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, GoldgenError, NonFiniteState, StepSizeUnderflow
-from .permgen import apply_mu
+from .permgen import lift
 from .polycore import (
     DEFAULT_SEP_TOL,
-    MonicPoly,
     Tolerances,
     accel_transfer,
-    canonical_order,
     coeff_motion,
     goldfish_force,
     min_pairwise_gap,
     pair_diffs,
     r_matrix,
-    zeros_from_coeffs,
 )
 
 SEED_KINDS = ("goldfish", "iso_goldfish", "linear_seed")
@@ -167,24 +164,19 @@ def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
 def build_initial_state(x, v, mu, tol: Tolerances = Tolerances()):
     """Lift seed initial data through a mu-address to generation-k data.
 
-    Per level: sort the current positions canonically (velocities carried
-    along), apply the level's permutation to get the next coefficient
-    vector and its velocity, root-extract the next positions, and map the
-    velocities through R.  Both the root extraction and R use tol.
-    Returns the positions and velocities (x, v).
+    Per level: the next positions are the zeros of the level's generation
+    step (permgen.lift), and the velocities, in the order that step gives
+    the coefficients, are mapped through R.  Both the root extraction and R
+    use tol.  Returns the positions and velocities (x, v).
     """
-    mu = tuple(int(m) for m in mu)
     x = np.asarray(x, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     for j, mu_j in enumerate(mu):
-        order = canonical_order(x)
-        y = apply_mu(mu_j, x[order])
-        y_dot = apply_mu(mu_j, v[order])
         try:
-            x = zeros_from_coeffs(MonicPoly(y), tol)
+            (x,), order = lift(x[None], int(mu_j), tol)
         except GoldgenError as e:
             raise type(e)(f"level {j + 1}: {e}") from e
-        v = r_matrix(x, tol.sep_tol) @ y_dot
+        v = r_matrix(x, tol.sep_tol) @ v[order]
     return x, v
 
 

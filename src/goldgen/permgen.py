@@ -3,8 +3,8 @@
 A generation step turns the zeros of one monic polynomial into the
 coefficients of the next: order the parent's zeros canonically, apply the
 mu-th lexicographic permutation, and read the result as a coefficient
-vector.  A depth-k tree therefore has (N!)^k nodes at level k, addressed
-by k-vectors of permutation indices in [1, N!].
+vector; `lift` takes that step.  A depth-k tree therefore has (N!)^k nodes
+at level k, addressed by k-vectors of permutation indices in [1, N!].
 
 Also holds the closed-form N=2 family (three generations by nested square
 roots) used as an independent oracle against the tree engine.
@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import DegenerateZeros, TreeBudgetExceeded
 from .matching import bottleneck, distance_matrix
-from .polycore import MonicPoly, Tolerances, zeros_batch, zeros_from_coeffs
+from .polycore import (
+    MonicPoly,
+    Tolerances,
+    canonical_order,
+    zeros_batch,
+    zeros_from_coeffs,
+)
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -57,11 +63,19 @@ def perm_to_mu(perm, n: int | None = None) -> int:
     return r + 1
 
 
-def apply_mu(mu: int, values) -> np.ndarray:
-    """Apply the mu-th permutation to an already-ordered vector."""
-    values = np.asarray(values, dtype=np.complex128)
-    perm = mu_to_perm(mu, len(values))
-    return values[[p - 1 for p in perm]]
+def lift(frames, mu: int, tol: Tolerances = Tolerances()):
+    """The mu-th generation step of every zero set in `frames`, a (T, N)
+    path of them.
+
+    The labels are assigned once, at frame 0, and kept along the path
+    (Remark 1.1): `order` is the canonical order of frames[0] followed by
+    the mu-th permutation, and row k of coefficients is frames[k, order].
+    Returns (zeros, order), with the zeros of all rows found in one batched
+    solve, each row in canonical order; raises the first failed row's error.
+    """
+    frames = np.asarray(frames, dtype=np.complex128)
+    order = canonical_order(frames[0])[np.asarray(mu_to_perm(mu, frames.shape[1])) - 1]
+    return zeros_from_coeffs(frames[:, order], tol), order
 
 
 @dataclass(frozen=True)
@@ -101,16 +115,7 @@ class GenerationTree:
 
 
 def seed_node(poly: MonicPoly, tol: Tolerances = Tolerances()) -> GenerationNode:
-    return GenerationNode((), poly, zeros_from_coeffs(poly, tol))
-
-
-def generation_step(
-    parent: GenerationNode, mu: int, tol: Tolerances = Tolerances()
-) -> GenerationNode:
-    """Child polynomial whose coefficients are the mu-th ordering of the
-    parent's zeros."""
-    child = MonicPoly(apply_mu(mu, parent.zeros))
-    return GenerationNode(parent.address + (mu,), child, zeros_from_coeffs(child, tol))
+    return GenerationNode((), poly, zeros_from_coeffs(poly.coeffs, tol))
 
 
 def generation_tree(

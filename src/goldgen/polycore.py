@@ -23,7 +23,7 @@ All vectors are numpy complex128 arrays.
 
 Root finding is batched: `zeros_batch` takes a (B, N) array of coefficient
 rows, runs one vectorised Aberth-Ehrlich iteration over all of them and
-reports a failure per row; `zeros_from_coeffs` is its one-row case.
+reports a failure per row; `zeros_from_coeffs` raises the first one.
 Callers hand it a whole time grid or a whole tree level at once.  Every
 row starts cold, from a circle around its root centroid.  Warm starts from
 the previous frame's zeros would save sweeps, but they make frame k wait
@@ -415,18 +415,20 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
     return x[np.arange(b)[:, None], canonical_order(x)], errors
 
 
-def zeros_from_coeffs(p: MonicPoly, tol: Tolerances = Tolerances()) -> np.ndarray:
-    """All zeros of p in canonical order: zeros_batch on one row, with the
-    same guarantees.
+def zeros_from_coeffs(coeffs, tol: Tolerances = Tolerances()) -> np.ndarray:
+    """Zeros of a monic coefficient vector, or of every row of a (B, N)
+    batch, in canonical order: zeros_batch with the same guarantees, raising
+    the first failed row's error.
 
     Raises RootSolveFailed on non-convergence or a residual above
     root_tol * scale, and DegenerateZeros when two zeros lie within
-    sep_tol * scale, where scale = max(1, max_k |y_k|).
+    sep_tol * scale, where scale = max(1, max_k |y_k|) of the row.
     """
-    zeros, errors = zeros_batch(p.coeffs[None, :], tol)
+    c = np.asarray(coeffs, dtype=np.complex128)
+    zeros, errors = zeros_batch(c[None] if c.ndim == 1 else c, tol)
     if errors:
-        raise errors[0]
-    return zeros[0]
+        raise next(iter(errors.values()))
+    return zeros[0] if c.ndim == 1 else zeros
 
 
 def diff_prefactor(x) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Algebraic solution paths for the solvable hierarchy.
 
-Closed forms for the linear two-mode seed and the isochronous goldfish
-model, lifting of a solved seed path through generation layers by root
-extraction (one batched solve per layer over the whole time grid),
+Closed forms for the linear two-mode seed and the (isochronous) goldfish
+model, lifting of a solved seed path through generation layers by the
+generation step `permgen.lift` (one batched solve per layer over the whole
+time grid, starting from exactly the state that `simulate` starts from),
 continuity-based zero tracking (a geometric certificate per frame that the
 nearest-zero pairing is the unique optimal one; steps that fail it are
 bisected), and numerical period detection.
@@ -16,14 +17,14 @@ import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import DegenerateModes, NoPeriodFound, NonFiniteState, TrackingAmbiguity
-from .permgen import mu_to_perm
+from .permgen import lift
 from .polycore import (
     Tolerances,
     canonical_order,
     check_distinct,
     coeff_motion,
     min_pairwise_gap,
-    zeros_batch,
+    zeros_from_coeffs,
 )
 
 DEFAULT_PERIOD_TOL = 1e-6
@@ -62,9 +63,11 @@ def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float):
     """Exact two-mode solution (x, v) of xddot = (i - a) xdot + ia_sign * i a x
     at time t after the state (x0, v0).
 
-    For ia_sign=+1 the characteristic roots are exactly {i, -a}.  `t` may
-    be an array: grid[:, None] gives the whole path, one row per time.
-    Raises NonFiniteState when the solution overflows.
+    For ia_sign=+1 the characteristic roots are exactly {i, -a}.  The modes
+    enter as expm1 (x = x0 + A (e^{lam+ t} - 1) + B (e^{lam- t} - 1)), so at
+    t = 0 the result is (x0, v0) exactly.  `t` may be an array: grid[:, None]
+    gives the whole path, one row per time.  Raises NonFiniteState when the
+    solution overflows.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     v0 = np.asarray(v0, dtype=np.complex128)
@@ -80,21 +83,13 @@ def solve_linear_seed(x0, v0, a: complex, ia_sign: int, t: float):
     # A + B = x0, lam_p A + lam_m B = v0
     A = (v0 - lam_m * x0) / (lam_p - lam_m)
     B = (lam_p * x0 - v0) / (lam_p - lam_m)
-    ep = np.exp(lam_p * t)
-    em = np.exp(lam_m * t)
-    x = A * ep + B * em
-    v = lam_p * A * ep + lam_m * B * em
+    ep = np.expm1(lam_p * t)
+    em = np.expm1(lam_m * t)
+    x = x0 + A * ep + B * em
+    v = v0 + lam_p * A * ep + lam_m * B * em
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise NonFiniteState("linear seed solution overflows")
     return x, v
-
-
-def _solved(coeff_rows, tol: Tolerances) -> np.ndarray:
-    """Zeros of every row, raising the first row's failure."""
-    zeros, errors = zeros_batch(coeff_rows, tol)
-    if errors:
-        raise next(iter(errors.values()))
-    return zeros
 
 
 def solve_iso_goldfish_at(
@@ -128,7 +123,7 @@ def solve_iso_goldfish_at(
         weight = phase / (1j * omega)
         # t a multiple of the base period: the configuration recurs
         recur = (flat == 0.0) | (np.abs(phase) < 1e-12)
-    # rows that overflow fail in _solved as non-finite coefficients
+    # rows that overflow fail in zeros_from_coeffs as non-finite coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         y0, y_dot0 = coeff_motion(x0, v0)
         rows = y0 + weight[~recur, None] * y_dot0
@@ -136,7 +131,7 @@ def solve_iso_goldfish_at(
     if recur.any():
         out[recur] = x0[canonical_order(x0)]
     if not recur.all():
-        out[~recur] = _solved(rows, tol)
+        out[~recur] = zeros_from_coeffs(rows, tol)
     return out.reshape(times.shape + x0.shape)
 
 
@@ -197,17 +192,16 @@ def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPa
 
 def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, tol: Tolerances) -> LabeledPath:
     """Closed-form path of the seed model of `spec` from (x0, v0) at grid[0]
-    (labels = components)."""
+    (labels = components, frame 0 = x0 exactly).  The plain goldfish seed is
+    the iso-goldfish one at omega = 0; like `rhs`, it ignores spec.omega."""
     elapsed = grid - grid[0]
     if spec.kind == "linear_seed":
         x, _ = solve_linear_seed(x0, v0, spec.a, spec.ia_sign, elapsed[:, None])
         return LabeledPath(grid, x)
-    if spec.kind == "iso_goldfish":
-        clouds = solve_iso_goldfish_at(x0, v0, spec.omega, elapsed, tol)
-        path = track_zeros(clouds, grid, tol)
-        # frame 0 is x0 in canonical order: relabel it to the order of x0
-        return LabeledPath(grid, path.values[:, np.argsort(canonical_order(x0))])
-    raise ValueError(f"seed kind {spec.kind!r} has no closed-form path")
+    omega = spec.omega if spec.kind == "iso_goldfish" else 0.0
+    path = track_zeros(solve_iso_goldfish_at(x0, v0, omega, elapsed, tol), grid, tol)
+    # frame 0 is x0 in canonical order: relabel it to the order of x0
+    return LabeledPath(grid, path.values[:, np.argsort(canonical_order(x0))])
 
 
 def solve_generation_path(
@@ -222,10 +216,10 @@ def solve_generation_path(
     state (x0, v0) at grid[0], one level per mu entry (len(mu) == depth).
 
     Level 0 is the closed-form path of the seed model that spec's kind,
-    omega, a and ia_sign name.  At each level the coefficient path is the
-    level's permutation of the previous labeled path, with the permutation
-    fixed at grid[0] and carried by the labels; the zeros of all times are
-    then extracted in one batched solve and continuity-tracked.
+    omega, a and ia_sign name.  Each level is the generation step
+    (permgen.lift) of the previous labeled path, its labels fixed at grid[0],
+    continuity-tracked.  Frame 0 of every level is, bit for bit, the state
+    that build_initial_state lifts (x0, v0) to.
 
     A step that some level cannot track (see `track_zeros`) is bisected,
     the seed closed form and every level solved and tracked again through
@@ -237,21 +231,14 @@ def solve_generation_path(
     if len(mu) != spec.depth:
         raise ValueError(f"{len(mu)} mu entries for a depth-{spec.depth} model")
     times = grid = np.asarray(grid, dtype=float)
-    n = len(x0)
-    perms = [np.asarray(mu_to_perm(m, n)) - 1 for m in mu]
     # how many halvings of its grid step made each time (0 on the grid);
     # the step after a time is as deep as the deeper of its two ends
     halved = np.zeros(len(grid), dtype=int)
     while True:
         try:
             path = _seed_labeled_path(spec, x0, v0, times, tol)
-            # order x0 itself, as build_initial_state does: the closed form
-            # at time 0 may break a tie by rounding
-            first = np.asarray(x0)
-            for perm in perms:
-                label_order = canonical_order(first)[perm]
-                path = track_zeros(_solved(path.values[:, label_order], tol), times, tol)
-                first = path.values[0]
+            for m in mu:
+                path = track_zeros(lift(path.values, m, tol)[0], times, tol)
             return LabeledPath(grid, path.values[halved == 0])
         except TrackingAmbiguity as e:
             at = np.asarray(e.intervals, dtype=int)

@@ -64,7 +64,7 @@ def hermite_zeros(n: int) -> np.ndarray:
     with the recurrence evaluation.  Returned in canonical order."""
     if not 2 <= n <= 12:
         raise ValueError("supported degree range is 2..12")
-    x = zeros_from_coeffs(MonicPoly(hermite_monic_coeffs(n)))
+    x = zeros_from_coeffs(hermite_monic_coeffs(n))
     for i in range(n):
         for _ in range(50):
             v, d = hermite_eval(n, x[i])
@@ -154,7 +154,7 @@ def eig_small(m: np.ndarray) -> SpectrumReport:
         raise ValueError("eig_small supports n <= 12")
     p = MonicPoly(char_poly_coeffs(m))
     # eigenvalues may legitimately coincide more closely than zero sets
-    lam = zeros_from_coeffs(p, Tolerances(root_tol=1e-10, sep_tol=0.0))
+    lam = zeros_from_coeffs(p.coeffs, Tolerances(root_tol=1e-10, sep_tol=0.0))
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     resid = max(abs(eval_poly(p, z)[0]) for z in lam) / scale
     # zeros_from_coeffs returns the zeros in canonical (re, im) order

@@ -226,18 +226,13 @@ def suite_generations() -> list[Check]:
             [0.3 * k + 0.1j * ((-1) ** k) * k for k in range(1, nn + 1)],
             dtype=np.complex128,
         )
-        parent = permgen.seed_node(polycore.coeffs_from_zeros(z))
+        tree = permgen.generation_tree(polycore.coeffs_from_zeros(z), depth=1)
         children = {
-            tuple(
-                np.round(
-                    permgen.generation_step(parent, mu_i).poly.coeffs, 9
-                ).tolist()
-            )
-            for mu_i in range(1, math.factorial(nn) + 1)
+            tuple(np.round(node.poly.coeffs, 9).tolist()) for node in tree.level(1)
         }
         orderings = {
             tuple(np.round(np.array(p), 9).tolist())
-            for p in itertools.permutations(parent.zeros)
+            for p in itertools.permutations(tree.seed.zeros)
         }
         if children != orderings:
             bad += 1
@@ -310,9 +305,7 @@ def suite_hermite() -> list[Check]:
         x = spectra.hermite_zeros(n)
         base = np.sort(spectra.eig_small(spectra.m_matrix(x)).eigenvalues.real)
         for mu1 in range(1, math.factorial(n) + 1):
-            # hermite_zeros are in canonical order
-            y = polycore.MonicPoly(permgen.apply_mu(mu1, x))
-            m1 = spectra.similarity_m1(x, polycore.zeros_from_coeffs(y))
+            m1 = spectra.similarity_m1(x, permgen.lift(x[None], mu1)[0][0])
             lam = spectra.eig_small(m1).eigenvalues
             worst_branch = max(
                 worst_branch,

@@ -424,11 +424,22 @@ class TestSolve:
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_goldfish_seed_has_no_closed_form_cmd(self, tmp_path):
-        raw = dict(BASE_SIM, model={"kind": "goldfish"},
-                   output=str(tmp_path / "x.csv"))
-        cfg = write_config(tmp_path, raw)
-        assert main(["solve", "--config", cfg]) == 2
+    def test_goldfish_seed_solve_matches_simulate(self, tmp_path):
+        # the plain goldfish seed is solved as iso-goldfish at omega = 0; a
+        # configured omega is ignored, as the equations of motion ignore it
+        models = [{"kind": "goldfish", "omega": 1.0},
+                  {"kind": "generation", "seed_kind": "goldfish", "depth": 1},
+                  {"kind": "generation", "seed_kind": "goldfish", "depth": 2}]
+        for model, mu in zip(models, ([], [2], [2, 5])):
+            cfg = write_config(tmp_path, dict(BASE_SIM, model=model, mu=mu))
+            sim_out, sol_out = tmp_path / "sim.csv", tmp_path / "sol.csv"
+            assert main(["simulate", "--config", cfg, "--output", str(sim_out)]) == 0
+            assert main(["solve", "--config", cfg, "--output", str(sol_out)]) == 0
+            sim = np.loadtxt(sim_out, delimiter=",", skiprows=1)
+            sol = np.loadtxt(sol_out, delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(sim[:, 0], sol[:, 0])
+            # labels agree too: both start from the same lifted state
+            assert np.max(np.abs(sim[:, 1:7] - sol[:, 1:])) < 1e-6
 
     def test_mu_out_of_range_is_config_error(self, tmp_path, capsys):
         raw = dict(

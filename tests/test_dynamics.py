@@ -97,7 +97,7 @@ class TestGenerationRHS:
         # explicit transfer pipeline
         rng = np.random.default_rng(2)
         y, y_dot = random_state(rng, 3)
-        x = pc.zeros_from_coeffs(pc.MonicPoly(y))
+        x = pc.zeros_from_coeffs(y)
         v = pc.zeros_velocity(x, y_dot)
         spec = dyn.ModelSpec("iso_goldfish", omega=1.0, depth=1)
         got = dyn.rhs(x, v, spec)
@@ -121,7 +121,7 @@ class TestGenerationRHS:
 
     def test_collision_reports_level(self):
         # coefficients coincide while zeros stay separated
-        x = pc.zeros_from_coeffs(pc.MonicPoly([0.5, 0.5 + 1e-13]))
+        x = pc.zeros_from_coeffs([0.5, 0.5 + 1e-13])
         spec = dyn.ModelSpec("goldfish", depth=1)
         with pytest.raises(CollisionError) as exc:
             dyn.rhs(x, np.array([1.0, 1.0]), spec)
@@ -209,7 +209,7 @@ class TestGenerationKernel:
         # well-separated zeros whose coefficients (level 1 of a depth-2
         # model) lie 5e-9 apart
         y = np.array([0.5, 0.5 + 5e-9, -0.7 + 0.2j])
-        x = pc.zeros_from_coeffs(pc.MonicPoly(y))
+        x = pc.zeros_from_coeffs(y)
         assert pc.min_pairwise_gap(x) > 1.0
         v = np.array([-0.1, 0.1, 0.2j])
         spec = dyn.ModelSpec("linear_seed", a=0.5, depth=2)
@@ -224,7 +224,7 @@ class TestBuildInitialState:
         x0 = np.array([0.6 + 0.1j, -0.7 - 0.2j])
         x, _ = dyn.build_initial_state(x0, np.array([0.1, -0.3j]), (1,))
         # coefficient vector is the sorted seed positions
-        want = pc.zeros_from_coeffs(pc.MonicPoly(np.sort_complex(x0)))
+        want = pc.zeros_from_coeffs(np.sort_complex(x0))
         np.testing.assert_allclose(np.sort_complex(x),
                                    np.sort_complex(want), atol=1e-10)
 
@@ -236,8 +236,7 @@ class TestBuildInitialState:
         # seed velocity
         ydot = pc.coeffs_velocity(x, v)
         order = np.lexsort((x0.imag, x0.real))
-        from goldgen.permgen import apply_mu
-        want = apply_mu(3, v0[order])
+        want = v0[order][[1, 0, 2]]  # mu = 3: the permutation (2, 1, 3)
         np.testing.assert_allclose(ydot, want, atol=1e-10)
 
     def test_root_extraction_uses_sep_tol(self):

@@ -81,29 +81,32 @@ class TestMuIndexing:
         assert pg.perm_to_mu(pg.mu_to_perm(mu, n)) == mu
 
     def test_apply_mu(self):
-        np.testing.assert_array_equal(
-            pg.apply_mu(3, [10, 20, 30]), [20, 10, 30]
-        )
+        # lift orders the zeros canonically, then applies the mu-th
+        # permutation: (30, 10, 20) -> (10, 20, 30) -> (20, 10, 30)
+        frames = np.array([[30, 10, 20], [31, 11, 21]], dtype=np.complex128)
+        zeros, order = pg.lift(frames, 3)
+        np.testing.assert_array_equal(frames[:, order], [[20, 10, 30], [21, 11, 31]])
+        assert zeros.shape == (2, 3)
 
 
 class TestGenerationStep:
     def test_zero_swap_changes_coeffs(self):
         root = pg.seed_node(MonicPoly([0, -1]))  # zeros -1, 1
-        c1 = pg.generation_step(root, 1)
-        c2 = pg.generation_step(root, 2)
-        np.testing.assert_allclose(c1.poly.coeffs, [-1, 1], atol=1e-10)
-        np.testing.assert_allclose(c2.poly.coeffs, [1, -1], atol=1e-10)
+        coeffs = [root.zeros[pg.lift(root.zeros[None], mu)[1]] for mu in (1, 2)]
+        np.testing.assert_allclose(coeffs[0], [-1, 1], atol=1e-10)
+        np.testing.assert_allclose(coeffs[1], [1, -1], atol=1e-10)
 
     def test_child_zeros_consistent(self):
         root = pg.seed_node(MonicPoly([0.3 - 1j, -0.8, 1.1 + 0.2j]))
-        child = pg.generation_step(root, 4)
-        back = coeffs_from_zeros(child.zeros)
-        np.testing.assert_allclose(back.coeffs, child.poly.coeffs, atol=1e-9)
+        (zeros,), order = pg.lift(root.zeros[None], 4)
+        back = coeffs_from_zeros(zeros)
+        np.testing.assert_allclose(back.coeffs, root.zeros[order], atol=1e-9)
 
     def test_address_extends(self):
-        root = pg.seed_node(MonicPoly([0, -1]))
-        child = pg.generation_step(pg.generation_step(root, 2), 1)
-        assert child.address == (2, 1)
+        tree = pg.generation_tree(MonicPoly([0, -1]), depth=2)
+        assert tree.nodes[(2, 1)].address == (2, 1)
+        for addr in tree.nodes:
+            assert len(addr) == 1 or addr[:-1] in tree.nodes
 
 
 class TestGenerationTree:
@@ -143,9 +146,9 @@ class TestGenerationTree:
         assert len(tree.nodes) == 6 + 36 and not tree.failed
         for addr, node in tree.nodes.items():
             parent = tree.seed if len(addr) == 1 else tree.nodes[addr[:-1]]
-            single = pg.generation_step(parent, addr[-1])
-            np.testing.assert_array_equal(node.poly.coeffs, single.poly.coeffs)
-            np.testing.assert_allclose(node.zeros, single.zeros, atol=1e-12)
+            (zeros,), order = pg.lift(parent.zeros[None], addr[-1])
+            np.testing.assert_array_equal(node.poly.coeffs, parent.zeros[order])
+            np.testing.assert_allclose(node.zeros, zeros, atol=1e-12)
 
     def test_nodes_pass_the_checks_they_skip(self):
         # nodes are built unvalidated from zeros_batch rows; they pass the
@@ -166,7 +169,7 @@ class TestGenerationTree:
         tol = Tolerances(sep_tol=1e-6)
         tree = pg.generation_tree(MonicPoly([-3.0, 2.0]), depth=1, tol=tol)
         with pytest.raises(DegenerateZeros) as exc:
-            pg.generation_step(tree.seed, 2, tol)
+            pg.lift(tree.seed.zeros[None], 2, tol)
         assert tree.failed[(2,)] == str(exc.value)
 
     def test_json_schema_fields(self):

@@ -189,20 +189,18 @@ class TestEvalPoly:
 
 class TestRootFinder:
     def test_simple_factorization(self):
-        zs = pc.zeros_from_coeffs(pc.MonicPoly([-3, 2]))
+        zs = pc.zeros_from_coeffs([-3, 2])
         np.testing.assert_allclose(zs, [1, 2], atol=1e-10)
 
     def test_plus_minus_one(self):
-        zs = pc.zeros_from_coeffs(pc.MonicPoly([0, -1]))
+        zs = pc.zeros_from_coeffs([0, -1])
         np.testing.assert_allclose(zs, [-1, 1], atol=1e-10)
 
     def test_double_root_rejected(self):
         # a double root splits at the rounding scale; any separation
         # tolerance above that catches it
         with pytest.raises(DegenerateZeros):
-            pc.zeros_from_coeffs(
-                pc.MonicPoly([0, 0]), pc.Tolerances(sep_tol=1e-6)
-            )
+            pc.zeros_from_coeffs([0, 0], pc.Tolerances(sep_tol=1e-6))
 
     def test_residuals_small(self):
         rng = np.random.default_rng(3)
@@ -212,7 +210,7 @@ class TestRootFinder:
             if pc.min_pairwise_gap(z) < 1e-2:
                 continue
             p = pc.coeffs_from_zeros(z)
-            zs = pc.zeros_from_coeffs(p)
+            zs = pc.zeros_from_coeffs(p.coeffs)
             res = max(abs(pc.eval_poly(p, x)[0]) for x in zs)
             assert res <= 1e-11 * max(1.0, float(np.max(np.abs(p.coeffs))))
 
@@ -223,7 +221,7 @@ class TestRootFinder:
             z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             if pc.min_pairwise_gap(z) < 1e-2:
                 continue
-            zs = pc.zeros_from_coeffs(pc.coeffs_from_zeros(z))
+            zs = pc.zeros_from_coeffs(pc.coeffs_from_zeros(z).coeffs)
             got = np.sort_complex(np.round(zs, 8))
             want = np.sort_complex(np.round(z, 8))
             np.testing.assert_allclose(got, want, atol=1e-7)
@@ -304,10 +302,10 @@ class TestDerivativeTransfer:
         p0 = pc.coeffs_from_zeros(z).coeffs
         ydot = rng.normal(size=3) + 1j * rng.normal(size=3)
         h = 1e-6
-        za = pc.zeros_from_coeffs(pc.MonicPoly(p0 - h * ydot))
-        zb = pc.zeros_from_coeffs(pc.MonicPoly(p0 + h * ydot))
+        za = pc.zeros_from_coeffs(p0 - h * ydot)
+        zb = pc.zeros_from_coeffs(p0 + h * ydot)
         fd = (zb - za) / (2 * h)
-        x0 = pc.zeros_from_coeffs(pc.MonicPoly(p0))
+        x0 = pc.zeros_from_coeffs(p0)
         np.testing.assert_allclose(
             pc.zeros_velocity(x0, ydot), fd, atol=1e-6
         )
@@ -338,7 +336,7 @@ class TestAcceleration:
 
         def roots_at(t):
             y = y0 + y1 * t + 0.5 * y2 * t * t
-            return pc.zeros_from_coeffs(pc.MonicPoly(y))
+            return pc.zeros_from_coeffs(y)
 
         h = 1e-4
         fd2 = (roots_at(h) - 2 * roots_at(0.0) + roots_at(-h)) / h**2
@@ -394,7 +392,7 @@ class TestBatchRoots:
         assert errors == {}
         for row, got in zip(coeffs, zeros):
             size = max(1.0, float(np.max(np.abs(got))))
-            single = pc.zeros_from_coeffs(pc.MonicPoly(row))
+            single = pc.zeros_from_coeffs(row)
             assert set_distance(got, single) <= 1e-10 * size
             assert set_distance(got, np.roots(np.concatenate(([1.0], row)))) <= 1e-10 * size
             # rows come back in canonical order
@@ -435,19 +433,19 @@ class TestBatchRoots:
         coeffs = np.zeros(10, dtype=complex)
         coeffs[-1] = 1e40
         # sep_tol * scale is absolute (scale = 1e40): keep it below the gaps
-        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), pc.Tolerances(sep_tol=1e-40))
+        zs = pc.zeros_from_coeffs(coeffs, pc.Tolerances(sep_tol=1e-40))
         np.testing.assert_allclose(np.abs(zs), 1e4, rtol=1e-12)
         np.testing.assert_allclose(zs**10, -1e40, rtol=1e-10)
 
     def test_overflowing_coefficients_raise(self):
         with pytest.raises(RootSolveFailed):
-            pc.zeros_from_coeffs(pc.MonicPoly([1e120, 1e200, 1.0]))
+            pc.zeros_from_coeffs([1e120, 1e200, 1.0])
 
     def test_stall_raises(self, monkeypatch):
         p = pc.coeffs_from_zeros([0.3, -0.7 + 0.2j, 0.5j])
         monkeypatch.setattr(pc, "MAX_SWEEPS", 1)
         with pytest.raises(RootSolveFailed, match="stalled"):
-            pc.zeros_from_coeffs(p)
+            pc.zeros_from_coeffs(p.coeffs)
 
 
 def _mp_poly(coeffs):
@@ -481,9 +479,9 @@ class TestRootFinderOracle:
         if n >= 11:
             # double-precision Horner cannot certify these residuals
             with pytest.raises(RootSolveFailed):
-                pc.zeros_from_coeffs(pc.MonicPoly(coeffs), tol)
+                pc.zeros_from_coeffs(coeffs, tol)
             return
-        zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), tol)
+        zs = pc.zeros_from_coeffs(coeffs, tol)
         with mpmath.workdps(60):
             assert max(_mp_residual(coeffs, x) for x in zs) <= tol.root_tol * scale
         assert set_distance(zs, _mp_zeros(coeffs)) <= 1e-8
@@ -499,7 +497,7 @@ class TestRootFinderOracle:
         tol = pc.Tolerances(sep_tol=sep_tol)
         truth = _mp_zeros(coeffs)
         try:
-            zs = pc.zeros_from_coeffs(pc.MonicPoly(coeffs), tol)
+            zs = pc.zeros_from_coeffs(coeffs, tol)
         except DegenerateZeros:
             # refused only when the true pair really is within sep_tol * scale
             # (up to the rounding spread of a double zero, ~1e-8 here)

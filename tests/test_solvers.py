@@ -160,6 +160,29 @@ class TestGenerationPath:
         x, _ = dyn.build_initial_state(x0, v0, (1,))
         assert set_distance(path.values[0], x) < 1e-10
 
+    def test_frame0_is_the_lifted_state(self):
+        # real seeds: the level-1 zeros hold a conjugate pair tied in real
+        # part, so any rounding difference between the two routes can swap
+        # the pair in the canonical order and change the level-2 polynomial
+        rng = np.random.default_rng(33)
+        grid = np.array([0.0, 1e-3])
+        specs = [dyn.ModelSpec(kind, omega=1.0, a=0.5, depth=depth)
+                 for kind in ("linear_seed", "iso_goldfish") for depth in (1, 2, 3)]
+        compared = 0
+        for _ in range(10):
+            x0 = np.round(rng.uniform(-1, 1, 3), 2)
+            v0 = np.round(rng.uniform(-1, 1, 3), 2)
+            for spec in specs:
+                mu = tuple(rng.integers(1, 7, spec.depth))
+                try:
+                    x, _ = dyn.build_initial_state(x0, v0, mu)
+                except GoldgenError:
+                    continue
+                path = sv.solve_generation_path(spec, x0, v0, mu, grid)
+                assert np.array_equal(path.values[0], x), (x0, v0, spec, mu)
+                compared += 1
+        assert compared >= 50
+
     def test_iso_goldfish_seed_supported(self):
         seed_spec = dyn.ModelSpec("iso_goldfish", omega=1.0)
         grid = np.linspace(0.0, 1.0, 41)
@@ -312,8 +335,12 @@ class TestCertifiedTracking:
     def test_failed_frame_raises_its_error(self):
         good = pc.coeffs_from_zeros([1.0, -1.0]).coeffs
         huge = [1e200, 1e300]  # residual cannot reach root_tol * scale
+        double = [-2.0, 1.0]  # (z - 1)^2
+        rows, tol = np.array([good, huge, double]), pc.Tolerances(sep_tol=1e-6)
         with pytest.raises(RootSolveFailed):
-            sv._solved(np.array([good, huge, good]), pc.Tolerances())
+            pc.zeros_from_coeffs(rows, tol)
+        with pytest.raises(DegenerateZeros):
+            pc.zeros_from_coeffs(rows[::-1], tol)
 
     def test_overflowing_costs_are_an_ambiguity(self):
         # zeros near 1e200 track (no squared costs to overflow); a frame

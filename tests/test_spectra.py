@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from goldgen import spectra as sp
-from goldgen.polycore import MonicPoly, zeros_from_coeffs
+from goldgen.polycore import zeros_from_coeffs
 
 
 class TestHermite:
@@ -78,7 +78,7 @@ class TestSimilarity:
     def test_preserves_spectrum(self):
         x = sp.hermite_zeros(4)
         # any separated point set works for the conjugating matrix
-        x_mu1 = zeros_from_coeffs(MonicPoly(x))
+        x_mu1 = zeros_from_coeffs(x)
         m1 = sp.similarity_m1(x, x_mu1)
         rep = sp.eig_small(m1)
         np.testing.assert_allclose(rep.eigenvalues.real, np.arange(4), atol=1e-6)
