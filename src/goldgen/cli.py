@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -55,9 +56,9 @@ def csv_text(times, **series) -> str:
         n = values.shape[1]
         cols += [f"{name}{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
         table.append(np.stack((values.real, values.imag), axis=2).reshape(-1, 2 * n))
-    row = ",".join(["%.17g"] * len(cols))
-    lines = [",".join(cols)] + [row % tuple(r) for r in np.hstack(table).tolist()]
-    return "\n".join(lines) + "\n"
+    table = np.hstack(table)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    return ",".join(cols) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _out_path(cfg: RunConfig, args, default: str) -> str:
@@ -75,7 +76,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
         tol=cfg.tolerances,
     )
     path = _out_path(cfg, args, "tree.json")
-    _atomic_write(path, json.dumps(tree.to_json_dict()))
+    _atomic_write(path, tree.to_json())
     print(f"wrote {path}: {len(tree.nodes)} nodes, depth {depth}")
     if tree.failed:
         for addr, msg in tree.failed.items():
@@ -176,6 +177,7 @@ def cmd_period(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="goldgen",

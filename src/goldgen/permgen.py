@@ -96,22 +96,30 @@ class GenerationTree:
     def level(self, k: int) -> list[GenerationNode]:
         return [n for a, n in sorted(self.nodes.items()) if len(a) == k]
 
-    def to_json_dict(self) -> dict:
-        def cvec(a):
-            return [[float(z.real), float(z.imag)] for z in np.asarray(a)]
-
-        return {
-            "seed": cvec(self.seed.poly.coeffs),
-            "depth": self.depth,
-            "nodes": [
-                {
-                    "mu": list(addr),
-                    "coeffs": cvec(node.poly.coeffs),
-                    "zeros": cvec(node.zeros),
-                }
-                for addr, node in sorted(self.nodes.items())
-            ],
-        }
+    def to_json(self) -> str:
+        """The tree as json.dumps writes {"seed", "depth", "nodes": [{"mu",
+        "coeffs", "zeros"}]} (nodes in address order, complex numbers as
+        [re, im]), formatting each float once: `str` of two floats is json's
+        text for them, and a child's coeffs join its parent's zero strings in
+        the mu-th order.  The bytes match because every zero and seed
+        coefficient is finite (zeros_batch fails non-finite rows; MonicPoly
+        validates the seed), addresses are Python ints, and node.poly.coeffs
+        is bit for bit parent.zeros[perm], as generation_tree builds it."""
+        addrs = sorted(self.nodes)
+        n = len(self.seed.zeros)
+        z = np.concatenate([self.seed.poly.coeffs, self.seed.zeros]
+                           + [self.nodes[a].zeros for a in addrs])
+        pairs = list(map(str, np.stack((z.real, z.imag), axis=1).tolist()))
+        zeros = {a: pairs[n * i:n * i + n] for i, a in enumerate([(), *addrs], 1)}
+        perms = {mu: mu_to_perm(mu, n) for mu in {a[-1] for a in addrs}}
+        nodes = ", ".join(
+            '{"mu": %s, "coeffs": [%s], "zeros": [%s]}' % (
+                list(a),
+                ", ".join([zeros[a[:-1]][p - 1] for p in perms[a[-1]]]),
+                ", ".join(zeros[a]))
+            for a in addrs)
+        return '{"seed": [%s], "depth": %d, "nodes": [%s]}' % (
+            ", ".join(pairs[:n]), self.depth, nodes)
 
 
 def seed_node(poly: MonicPoly, tol: Tolerances = Tolerances()) -> GenerationNode:

@@ -20,6 +20,7 @@ from goldgen import solvers as sv
 from goldgen.cli import csv_text, main
 from goldgen.matching import set_distance
 from goldgen.polycore import MonicPoly
+from test_permgen import assert_tree_json
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -176,8 +177,7 @@ class TestGenerate:
         cfg = cfgmod.parse_config(raw)
         tree = permgen.generation_tree(MonicPoly(cfg.seed_coeffs), 2,
                                        tol=cfg.tolerances)
-        indented = json.dumps(tree.to_json_dict(), indent=1)
-        assert json.loads(text) == json.loads(indented)
+        assert_tree_json(text, tree)
         assert "\n" not in text
 
     def test_n_must_match_seed_coeffs(self, tmp_path, capsys):
@@ -196,6 +196,23 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--depth", "3"]) == 0
         d = json.loads((tmp_path / "tree.json").read_text())
         assert len(d["nodes"]) == 14
+
+    def test_main_runs_repeatedly_in_one_process(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"seed_coeffs": [[1.0, 0.0], [-1.0, 0.5]], "depth": 1,
+             "output": str(tmp_path / "tree.json")},
+        )
+        nodes = []
+        for extra in (["--depth", "3"], [], ["--depth", "2"], []):
+            assert main(["generate", "--config", cfg, *extra]) == 0
+            nodes.append(len(json.loads((tmp_path / "tree.json").read_text())["nodes"]))
+        assert nodes == [14, 2, 6, 2]  # no --depth leaks into the next call
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["generate", "--depth", "3"])
+            assert exc.value.code == 2
+            assert "--config" in capsys.readouterr().err
 
     def test_missing_seed_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"depth": 1})

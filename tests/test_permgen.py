@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,10 +11,36 @@ from goldgen import permgen as pg
 from goldgen.errors import DegenerateZeros, TreeBudgetExceeded
 from goldgen.polycore import (
     MonicPoly,
+    Tolerances,
     canonical_order,
     check_distinct,
     coeffs_from_zeros,
 )
+
+
+def assert_tree_json(text: str, tree) -> None:
+    """`text` is, byte for byte, json.dumps of the tree's document built
+    value by value, with each node's coeffs read from its own polynomial.
+    Fails at the first difference: pytest's own diff of two long one-line
+    strings runs for minutes."""
+
+    def pairs(a):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(a)]
+
+    want = json.dumps({
+        "seed": pairs(tree.seed.poly.coeffs),
+        "depth": tree.depth,
+        "nodes": [
+            {"mu": list(addr), "coeffs": pairs(node.poly.coeffs),
+             "zeros": pairs(node.zeros)}
+            for addr, node in sorted(tree.nodes.items())
+        ],
+    })
+    if text != want:
+        i = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b),
+                 min(len(text), len(want)))
+        lo = max(i - 40, 0)
+        pytest.fail(f"differs at {i}: {text[lo:i + 40]!r} != {want[lo:i + 40]!r}")
 
 
 def canonical_sort(x):
@@ -164,8 +191,6 @@ class TestGenerationTree:
                                           np.arange(len(node.zeros)))
 
     def test_failed_branch_message_matches_single_step(self):
-        from goldgen.polycore import Tolerances
-
         tol = Tolerances(sep_tol=1e-6)
         tree = pg.generation_tree(MonicPoly([-3.0, 2.0]), depth=1, tol=tol)
         with pytest.raises(DegenerateZeros) as exc:
@@ -174,13 +199,39 @@ class TestGenerationTree:
 
     def test_json_schema_fields(self):
         tree = pg.generation_tree(MonicPoly([1.0, -1.0]), depth=1)
-        d = tree.to_json_dict()
+        d = json.loads(tree.to_json())
         assert set(d) == {"seed", "depth", "nodes"}
         assert d["depth"] == 1
         assert d["seed"] == [[1.0, 0.0], [-1.0, 0.0]]
         for node in d["nodes"]:
             assert set(node) == {"mu", "coeffs", "zeros"}
             assert all(len(pair) == 2 for pair in node["coeffs"])
+
+
+class TestTreeJson:
+    # (4, 3) is left out: 14424 nodes, over a second, and nothing the
+    # smaller trees do not already exercise
+    @pytest.mark.parametrize("n, depth", [
+        (n, depth) for n in (2, 3, 4) for depth in range(4) if (n, depth) != (4, 3)
+    ])
+    def test_bytes_match_json_dumps(self, n, depth):
+        rng = np.random.default_rng([n, depth])
+        seed = MonicPoly(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        tree = pg.generation_tree(seed, depth)
+        assert_tree_json(tree.to_json(), tree)
+
+    @pytest.mark.parametrize("seed, sep_tol, text, failed", [
+        ([-3.0, 2.0], 1e-6, '"mu": [1, 1, 1]', True),
+        ([complex(1, -0.0), complex(-0.0, 0.5)], 1e-8, "-0.0", False),
+        ([0.7 - 0.2j, 1e-100 * (0.3 + 0.4j)], 1e-8, "e-101", False),
+        ([1e100 * (0.7 - 0.2j), 0.3 + 0.4j], 1e-8, "e+99", True),
+    ])
+    def test_bytes_match_on_edge_trees(self, seed, sep_tol, text, failed):
+        tree = pg.generation_tree(MonicPoly(seed), 3, tol=Tolerances(sep_tol=sep_tol))
+        out = tree.to_json()
+        assert_tree_json(out, tree)
+        assert text in out
+        assert len(tree.nodes) > 1 and bool(tree.failed) == failed
 
 
 class TestClosedFormFamily:
