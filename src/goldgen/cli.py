@@ -25,7 +25,6 @@ import numpy as np
 from . import dynamics, permgen, solvers, verify
 from .config import ConfigError, RunConfig, load_config
 from .errors import GoldgenError
-from .polycore import MonicPoly
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,8 +68,10 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     if cfg.seed_coeffs is None:
         raise ConfigError("config needs seed_coeffs")
     depth = args.depth if args.depth is not None else cfg.depth
+    if depth < 0:
+        raise ConfigError(f"--depth must be >= 0, not {depth}")
     tree = permgen.generation_tree(
-        MonicPoly(cfg.seed_coeffs),
+        cfg.seed_coeffs,
         depth,
         node_budget=cfg.node_budget,
         tol=cfg.tolerances,

@@ -127,12 +127,13 @@ def seed_node(poly: MonicPoly, tol: Tolerances = Tolerances()) -> GenerationNode
 
 
 def generation_tree(
-    seed: MonicPoly,
+    seed: MonicPoly | np.ndarray,
     depth: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
     tol: Tolerances = Tolerances(),
 ) -> GenerationTree:
-    """Expand the generation tree to the given depth.
+    """Expand the generation tree of `seed`, a MonicPoly or its coefficient
+    vector, to the given depth.
 
     Each level is root-extracted in one batched solve.  Branches whose solve
     fails (degenerate or unconverged zeros) are recorded in `tree.failed`
@@ -140,6 +141,8 @@ def generation_tree(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if not isinstance(seed, MonicPoly):
+        seed = MonicPoly(seed)
     n = seed.n
     nf = math.factorial(n)
     count = sum(nf**k for k in range(1, depth + 1))

@@ -5,9 +5,10 @@ Symmetric functions, the zeros<->coefficients maps, a simultaneous
 second-derivative transfer relations between a polynomial's zeros and its
 coefficients.  Each identity is implemented once, for the public functions
 and the dynamics kernel alike: _fold (sigma_m(x) and their derivative
-along v in one O(N^2) pass; coeff_motion, elem_sym_all, elem_sym_batch),
-the N x N pair terms (pair_diffs, goldfish_force, prefactor) and
-accel_transfer.
+along v in one O(N^2) pass; coeff_motion, elem_sym_all, and the columns of
+r_matrix_inverse), the N x N pair terms (pair_diffs, goldfish_force,
+prefactor) and accel_transfer.  Every function here takes and returns
+plain arrays; MonicPoly is kept for the generation tree's nodes.
 
 The fold is scalar Python and the pair terms numpy.  The recurrence is
 sequential, so in numpy it costs 2N or more small array calls at numpy's
@@ -153,19 +154,6 @@ def elem_sym_all(z) -> np.ndarray:
     return np.array(_fold(z, np.zeros_like(z))[0], dtype=np.complex128)
 
 
-def elem_sym_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_1..sigma_N of x and the matrix S with S[n-1, m-1] = sigma_{n,m}(x).
-
-    Row n is elem_sym_all on the "all but n" subset, bit for bit.  Only
-    r_matrix_inverse needs S; coeff_motion gets S^T v from its O(N^2) fold.
-    x must be a complex128 vector; not validated here.
-    """
-    s = np.ones((len(x), len(x)), dtype=np.complex128)
-    for i in range(len(x)):
-        s[i, 1:] = elem_sym_all(np.delete(x, i))
-    return elem_sym_all(x), s
-
-
 @functools.cache
 def _signs_powers(n: int):
     """(-1)^m for m = 1..n and the powers N - m of the transfer identities."""
@@ -214,21 +202,11 @@ def accel_transfer(x: np.ndarray, v: np.ndarray, diff: np.ndarray,
     return goldfish_force(v, diff) - prefactor(diff) * ((x[:, None] ** powers) @ y_ddot)
 
 
-def coeffs_from_zeros(zs) -> MonicPoly:
+def coeffs_from_zeros(zs) -> np.ndarray:
     """Vieta map: y_m = (-1)^m sigma_m of the zeros."""
     x = _as_complex(zs)
     check_distinct(x)
-    return MonicPoly(_signs_powers(len(x))[0] * elem_sym_all(x))
-
-
-def eval_poly(p: MonicPoly, z: complex) -> tuple[complex, complex]:
-    """Horner evaluation returning (p(z), p'(z))."""
-    val = 1.0 + 0j
-    der = 0.0 + 0j
-    for c in p.coeffs:
-        der = der * z + val
-        val = val * z + c
-    return complex(val), complex(der)
+    return _signs_powers(len(x))[0] * elem_sym_all(x)
 
 
 @functools.cache
@@ -431,27 +409,21 @@ def zeros_from_coeffs(coeffs, tol: Tolerances = Tolerances()) -> np.ndarray:
     return zeros[0] if c.ndim == 1 else zeros
 
 
-def diff_prefactor(x) -> np.ndarray:
-    """prod_{l != n} (x_n - x_l)^{-1} for each n (FloatingPointError for
-    coincident points)."""
-    with np.errstate(divide="raise"):
-        return prefactor(pair_diffs(_as_complex(x)))
-
-
 def r_matrix(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """R_{nm} = -[prod_{l != n} (x_n - x_l)^{-1}] x_n^{N-m}."""
     x = _as_complex(x)
     check_distinct(x, sep_tol)
     _, powers = _signs_powers(len(x))
-    return -diff_prefactor(x)[:, None] * x[:, None] ** powers
+    return -prefactor(pair_diffs(x))[:, None] * x[:, None] ** powers
 
 
 def r_matrix_inverse(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
-    """[R^{-1}]_{nm} = (-1)^n sigma_{m,n}(x), so that R R^{-1} = I."""
+    """[R^{-1}]_{nm} = (-1)^n sigma_{m,n}(x), so that R R^{-1} = I: column m
+    is coeff_motion's coefficient velocity for a unit velocity of zero m."""
     x = _as_complex(x)
     check_distinct(x, sep_tol)
-    signs, _ = _signs_powers(len(x))
-    return signs[:, None] * elem_sym_batch(x)[1].T  # [1][a-1, b-1] = sigma_{a,b}
+    eye = np.eye(len(x), dtype=np.complex128)
+    return np.column_stack([coeff_motion(x, e)[1] for e in eye])
 
 
 def zeros_velocity(x, y_dot) -> np.ndarray:
@@ -472,16 +444,15 @@ def zeros_acceleration(x, x_dot, y_ddot) -> np.ndarray:
     return accel_transfer(x, x_dot, pair_diffs(x), y_ddot)
 
 
-def identity_residuals(p: MonicPoly, x) -> dict:
+def identity_residuals(coeffs, x) -> dict:
     """Residuals of the two zero/coefficient identities for the zeros x.
 
-    identity1: max_n |x_n^N + sum_m y_m x_n^{N-m}|  (uses p's coefficients)
+    identity1: max_n |x_n^N + sum_m y_m x_n^{N-m}|  (y = coeffs)
     identity2: same with y_m replaced by (-1)^m sigma_m of the zeros
     """
-    x = _as_complex(x)
-    if p.n != len(x):
+    coeffs, x = _as_complex(coeffs), _as_complex(x)
+    if len(coeffs) != len(x):
         raise ValueError("degree mismatch")
-    r1 = max(abs(eval_poly(p, z)[0]) for z in x)
-    p2 = coeffs_from_zeros(x)
-    r2 = max(abs(eval_poly(p2, z)[0]) for z in x)
+    r1, r2 = (np.abs(np.polyval(np.concatenate(([1.0], y)), x)).max()
+              for y in (coeffs, coeffs_from_zeros(x)))
     return {"identity1": float(r1), "identity2": float(r2)}

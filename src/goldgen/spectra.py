@@ -9,28 +9,17 @@ recursion + the package root finder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateZeros
 from .polycore import (
-    MonicPoly,
     Tolerances,
     canonical_order,
-    eval_poly,
-    min_pairwise_gap,
+    check_distinct,
     pair_diffs,
     r_matrix,
     r_matrix_inverse,
     zeros_from_coeffs,
 )
-
-
-@dataclass
-class SpectrumReport:
-    eigenvalues: np.ndarray  # sorted by (re, im)
-    max_residual: float
 
 
 def hermite_monic_coeffs(n: int) -> np.ndarray:
@@ -40,10 +29,8 @@ def hermite_monic_coeffs(n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     hk_1 = np.array([1.0 + 0j])  # h_0
     hk = np.array([1.0 + 0j, 0.0])  # h_1 = z
-    if n == 1:
-        return hk[1:]
     for k in range(1, n):
-        nxt = np.convolve(hk, [1.0 + 0j, 0.0])
+        nxt = np.append(hk, 0.0)  # z h_k
         nxt[2:] -= (k / 2.0) * hk_1
         hk_1, hk = hk, nxt
     return hk[1:]
@@ -80,20 +67,17 @@ def hermite_zeros(n: int) -> np.ndarray:
 
 
 def equilibrium_residual(x) -> float:
-    """max_n |x_n - sum_{l != n} (x_n - x_l)^{-1}|; vanishes at Hermite zeros."""
-    x = np.asarray(x, dtype=np.complex128)
-    return float(np.max(np.abs(x - np.sum(1.0 / pair_diffs(x), axis=1))))
+    """max_n |x_n - sum_{l != n} (x_n - x_l)^{-1}| = max |equilibrium_flow(x)|;
+    vanishes at Hermite zeros."""
+    return float(np.max(np.abs(equilibrium_flow(x))))
 
 
 def m_matrix(x) -> np.ndarray:
     """M_{nm} = -(x_n - x_m)^{-2} off-diagonal; rows sum to zero."""
     x = np.asarray(x, dtype=np.complex128)
-    if min_pairwise_gap(x) <= 0:
-        raise DegenerateZeros("coincident points in m_matrix")
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    m = -1.0 / (diff * diff)
-    np.fill_diagonal(m, 0.0)
+    check_distinct(x, 0.0)
+    # the reciprocal first: squaring the inf diagonal would give NaN
+    m = -(1.0 / pair_diffs(x)) ** 2
     np.fill_diagonal(m, -m.sum(axis=1))
     return m
 
@@ -145,17 +129,13 @@ def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def eig_small(m: np.ndarray) -> SpectrumReport:
-    """All eigenvalues of a small (n <= 12) dense matrix via its
-    characteristic polynomial and the simultaneous root finder."""
+def eig_small(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a small (n <= 12) dense matrix, in canonical
+    (re, im) order, as the zeros of its characteristic polynomial; the root
+    finder bounds their residual by 1e-10 max(1, max_k |c_k|)."""
     m = np.asarray(m, dtype=np.complex128)
-    n = m.shape[0]
-    if n > 12:
+    if m.shape[0] > 12:
         raise ValueError("eig_small supports n <= 12")
-    p = MonicPoly(char_poly_coeffs(m))
     # eigenvalues may legitimately coincide more closely than zero sets
-    lam = zeros_from_coeffs(p.coeffs, Tolerances(root_tol=1e-10, sep_tol=0.0))
-    scale = max(1.0, float(np.max(np.abs(p.coeffs))))
-    resid = max(abs(eval_poly(p, z)[0]) for z in lam) / scale
-    # zeros_from_coeffs returns the zeros in canonical (re, im) order
-    return SpectrumReport(eigenvalues=lam, max_residual=float(resid))
+    return zeros_from_coeffs(char_poly_coeffs(m),
+                             Tolerances(root_tol=1e-10, sep_tol=0.0))

@@ -48,8 +48,7 @@ def suite_identities() -> list[Check]:
     worst_vel = 0.0
     for z in sets:
         scale = max(1.0, float(np.max(np.abs(z))) ** len(z))
-        p = polycore.coeffs_from_zeros(z)
-        res = polycore.identity_residuals(p, z)
+        res = polycore.identity_residuals(polycore.coeffs_from_zeros(z), z)
         worst_id = max(worst_id, res["identity1"] / scale, res["identity2"] / scale)
         r = polycore.r_matrix(z, sep_tol=1e-6)
         rinv = polycore.r_matrix_inverse(z, sep_tol=1e-6)
@@ -82,9 +81,7 @@ def suite_radical_family() -> list[Check]:
         except DegenerateZeros:
             continue
         try:
-            tree = permgen.generation_tree(
-                permgen.MonicPoly([b, c]), depth=3
-            )
+            tree = permgen.generation_tree([b, c], depth=3)
         except GoldgenError:
             continue
         for lvl in (1, 2, 3):
@@ -185,7 +182,7 @@ def suite_generations() -> list[Check]:
             continue
         general = dynamics.rhs(x, v, gen1)
         gold = dynamics.rhs_goldfish(x, v)
-        pref = polycore.diff_prefactor(x)
+        pref = polycore.prefactor(polycore.pair_diffs(x))
         simplified = gold + (1j - a) * v - 1j * a * pref * x**nn
         worst_simpl = max(worst_simpl, float(np.max(np.abs(general - simplified))))
         count += 1
@@ -289,7 +286,7 @@ def suite_hermite() -> list[Check]:
     for n in range(2, 11):
         x = spectra.hermite_zeros(n)
         worst_eq = max(worst_eq, spectra.equilibrium_residual(x))
-        lam = spectra.eig_small(spectra.m_matrix(x)).eigenvalues
+        lam = spectra.eig_small(spectra.m_matrix(x))
         worst_spec = max(
             worst_spec, float(np.max(np.abs(np.sort(lam.real) - np.arange(n))))
         )
@@ -303,10 +300,10 @@ def suite_hermite() -> list[Check]:
     worst_branch = 0.0
     for n in (2, 3, 4):
         x = spectra.hermite_zeros(n)
-        base = np.sort(spectra.eig_small(spectra.m_matrix(x)).eigenvalues.real)
+        base = np.sort(spectra.eig_small(spectra.m_matrix(x)).real)
         for mu1 in range(1, math.factorial(n) + 1):
             m1 = spectra.similarity_m1(x, permgen.lift(x[None], mu1)[0][0])
-            lam = spectra.eig_small(m1).eigenvalues
+            lam = spectra.eig_small(m1)
             worst_branch = max(
                 worst_branch,
                 float(np.max(np.abs(np.sort(lam.real) - base))),

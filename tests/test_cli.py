@@ -247,6 +247,26 @@ class TestGenerate:
         assert main(["generate", "--config", cfg]) == 3
 
 
+EMPTY_INITIAL = {k: v for k, v in BASE_SIM.items() if k != "n"}
+EMPTY_INITIAL["initial"] = {"positions": [], "velocities": []}
+
+
+@pytest.mark.parametrize("command, raw, extra", [
+    ("generate", {"seed_coeffs": [[1.0, 0.0], [-1.0, 0.5]], "depth": 1},
+     ["--depth", "-1"]),
+    ("generate", {"seed_coeffs": [], "depth": 1}, []),
+    ("solve", EMPTY_INITIAL, []),
+    ("simulate", EMPTY_INITIAL, []),
+], ids=["negative-depth", "empty-seed", "solve-empty-initial",
+        "simulate-empty-initial"])
+def test_empty_or_negative_input_is_config_error(tmp_path, capsys, command, raw,
+                                                 extra):
+    raw = dict(raw, output=str(tmp_path / "out"))
+    assert main([command, "--config", write_config(tmp_path, raw), *extra]) == 2
+    assert capsys.readouterr().err.startswith(f"{command}: ")
+    assert not (tmp_path / "out").exists()
+
+
 README_CONFIG = {
     "n": 3,
     "mu": [2, 2],

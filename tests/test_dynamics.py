@@ -299,8 +299,8 @@ class TestIntegrator:
         spec = dyn.ModelSpec("iso_goldfish", omega=2.0)
         T = np.pi
         traj = dyn.integrate(spec, x0, v0, [0.0, T / 2, T])
-        start = pc.coeffs_from_zeros(x0).coeffs
-        end = pc.coeffs_from_zeros(traj.x[-1]).coeffs
+        start = pc.coeffs_from_zeros(x0)
+        end = pc.coeffs_from_zeros(traj.x[-1])
         np.testing.assert_allclose(end, start, atol=1e-7)
 
     def test_head_on_collision_detected(self):

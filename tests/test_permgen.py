@@ -127,7 +127,7 @@ class TestGenerationStep:
         root = pg.seed_node(MonicPoly([0.3 - 1j, -0.8, 1.1 + 0.2j]))
         (zeros,), order = pg.lift(root.zeros[None], 4)
         back = coeffs_from_zeros(zeros)
-        np.testing.assert_allclose(back.coeffs, root.zeros[order], atol=1e-9)
+        np.testing.assert_allclose(back, root.zeros[order], atol=1e-9)
 
     def test_address_extends(self):
         tree = pg.generation_tree(MonicPoly([0, -1]), depth=2)

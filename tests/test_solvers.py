@@ -333,7 +333,7 @@ class TestCertifiedTracking:
         assert calls == [241, 241]
 
     def test_failed_frame_raises_its_error(self):
-        good = pc.coeffs_from_zeros([1.0, -1.0]).coeffs
+        good = pc.coeffs_from_zeros([1.0, -1.0])
         huge = [1e200, 1e300]  # residual cannot reach root_tol * scale
         double = [-2.0, 1.0]  # (z - 1)^2
         rows, tol = np.array([good, huge, double]), pc.Tolerances(sep_tol=1e-6)
