@@ -155,10 +155,16 @@ def _read_path_csv(path: str):
 
 
 def cmd_period(args) -> int:
-    if not (math.isfinite(args.period) and args.period > 0):
-        print(f"period: --period must be finite and > 0, not {args.period!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+    for flag, value, ok, rule in (
+        ("--period", args.period, math.isfinite(args.period) and args.period > 0,
+         "finite and > 0"),
+        ("--p-max", args.p_max, args.p_max >= 1, ">= 1"),
+        ("--tol", args.tol, math.isfinite(args.tol) and args.tol > 0,
+         "finite and > 0"),
+    ):
+        if not ok:
+            print(f"period: {flag} must be {rule}, not {value!r}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         path = solvers.LabeledPath(*_read_path_csv(args.trajectory))
     except (OSError, ValueError, csv.Error) as e:

@@ -1,15 +1,24 @@
-"""Run configuration: JSON ingestion, schema validation, dataclasses."""
+"""Run configuration: JSON ingestion, schema validation, dataclasses.
+
+`parse_config` checks a raw config against `config_schema.json` with a
+small walker (`_violation`) that implements exactly the JSON Schema
+keywords that file uses, with Draft 2020-12 semantics: booleans are not
+numbers, an integral float counts as an integer, `enum` does not take True
+for 1, and a bound passes whatever compares false (NaN included, which
+`_check_finite` then rejects).  The schema is loaded once, and loading it
+fails on any keyword the walker does not implement.
+"""
 
 from __future__ import annotations
 
 import functools
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
-import jsonschema.exceptions
 import numpy as np
 
 from .dynamics import ModelSpec
@@ -20,17 +29,90 @@ class ConfigError(Exception):
     pass
 
 
-def _schema() -> dict:
-    text = resources.files("goldgen").joinpath("config_schema.json").read_text()
-    return json.loads(text)
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+# keyword: (the test that fails, written as jsonschema writes it; reason)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+}
+_KEYWORDS = {"type", "enum", "properties", "required", "additionalProperties",
+             "items", "minItems", "maxItems", *_BOUNDS, "$schema", "title"}
+
+
+def _check_keywords(schema: dict, path: str = "/") -> None:
+    """ValueError unless `_violation` implements every keyword of schema
+    and of its subschemas (`type` only as one of `_TYPES`,
+    `additionalProperties` only as false)."""
+    unknown = set(schema) - _KEYWORDS
+    if schema.get("type", "object") not in _TYPES:
+        unknown.add("type")
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise ValueError(f"config schema at {path}: unsupported {sorted(unknown)}")
+    for key, sub in schema.get("properties", {}).items():
+        _check_keywords(sub, f"{path}{key}/")
+    if "items" in schema:
+        _check_keywords(schema["items"], f"{path}items/")
 
 
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The schema's validator, built (and the schema checked) once."""
-    schema = _schema()
-    jsonschema.Draft202012Validator.check_schema(schema)
-    return jsonschema.Draft202012Validator(schema)
+def _schema() -> dict:
+    text = resources.files("goldgen").joinpath("config_schema.json").read_text()
+    schema = json.loads(text)
+    _check_keywords(schema)
+    return schema
+
+
+def _join(field: str, key) -> str:
+    return f"{field}.{key}" if field else str(key)
+
+
+def _violation(value, schema: dict, field: str = "") -> str | None:
+    """'field: reason' for the first way value breaks schema, or None."""
+    where = field or "(config)"
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        return f"{where}: {value!r} is not of type {kind!r}"
+    enum = schema.get("enum")
+    # jsonschema's equality: True and False equal only themselves
+    if enum is not None and not any(
+        value is e or not isinstance(value, bool) and not isinstance(e, bool)
+        and value == e for e in enum
+    ):
+        return f"{where}: {value!r} is not one of {enum!r}"
+    if _TYPES["number"](value):
+        for key, (fails, reason) in _BOUNDS.items():
+            if key in schema and fails(value, schema[key]):
+                return f"{where}: {value!r} is {reason} {schema[key]!r}"
+    children = []
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{_join(field, key)}: required property is missing"
+        for key in value if "additionalProperties" in schema else ():
+            if key not in props:
+                return f"{_join(field, key)}: property is not allowed"
+        children = [(value[k], sub, _join(field, k))
+                    for k, sub in props.items() if k in value]
+    if isinstance(value, list):
+        for key, bound in (("minItems", "minimum"), ("maxItems", "maximum")):
+            fails, reason = _BOUNDS[bound]
+            if key in schema and fails(len(value), schema[key]):
+                return f"{where}: length {len(value)} is {reason} {schema[key]!r}"
+        if "items" in schema:
+            children = [(item, schema["items"], f"{field}[{i}]")
+                        for i, item in enumerate(value)]
+    return next(filter(None, (_violation(*child) for child in children)), None)
 
 
 def pairs_to_complex(pairs) -> np.ndarray:
@@ -56,7 +138,11 @@ class Grid:
             raise ConfigError(
                 f"grid: dt_out {self.dt_out!r} does not divide t1 - t0 = {span!r}"
             )
-        return self.t0 + self.dt_out * np.arange(count + 1)
+        try:
+            steps = np.arange(count + 1)
+        except (ValueError, MemoryError) as e:  # more than numpy can index
+            raise ConfigError(f"grid: {count + 1:.3g} output times are too many") from e
+        return self.t0 + self.dt_out * steps
 
 
 @dataclass
@@ -76,7 +162,9 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    # ValueError: bad JSON, bytes that are not UTF-8, or an integer literal
+    # past Python's digit limit
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config(raw)
 
@@ -86,7 +174,7 @@ def _check_finite(value, field: str) -> None:
     float (JSON admits NaN, Infinity, 1e400 and integers of any size)."""
     if isinstance(value, dict):
         for key, item in value.items():
-            _check_finite(item, f"{field}.{key}" if field else key)
+            _check_finite(item, _join(field, key))
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _check_finite(item, f"{field}[{i}]")
@@ -100,10 +188,9 @@ def _check_finite(value, field: str) -> None:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    # best_match picks the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    error = _violation(raw, _schema())
     if error is not None:
-        raise ConfigError(f"config rejected by schema: {error.message}") from error
+        raise ConfigError(f"config rejected by schema: {error}")
     _check_finite(raw, "")
 
     cfg = RunConfig()

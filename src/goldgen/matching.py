@@ -14,12 +14,15 @@ nearest-zero pairing geometrically instead.
 The bottleneck value is found by the threshold method (Garfinkel, Oper.
 Res. 1971): binary search over the sorted distinct costs, testing each
 threshold for a perfect matching that uses only edges at or below it.
+
+Both semantics call scipy's `linear_sum_assignment`, imported on first
+use: only `verify`, the oracle and the scripts match sets, so the
+`generate`, `simulate` and `solve` commands never load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def distance_matrix(a, b) -> np.ndarray:
@@ -39,6 +42,8 @@ def bottleneck(cost) -> float:
     The result is one of the entries of `cost`, so it equals the brute
     force minimum over all permutations exactly.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
         return 0.0
@@ -59,6 +64,8 @@ def bottleneck(cost) -> float:
 def set_distance(a, b) -> float:
     """Max matched distance between two same-size point clouds under the
     sum-optimal pairing."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = distance_matrix(a, b)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

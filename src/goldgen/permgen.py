@@ -145,11 +145,15 @@ def generation_tree(
         seed = MonicPoly(seed)
     n = seed.n
     nf = math.factorial(n)
-    count = sum(nf**k for k in range(1, depth + 1))
-    if count > node_budget:
-        raise TreeBudgetExceeded(
-            f"tree would hold ~{count} nodes, budget is {node_budget}"
-        )
+    # stop summing once past the budget: nf**depth can have millions of digits
+    count, width = 0, 1
+    for _ in range(depth):
+        width *= nf
+        count += width
+        if count > node_budget:
+            raise TreeBudgetExceeded(
+                f"a depth-{depth} tree would exceed the node budget of {node_budget}"
+            )
 
     root = seed_node(seed, tol)
     tree = GenerationTree(seed=root, depth=depth)

@@ -2,15 +2,21 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+
+import goldgen
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldgen import config as cfgmod
@@ -40,6 +46,86 @@ BASE_SIM = {
 }
 
 
+SCHEMA_REJECTED = "config rejected by schema: "
+GENERATION_CONFIG = {
+    "n": 2,
+    "mu": [1],
+    "model": {"kind": "generation", "seed_kind": "iso_goldfish", "omega": 1.0,
+              "a": [0.5, 0.0], "ia_sign": -1, "depth": 1},
+    "seed_coeffs": [[1.0, 0.0], [-1.0, 0.5]],
+    "depth": 2,
+    "node_budget": 100,
+    "tolerances": {"ode_rel": 1e-9, "ode_abs": 1e-12, "root_tol": 1e-12,
+                   "sep_tol": 1e-9},
+    "output": "tree.json",
+}
+
+# wrong types (bools, integral floats, strings, lists, objects), numbers out
+# of every range in the schema, NaN and the infinities
+_junk = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-2, 14),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 13.0, -1.0, 0.5, 1e-300, 1e300, -1e300,
+                     float("nan"), float("inf"), float("-inf"), 10**400]),
+    st.sampled_from(["", "fast", "goldfish", "generation", "1"]),
+    st.lists(st.sampled_from([0.5, -1.0, 2.0, True, "x"]), max_size=3),
+    st.just({}),
+)
+
+
+def _fields(value, field=""):
+    """(field name as the schema messages write it, value) for every node."""
+    yield field, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _fields(item, f"{field}.{key}" if field else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _fields(item, f"{field}[{i}]")
+
+
+def _node(raw, field):
+    """The container that holds field, and field's key or index in it."""
+    parts = re.findall(r"[^.\[\]]+|\[\d+\]", field)
+    keys = [int(p[1:-1]) if p.startswith("[") else p for p in parts]
+    for key in keys[:-1]:
+        raw = raw[key]
+    return raw, keys[-1]
+
+
+@st.composite
+def schema_mutations(draw):
+    """(config, field): BASE_SIM or GENERATION_CONFIG with one field given a
+    wrong value, removed, added, or (for an array) made longer or shorter."""
+    raw = json.loads(json.dumps(draw(st.sampled_from([BASE_SIM, GENERATION_CONFIG]))))
+    fields = dict(_fields(raw))
+    action = draw(st.sampled_from(["replace", "delete", "add", "resize"]))
+    if action == "add":
+        parent = draw(st.sampled_from(
+            [f for f, v in fields.items() if isinstance(v, dict)]))
+        key = draw(st.sampled_from(["extra", "kind", "depth", "t0", "positions"]))
+        (fields[parent] if parent else raw)[key] = draw(_junk)
+        return raw, f"{parent}.{key}" if parent else key
+    if action == "resize":
+        field = draw(st.sampled_from(
+            [f for f, v in fields.items() if isinstance(v, list)]))
+        items = fields[field]
+        if items and draw(st.booleans()):
+            items.pop()
+        else:
+            items.append(draw(_junk) if not items or draw(st.booleans())
+                         else json.loads(json.dumps(items[0])))
+        return raw, field
+    field = draw(st.sampled_from([f for f in fields if f]))
+    container, key = _node(raw, field)
+    if action == "delete" and isinstance(container, dict):
+        del container[key]
+    else:
+        container[key] = draw(_junk)
+    return raw, field
+
+
 class TestConfigParsing:
     def test_minimal_roundtrip(self):
         cfg = cfgmod.parse_config(BASE_SIM)
@@ -62,18 +148,43 @@ class TestConfigParsing:
     def test_checked_in_schema_is_valid(self):
         jsonschema.Draft202012Validator.check_schema(cfgmod._schema())
 
-    @pytest.mark.parametrize("bad", [
-        dict(BASE_SIM, model={"kind": "nonsense"}),
-        dict(BASE_SIM, grid={"t0": 0.0, "dt_out": "fast"}),
-        dict(BASE_SIM, extra=1),
-        {"initial": {"positions": [[1.0]], "velocities": [[0.0, 0.0]]}},
-    ])
-    def test_schema_message_matches_jsonschema_validate(self, bad):
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(bad, cfgmod._schema())
+    @settings(max_examples=300, deadline=None)
+    @given(schema_mutations())
+    @example((dict(BASE_SIM, model={"kind": "nonsense"}), "model.kind"))
+    @example((dict(BASE_SIM, grid={"t0": 0.0, "dt_out": "fast"}), "grid"))
+    @example((dict(BASE_SIM, extra=1), "extra"))
+    @example(({"initial": {"positions": [[1.0]], "velocities": [[0.0, 0.0]]}},
+              "initial.positions[0]"))
+    def test_schema_agrees_with_jsonschema(self, case):
+        raw, field = case
+        try:
+            cfgmod.parse_config(raw)
+            message = ""
+        except cfgmod.ConfigError as e:
+            message = str(e)
+        valid = jsonschema.Draft202012Validator(cfgmod._schema()).is_valid(raw)
+        rejected = message.startswith(SCHEMA_REJECTED)
+        assert rejected == (not valid), message
+        if rejected:
+            named = message[len(SCHEMA_REJECTED):]
+            assert named.startswith((f"{field}:", f"{field}.", f"{field}[")), message
+
+    def test_schema_message_names_the_field(self):
+        bad = dict(BASE_SIM, grid={"t0": 0.0, "t1": 1.0, "dt_out": "fast"})
         with pytest.raises(cfgmod.ConfigError) as got:
             cfgmod.parse_config(bad)
-        assert str(got.value) == f"config rejected by schema: {want.value.message}"
+        assert str(got.value) == (
+            "config rejected by schema: grid.dt_out: 'fast' is not of type 'number'")
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "string", "pattern": "^a"},
+        {"properties": {"x": {"type": "integer", "multipleOf": 2}}},
+        {"items": {"type": "null"}},
+        {"additionalProperties": {"type": "number"}},
+    ], ids=["pattern", "nested-multipleOf", "type-null", "additional-schema"])
+    def test_schema_keyword_outside_the_walker_is_refused(self, schema):
+        with pytest.raises(ValueError, match="unsupported"):
+            cfgmod._check_keywords(schema)
 
     def test_period_tol_is_rejected(self, tmp_path, capsys):
         # the field was parsed and never read; it is no longer accepted
@@ -246,6 +357,22 @@ class TestGenerate:
         )
         assert main(["generate", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("depth", ["30000", "1000000"])
+    def test_huge_depth_is_budget_error_at_once(self, tmp_path, capsys, depth):
+        # the node count nf**depth has thousands of digits and is never formed
+        out = tmp_path / "tree.json"
+        raw = {"seed_coeffs": [[1.0, 0.0], [-1.0, 0.5]], "depth": 1,
+               "output": str(out)}
+        start = time.perf_counter()
+        code = main(["generate", "--config", write_config(tmp_path, raw),
+                     "--depth", depth])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"generate: TreeBudgetExceeded: a depth-{depth} tree would exceed "
+            f"the node budget of 1000000\n")
+        assert not out.exists()
+
 
 EMPTY_INITIAL = {k: v for k, v in BASE_SIM.items() if k != "n"}
 EMPTY_INITIAL["initial"] = {"positions": [], "velocities": []}
@@ -384,6 +511,23 @@ class TestSimulate:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("data", [
+        b'{"node_budget": 1' + b"0" * 5000 + b"}",
+        b'{"output": "\xff.csv"}',
+    ], ids=["int-past-digit-limit", "not-utf-8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, data):
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("simulate: cannot read config")
+
+    def test_grid_past_numpy_size_is_config_error(self, tmp_path, capsys):
+        raw = dict(BASE_SIM, grid={"t0": 0.0, "t1": 1e300, "dt_out": 1.0},
+                   output=str(tmp_path / "x.csv"))
+        assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 2
+        assert capsys.readouterr().err == (
+            "simulate: grid: 1e+300 output times are too many\n")
 
     def test_mu_out_of_range_is_config_error(self, tmp_path):
         raw = dict(
@@ -689,6 +833,18 @@ class TestVerifyAndPeriod:
         assert main(["period", str(p), f"--period={period}"]) == 2
         assert capsys.readouterr().err.startswith("period: --period must be")
 
+    @pytest.mark.parametrize("flag, rule", [
+        ("--p-max=0", "--p-max must be >= 1, not 0"),
+        ("--tol=-1", "--tol must be finite and > 0, not -1.0"),
+        ("--tol=nan", "--tol must be finite and > 0, not nan"),
+    ], ids=["p-max-0", "tol-negative", "tol-nan"])
+    def test_period_flags_out_of_range_are_config_errors(self, tmp_path, capsys,
+                                                         flag, rule):
+        p = tmp_path / "path.csv"
+        p.write_text("t,x1_re,x1_im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
+        assert main(["period", str(p), "--period=1.0", flag]) == 2
+        assert capsys.readouterr().err == f"period: {rule}\n"
+
 
 # numbers of ordinary size, and of sizes that overflow a product, a square or
 # an exponential; the band in between (|z| ~ 1e3..1e10) makes the explicit
@@ -807,7 +963,39 @@ class TestPeriodProperty:
                 code = main(["period", str(path), f"--period={period}",
                              f"--p-max={p_max}", f"--tol={tol}"])
         assert code in (0, 1, 2)
+        if p_max < 1 or not all(math.isfinite(float(v)) and float(v) > 0
+                                for v in (period, tol)):
+            assert code == 2
         if code == 0:
             rep = json.loads(out.getvalue())
             assert math.isfinite(rep["base_period"]) and rep["base_period"] > 0
             assert 1 <= rep["multiplier"] <= p_max
+
+
+def test_cli_runs_without_scipy_or_jsonschema(tmp_path):
+    """solve, simulate and generate load neither: scipy is imported by the
+    set matching of verify alone, and the config walker replaces jsonschema."""
+    configs = {
+        "solve": dict(BASE_SIM, output=str(tmp_path / "path.csv")),
+        "simulate": dict(BASE_SIM, output=str(tmp_path / "traj.csv")),
+        "generate": {"seed_coeffs": [[1.0, 0.0], [-1.0, 0.5]], "depth": 2,
+                     "output": str(tmp_path / "tree.json")},
+    }
+    args = [arg for command, raw in configs.items()
+            for arg in (command, write_config(tmp_path, raw, f"{command}.json"))]
+    script = (
+        "import sys\n"
+        "from goldgen.cli import main\n"
+        "args = sys.argv[1:]\n"
+        "for command, config in zip(args[::2], args[1::2]):\n"
+        "    assert main([command, '--config', config]) == 0, command\n"
+        "print(sorted({'scipy', 'jsonschema'} & set(sys.modules)))\n"
+    )
+    src = str(Path(goldgen.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert all((tmp_path / name).exists()
+               for name in ("path.csv", "traj.csv", "tree.json"))
