@@ -14,11 +14,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-
-import goldgen
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import goldgen
 from goldgen import config as cfgmod
 from goldgen import dynamics as dyn
 from goldgen import permgen
@@ -74,24 +73,18 @@ _junk = st.one_of(
 )
 
 
-def _fields(value, field=""):
-    """(field name as the schema messages write it, value) for every node."""
-    yield field, value
+def _slots(value, field=""):
+    """(field name as the schema messages write it, container, key) for every
+    node below value."""
     if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _fields(item, f"{field}.{key}" if field else key)
+        named = [(f"{field}.{key}" if field else key, key) for key in value]
     elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _fields(item, f"{field}[{i}]")
-
-
-def _node(raw, field):
-    """The container that holds field, and field's key or index in it."""
-    parts = re.findall(r"[^.\[\]]+|\[\d+\]", field)
-    keys = [int(p[1:-1]) if p.startswith("[") else p for p in parts]
-    for key in keys[:-1]:
-        raw = raw[key]
-    return raw, keys[-1]
+        named = [(f"{field}[{i}]", i) for i in range(len(value))]
+    else:
+        named = []
+    for name, key in named:
+        yield name, value, key
+        yield from _slots(value[key], name)
 
 
 @st.composite
@@ -99,26 +92,26 @@ def schema_mutations(draw):
     """(config, field): BASE_SIM or GENERATION_CONFIG with one field given a
     wrong value, removed, added, or (for an array) made longer or shorter."""
     raw = json.loads(json.dumps(draw(st.sampled_from([BASE_SIM, GENERATION_CONFIG]))))
-    fields = dict(_fields(raw))
+    slots = list(_slots(raw))
+    nodes = {"": raw, **{name: container[key] for name, container, key in slots}}
     action = draw(st.sampled_from(["replace", "delete", "add", "resize"]))
     if action == "add":
         parent = draw(st.sampled_from(
-            [f for f, v in fields.items() if isinstance(v, dict)]))
+            [name for name, node in nodes.items() if isinstance(node, dict)]))
         key = draw(st.sampled_from(["extra", "kind", "depth", "t0", "positions"]))
-        (fields[parent] if parent else raw)[key] = draw(_junk)
+        nodes[parent][key] = draw(_junk)
         return raw, f"{parent}.{key}" if parent else key
     if action == "resize":
         field = draw(st.sampled_from(
-            [f for f, v in fields.items() if isinstance(v, list)]))
-        items = fields[field]
+            [name for name, node in nodes.items() if isinstance(node, list)]))
+        items = nodes[field]
         if items and draw(st.booleans()):
             items.pop()
         else:
             items.append(draw(_junk) if not items or draw(st.booleans())
                          else json.loads(json.dumps(items[0])))
         return raw, field
-    field = draw(st.sampled_from([f for f in fields if f]))
-    container, key = _node(raw, field)
+    field, container, key = draw(st.sampled_from(slots))
     if action == "delete" and isinstance(container, dict):
         del container[key]
     else:
@@ -155,6 +148,15 @@ class TestConfigParsing:
     @example((dict(BASE_SIM, extra=1), "extra"))
     @example(({"initial": {"positions": [[1.0]], "velocities": [[0.0, 0.0]]}},
               "initial.positions[0]"))
+    # Draft 2020-12 semantics: a bool is not a number, an integral float is
+    # an integer, True is not 1 in an enum, and NaN passes every bound
+    @example((dict(BASE_SIM, n=True), "n"))
+    @example((dict(BASE_SIM, n=3.0), "n"))
+    @example((dict(GENERATION_CONFIG, model=dict(GENERATION_CONFIG["model"],
+                                                 ia_sign=True)), "model.ia_sign"))
+    @example((dict(BASE_SIM, grid=dict(BASE_SIM["grid"], dt_out=0)), "grid.dt_out"))
+    @example((dict(BASE_SIM, grid=dict(BASE_SIM["grid"], dt_out=float("nan"))),
+              "grid.dt_out"))
     def test_schema_agrees_with_jsonschema(self, case):
         raw, field = case
         try:
@@ -356,6 +358,25 @@ class TestGenerate:
              "output": str(tmp_path / "tree.json")},
         )
         assert main(["generate", "--config", cfg]) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([[[1.0, 0.0], [-1.0, 0.5]],
+                            [[1.0, 0.0], [-1.0, 0.5], [0.3, 0.2]]]),
+           st.one_of(st.integers(-2, 6), st.integers(-10**6, 10**6)))
+    def test_any_depth_exits_cleanly_at_once(self, seed, depth):
+        with tempfile.TemporaryDirectory() as work:
+            raw = {"seed_coeffs": seed, "node_budget": 100,
+                   "output": str(Path(work) / "tree.json")}
+            cfg = Path(work) / "run.json"
+            cfg.write_text(json.dumps(raw))
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["generate", "--config", str(cfg), "--depth", str(depth)])
+            assert time.perf_counter() - start < 1.0
+        # past depth 8 every seed here exceeds the budget of 100 nodes
+        nodes = sum(math.factorial(len(seed)) ** k for k in range(1, min(depth, 8) + 1))
+        assert code == (2 if depth < 0 else 0 if nodes <= 100 else 3)
 
     @pytest.mark.parametrize("depth", ["30000", "1000000"])
     def test_huge_depth_is_budget_error_at_once(self, tmp_path, capsys, depth):
@@ -950,8 +971,11 @@ _period_flags = st.one_of(
 
 class TestPeriodProperty:
     @settings(max_examples=150, deadline=None)
-    @given(period_csvs(), _period_flags, st.integers(-1, 8),
-           st.sampled_from(["1e-6", "0", "-1", "nan", "inf", "1e-300", "1e300"]))
+    @given(period_csvs(), _period_flags,
+           st.one_of(st.integers(-1, 8), st.integers(-10**9, 10**9)),
+           st.one_of(st.sampled_from(["1e-6", "0", "-1", "nan", "inf", "1e-300",
+                                      "1e300"]),
+                     st.floats(allow_nan=True, allow_infinity=True).map(repr)))
     def test_exit_codes_and_report(self, text, period, p_max, tol):
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "path.csv"
