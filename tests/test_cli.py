@@ -171,6 +171,26 @@ class TestConfigParsing:
             named = message[len(SCHEMA_REJECTED):]
             assert named.startswith((f"{field}:", f"{field}.", f"{field}[")), message
 
+    @pytest.mark.parametrize("bad", [
+        dict(BASE_SIM, model={"kind": "nonsense"}),
+        dict(BASE_SIM, grid={"t0": 0.0, "dt_out": "fast"}),
+        dict(BASE_SIM, extra=1),
+        {"initial": {"positions": [[1.0]], "velocities": [[0.0, 0.0]]}},
+    ])
+    def test_schema_message_matches_jsonschema_validate(self, bad):
+        # the walker words its own reasons; it rejects what jsonschema.validate
+        # rejects and names a field at or below the path jsonschema reports
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, cfgmod._schema())
+        with pytest.raises(cfgmod.ConfigError) as got:
+            cfgmod.parse_config(bad)
+        message = str(got.value)
+        assert message.startswith(SCHEMA_REJECTED), message
+        path = want.value.json_path.removeprefix("$").removeprefix(".")
+        named = message[len(SCHEMA_REJECTED):]
+        assert named.startswith((f"{path}:", f"{path}.", f"{path}[")) or (
+            not path and named.split(":")[0] in bad), message
+
     def test_schema_message_names_the_field(self):
         bad = dict(BASE_SIM, grid={"t0": 0.0, "t1": 1.0, "dt_out": "fast"})
         with pytest.raises(cfgmod.ConfigError) as got:
