@@ -14,6 +14,13 @@ pairs the change won (strictly better in the metric's direction).  The out
 file holds every run's result and both sides' provenance as bench/run.py
 records it (machine, versions, commit or source hash, seed).
 
+Each workload then gets one traced run per side (`--trace 1`, first seed),
+whose per-layer metrics go under "traced".  A run stops after the first
+whole cycle of cases past its time.  A traced `simulate` cycle outlasts
+TRACED_SECONDS, so both sides trace the same 16 cases and their counts (RHS
+calls, steps, rejections) compare one to one; the faster side of another
+workload may trace more cycles.
+
 A pair takes about 2 x (--seconds + 15) s; this is not a test.
 """
 
@@ -29,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_SECONDS = 1.0
 
 
 def seed_list(text: str) -> list[int]:
@@ -43,18 +51,26 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float):
+def extract(commit: str, dest: Path) -> None:
+    """The committed files of `commit` (`git archive`), unpacked into dest."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0):
     """One bench/run.py run in `tree`: its result line and its provenance."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, timeout=900 + 5 * seconds,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"bench/run.py in {tree} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads((tree / ".bench_out" /
-                         f"{workload}-seed{seed}-trace0.json").read_text())
+                         f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return result, record["provenance"]
 
 
@@ -107,10 +123,7 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         parent = tmp / "parent"
-        parent.mkdir()
-        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        extract(parent_commit, parent)
         trees = {"parent": parent, "change": ROOT}
         for workload in args.workload:
             pairs, provenance = [], {}
@@ -133,6 +146,15 @@ def main(argv=None) -> int:
                       f"{s['change']['median']:10.5g} [{s['change']['q1']:.5g}, "
                       f"{s['change']['q3']:.5g}]  x{s['ratio'] or float('nan'):.3f}  "
                       f"won {s['wins']}/{s['pairs']}")
+            seed = args.seeds[0]
+            traced = {side: run_bench(trees[side], workload, seed, TRACED_SECONDS,
+                                      trace=1)[0]["metrics"]
+                      for side in ("parent", "change")}
+            report["workloads"][workload]["traced"] = dict(seed=seed, **traced)
+            for name in traced["parent"]:
+                p, c = (traced[side][name]["value"] for side in ("parent", "change"))
+                print(f"  {workload:9s} traced {name:32s} parent {p:12.6g}  "
+                      f"change {c:12.6g}")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

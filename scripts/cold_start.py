@@ -27,7 +27,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, git, quartiles
+from bench_pairs import ROOT, extract, git, quartiles
 
 POSITIONS = [[0.9, 0.1], [-0.2, -0.5], [-0.8, 0.6]]
 README_CONFIG = {
@@ -74,10 +74,7 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="cold_start-"))
     try:
         parent = tmp / "parent"
-        parent.mkdir()
-        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        extract(parent_commit, parent)
         trees = {"parent": parent, "change": ROOT}
         commands = {"pass": [sys.executable, "-c", "pass"]}
         for command, config in (("solve", README_CONFIG),

@@ -9,6 +9,7 @@ coordinates are the polynomial's zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,26 +116,31 @@ def seed_rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndar
     return rhs_linear_seed(x, v, spec.a, spec.ia_sign)
 
 
-def _finite(*arrays) -> None:
-    for a in arrays:
-        if not np.logical_and.reduce(np.isfinite(a)):
-            raise NonFiniteState("non-finite entries")
+def _finite(a: np.ndarray, what: str) -> None:
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+        raise NonFiniteState(f"non-finite {what}")
 
 
 def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
     """Acceleration of the zeros x (velocities v) at recursion level `level`
     of the model `spec` (depth > level).
 
-    Per level, the numpy pair differences are built and guarded once and
-    serve the whole transfer, and x is validated once.  y and its velocity
-    come from coeff_motion (one scalar forward-mode fold over the sorted
-    zeros), the acceleration from accel_transfer: the polycore primitives
-    of the public transfer functions, so the result equals their
-    composition to the bit.
+    Per level, the numpy pair differences are built once: their smallest
+    modulus is the collision guard, and accel_transfer takes one reciprocal
+    of them for both of its terms.  y and its velocity come from
+    coeff_motion (one scalar forward-mode fold over the sorted zeros) as
+    one array, and that array is the level's only finiteness check: a
+    non-finite x_n or v_n makes y_1 or ydot_1 non-finite.  A non-finite
+    y_ddot from the level below needs no check of its own either, because
+    it makes every entry of the transfer non-finite, up to rhs's check of
+    the final acceleration.  These are the polycore primitives of the
+    public transfer functions, so the result equals their composition to
+    the bit.
     """
     diff = _guarded_diffs(x, sep_tol, level)
-    _finite(x, v)
-    y, y_dot = coeff_motion(x, v)
+    motion = coeff_motion(x, v)
+    _finite(motion, "coefficients")
+    y, y_dot = motion
     if level + 1 < spec.depth:
         y_ddot = _generation_accel(y, y_dot, spec, sep_tol, level + 1)
     else:
@@ -142,7 +148,6 @@ def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.n
             y_ddot = seed_rhs(y, y_dot, spec, sep_tol)
         except CollisionError as e:
             raise CollisionError(str(e), level=level + 1) from e
-    _finite(y_ddot)
     return accel_transfer(x, v, diff, y_ddot)
 
 
@@ -154,10 +159,14 @@ def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     (x, xdot); its acceleration is the depth-(k-1) right-hand side; the
     second-derivative transfer identity then gives the acceleration of the
     zeros.  A collision at recursion level j (0 = the integrated
-    coordinates) raises CollisionError with level j.
+    coordinates) raises CollisionError with level j; a non-finite state,
+    coefficient vector or acceleration raises NonFiniteState (a seed model
+    returns its force unchecked).
     """
     if spec.depth > 0:
-        return _generation_accel(x, v, spec, sep_tol, level=0)
+        acc = _generation_accel(x, v, spec, sep_tol, level=0)
+        _finite(acc, "acceleration")
+        return acc
     return seed_rhs(x, v, spec, sep_tol)
 
 
@@ -180,8 +189,9 @@ def build_initial_state(x, v, mu, tol: Tolerances = Tolerances()):
     return x, v
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = [np.array(row) for row in (
+# Dormand-Prince 5(4) tableau; the rows that multiply the complex stages are
+# stored complex, so no product casts them per call (same values, same bits)
+_DP_A = [np.array(row, dtype=np.complex128) for row in (
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -194,7 +204,7 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = (_DP_B5 - _DP_B4).astype(np.complex128)
 # Shampine's quartic interpolant: u(t + theta h) = u + h (P^T K)^T [theta..theta^4]
 _DP_P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
@@ -208,8 +218,9 @@ _DP_P = np.array([
      701980252875 / 199316789632],
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+], dtype=np.complex128)
 _POWERS = np.arange(1, 5)
+_GAP_BATCH = 64  # accepted step ends per batched min_gap update
 
 
 def integrate(
@@ -240,6 +251,15 @@ def integrate(
     aborts with CollisionError once that collapses the step size; a close
     approach that stays above sep_tol is left to the error test.  An
     initial state or an interpolated output at or below sep_tol aborts.
+
+    Checks, and where they run: a non-finite x0 or v0 raises
+    NonFiniteState before the first step, once per run; each stage's rhs
+    guards every recursion level and checks a generation model's
+    coefficients and acceleration (see _generation_accel), and the error
+    test rejects a seed model's non-finite stage.  Interpolated outputs are
+    guarded as they are written.  Step ends need no guard of their own, as
+    each is a last stage's state, so their gaps only feed min_gap, in one
+    batched call per _GAP_BATCH accepted steps.
     """
     out_times = np.asarray(out_times, dtype=float)
     if np.any(np.diff(out_times) <= 0):
@@ -259,6 +279,10 @@ def integrate(
         K[i, n:] = rhs(u[:n], u[n:], spec, tol.sep_tol)
 
     u = np.concatenate([x0, v0], dtype=np.complex128)
+    _finite(u, "initial state")
+    abs_u = np.abs(u)
+    ends = np.empty((_GAP_BATCH, n), dtype=np.complex128)
+    n_ends = 0
     t = out_times[0]
     t_end = out_times[-1]
     h = min(_FIRST_STEP, t_end - t)
@@ -294,8 +318,15 @@ def integrate(
                     level=e.level,
                 ) from e
             continue
-        scale = tol.ode_abs + tol.ode_rel * np.maximum(np.abs(u), np.abs(u5))
-        err = np.sqrt(np.mean((np.abs(h * np.dot(_DP_E, K)) / scale) ** 2))
+        abs_u5 = np.abs(u5)
+        scale = np.maximum(abs_u, abs_u5)
+        scale *= tol.ode_rel
+        scale += tol.ode_abs
+        r = np.dot(_DP_E, K)
+        r *= h
+        r = np.abs(r)
+        r /= scale
+        err = math.sqrt(np.add.reduce(r * r) / r.size)
         if not err <= 1.0:
             traj.rejected_error += 1
             no_growth = True
@@ -309,7 +340,9 @@ def integrate(
             taus = out_times[filled:inner]
             theta = (taus - t) / h
             us = out[filled:inner]
-            us[:] = u + h * np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K))
+            np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K), out=us)
+            us *= h
+            us += u
             if guarded:
                 gaps = min_pairwise_gap(us[:, :n])
                 k = int(np.argmin(gaps))
@@ -323,8 +356,13 @@ def integrate(
         filled = stop
         traj.steps += 1
         if guarded:
-            traj.min_gap = min(traj.min_gap, min_pairwise_gap(u5[:n]))
-        t, u = t_new, u5
+            ends[n_ends] = u5[:n]
+            n_ends += 1
+            if n_ends == _GAP_BATCH or last:
+                gap = float(min_pairwise_gap(ends[:n_ends]).min())
+                traj.min_gap = min(traj.min_gap, gap)
+                n_ends = 0
+        t, u, abs_u = t_new, u5, abs_u5
         K[0] = K[6]  # first same as last
         # Hairer's PI controller (HNW I, II.4): alpha = 0.17, beta = 0.04
         fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0

@@ -10,6 +10,16 @@ r_matrix_inverse), the N x N pair terms (pair_diffs, goldfish_force,
 prefactor) and accel_transfer.  Every function here takes and returns
 plain arrays; MonicPoly is kept for the generation tree's nodes.
 
+The kernel primitives (coeff_motion, accel_transfer, prefactor) check
+nothing; the public functions validate their inputs, and the dynamics
+kernel checks each recursion level twice: the collision guard on the
+smallest modulus of the level's pair_diffs, and one finiteness check of
+coeff_motion's (2, N) result.  That one check suffices because the fold
+carries every non-finite input into y_1 = -sum x_n or ydot_1 = -sum v_n,
+and because a non-finite y_ddot makes every entry of accel_transfer's
+result non-finite, which the kernel's check of the final acceleration
+catches.
+
 The fold is scalar Python and the pair terms numpy.  The recurrence is
 sequential, so in numpy it costs 2N or more small array calls at numpy's
 fixed per-call price; the scalar fold is N(N+1)/2 complex updates.  Against
@@ -163,16 +173,17 @@ def _signs_powers(n: int):
     return signs, powers
 
 
-def coeff_motion(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients y of prod_n (z - x_n) and their velocity ydot = R^{-1} v:
+def coeff_motion(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients y of prod_n (z - x_n) and their velocity ydot = R^{-1} v,
+    the two rows of one (2, N) array (so `y, y_dot = coeff_motion(x, v)`):
     y_m = (-1)^m sigma_m(x), ydot_m = (-1)^m sum_n sigma_{n,m}(x) v_n.
 
     One O(N^2) forward-mode fold (_fold) gives both; needs no
-    distinctness.  x and v must be complex128 vectors; not validated here.
+    distinctness.  A non-finite entry of x or v makes y_1 or ydot_1
+    non-finite, so one finiteness check of the result covers the inputs
+    too.  x and v must be complex128 vectors; not validated here.
     """
-    signs, _ = _signs_powers(len(x))
-    e, d = _fold(x, v)
-    return signs * np.array(e), signs * np.array(d)
+    return _signs_powers(len(x))[0] * np.array(_fold(x, v))
 
 
 def goldfish_force(v: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -180,11 +191,11 @@ def goldfish_force(v: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return 2.0 * v * np.add.reduce(v[None, :] / diff, axis=1)
 
 
-def prefactor(diff: np.ndarray) -> np.ndarray:
-    """prod_{l != n} (x_n - x_l)^{-1} for each n, given diff = pair_diffs(x),
-    as a product of reciprocals to limit overflow."""
-    recip = 1.0 / diff
-    recip.ravel()[:: len(diff) + 1] = 1.0
+def prefactor(recip: np.ndarray) -> np.ndarray:
+    """prod_{l != n} (x_n - x_l)^{-1} for each n, given the fresh array
+    recip = 1 / pair_diffs(x), whose diagonal (0) it sets to 1: a product
+    of reciprocals, to limit overflow."""
+    recip.ravel()[:: len(recip) + 1] = 1.0
     return np.multiply.reduce(recip, axis=1)
 
 
@@ -195,11 +206,15 @@ def accel_transfer(x: np.ndarray, v: np.ndarray, diff: np.ndarray,
     xddot_n = sum_{l != n} 2 v_n v_l / (x_n - x_l)
               - [prod_{l != n} (x_n - x_l)^{-1}] sum_m x_n^{N-m} yddot_m
 
-    given diff = pair_diffs(x).  Inputs are complex128 vectors; not
-    validated here.
+    given diff = pair_diffs(x).  One reciprocal of diff serves both terms:
+    the force as 2 v (recip @ v), then the prefactor.  A non-finite entry of
+    y_ddot makes every entry of the result non-finite.  Inputs are
+    complex128 vectors; not validated here.
     """
     _, powers = _signs_powers(len(x))
-    return goldfish_force(v, diff) - prefactor(diff) * ((x[:, None] ** powers) @ y_ddot)
+    recip = 1.0 / diff
+    force = 2.0 * v * (recip @ v)
+    return force - prefactor(recip) * ((x[:, None] ** powers) @ y_ddot)
 
 
 def coeffs_from_zeros(zs) -> np.ndarray:
@@ -414,7 +429,7 @@ def r_matrix(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     x = _as_complex(x)
     check_distinct(x, sep_tol)
     _, powers = _signs_powers(len(x))
-    return -prefactor(pair_diffs(x))[:, None] * x[:, None] ** powers
+    return -prefactor(1.0 / pair_diffs(x))[:, None] * x[:, None] ** powers
 
 
 def r_matrix_inverse(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:

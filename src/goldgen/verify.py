@@ -182,7 +182,7 @@ def suite_generations() -> list[Check]:
             continue
         general = dynamics.rhs(x, v, gen1)
         gold = dynamics.rhs_goldfish(x, v)
-        pref = polycore.prefactor(polycore.pair_diffs(x))
+        pref = polycore.prefactor(1.0 / polycore.pair_diffs(x))
         simplified = gold + (1j - a) * v - 1j * a * pref * x**nn
         worst_simpl = max(worst_simpl, float(np.max(np.abs(general - simplified))))
         count += 1

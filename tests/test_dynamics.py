@@ -205,6 +205,42 @@ class TestGenerationKernel:
             with pytest.raises(NonFiniteState):
                 dyn.rhs(np.array([1e200, -1e200 + 0j]), np.array([1.0, 1.0 + 0j]), spec)
 
+    def test_level_1_overflow_is_a_goldgen_error(self):
+        # zeros 1e200 and 1e100 have finite coefficients (-1e200, 1e300),
+        # whose own product, level 1's sigma_2, overflows
+        x, v = np.array([1e200, 1e100 + 0j]), np.array([1.0, 1.0 + 0j])
+        assert np.all(np.isfinite(pc.coeff_motion(x, v)))
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState):
+                dyn.rhs(x, v, spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.sampled_from(dyn.SEED_KINDS),
+        st.sampled_from(["x", "v"]),
+        st.sampled_from(["real", "imag"]),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.data(),
+    )
+    def test_non_finite_state_is_refused(self, n, depth, kind, where, part,
+                                         bad, data):
+        # the one finiteness check per level, on the coefficients, must
+        # catch a non-finite entry of the integrated state
+        # the n-th roots of unity: far apart, so no collision guard refuses them
+        x = np.exp(2j * np.pi * np.arange(n) / n)
+        v = np.array(data.draw(st.lists(unit_complex, min_size=n, max_size=n)))
+        k = data.draw(st.integers(0, n - 1))
+        state = x if where == "x" else v
+        z = state[k]
+        state[k] = complex(bad, z.imag) if part == "real" else complex(z.real, bad)
+        spec = dyn.ModelSpec(kind, omega=1.0, a=0.5, depth=depth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState):
+                dyn.rhs(x, v, spec)
+
     def test_configured_sep_tol_reaches_inner_levels(self):
         # well-separated zeros whose coefficients (level 1 of a depth-2
         # model) lie 5e-9 apart
@@ -347,6 +383,24 @@ class TestIntegrator:
             with pytest.raises(StepSizeUnderflow):
                 dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), [1.0, -1.0],
                               [1e308, 1e308], np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("kind", dyn.SEED_KINDS)
+    @pytest.mark.parametrize("where", ["x0", "v0"])
+    def test_non_finite_initial_state_raises_at_once(self, monkeypatch, depth,
+                                                     kind, where):
+        # refused before the first right-hand side, at every depth; at
+        # depth 0 it once ended in StepSizeUnderflow at t=0
+        def no_rhs(*args):
+            raise AssertionError("rhs called")
+
+        monkeypatch.setattr(dyn, "rhs", no_rhs)
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
+        (x0 if where == "x0" else v0)[1] = np.nan
+        spec = dyn.ModelSpec(kind, omega=1.0, a=0.5, depth=depth)
+        with pytest.raises(NonFiniteState):
+            dyn.integrate(spec, x0, v0, [0.0, 1.0])
 
     def test_min_gap_tracked(self):
         traj = dyn.integrate(dyn.ModelSpec("goldfish"), [1.0, -1.0],
