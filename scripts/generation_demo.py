@@ -8,8 +8,8 @@ Usage: python scripts/generation_demo.py [b_re b_im c_re c_im]
 import sys
 
 
-from goldgen.permgen import nested_radical_family, generation_tree, match_poly_sets
-from goldgen.polycore import MonicPoly
+from goldgen.matching import set_distance
+from goldgen.permgen import nested_radical_family, generation_tree
 
 
 def main(argv):
@@ -20,7 +20,7 @@ def main(argv):
         b, c = 0.7 - 0.3j, -1.2 + 0.5j
     print(f"seed: z^2 + ({b}) z + ({c})")
 
-    tree = generation_tree(MonicPoly([b, c]), depth=3)
+    tree = generation_tree([b, c], depth=3)
     closed = nested_radical_family(b, c)
     for k in (1, 2, 3):
         nodes = tree.level(k)
@@ -28,7 +28,8 @@ def main(argv):
         for node in nodes:
             cs = ", ".join(f"{z:.6f}" for z in node.poly.coeffs)
             print(f"  mu={list(node.address)}: [{cs}]")
-        dev = match_poly_sets(closed[k - 1], [n.poly for n in nodes])
+        dev = set_distance([p.coeffs for p in closed[k - 1]],
+                           [n.poly.coeffs for n in nodes])
         print(f"  closed-form deviation: {dev:.3e}")
     if tree.failed:
         print("\nhalted branches:")

@@ -237,7 +237,7 @@ def integrate(
     The complex state (x, v) is advanced directly (RK stages are linear
     combinations); the error norm runs over real and imaginary parts, and a
     step is accepted only when it is at most 1 (so a NaN norm rejects the
-    step, and a run that keeps producing one ends in StepSizeUnderflow);
+    step, and a run whose step size underflows on one raises NonFiniteState);
     tol gives its ode_rel, ode_abs and sep_tol.
     Steps run freely towards the last output time (only the last one is
     clipped), and each output time inside an accepted step is filled from
@@ -331,6 +331,8 @@ def integrate(
             traj.rejected_error += 1
             no_growth = True
             h *= max(0.2, 0.9 * err ** -0.2)
+            if h < 1e-14 * max(1.0, abs(t)) and not math.isfinite(err):
+                raise NonFiniteState(f"non-finite stage at t={t:.6g}")
             continue
         # outputs in (t, t_new]: from the interpolant inside, u5 at t_new
         t_new = t_end if last else t + h

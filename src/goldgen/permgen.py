@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateZeros, TreeBudgetExceeded
-from .matching import bottleneck, distance_matrix
+from .matching import set_distance
 from .polycore import (
     MonicPoly,
     Tolerances,
@@ -122,10 +122,6 @@ class GenerationTree:
             ", ".join(pairs[:n]), self.depth, nodes)
 
 
-def seed_node(poly: MonicPoly, tol: Tolerances = Tolerances()) -> GenerationNode:
-    return GenerationNode((), poly, zeros_from_coeffs(poly.coeffs, tol))
-
-
 def generation_tree(
     seed: MonicPoly | np.ndarray,
     depth: int,
@@ -143,7 +139,7 @@ def generation_tree(
         raise ValueError("depth must be >= 0")
     if not isinstance(seed, MonicPoly):
         seed = MonicPoly(seed)
-    n = seed.n
+    n = len(seed.coeffs)
     nf = math.factorial(n)
     # stop summing once past the budget: nf**depth can have millions of digits
     count, width = 0, 1
@@ -155,7 +151,7 @@ def generation_tree(
                 f"a depth-{depth} tree would exceed the node budget of {node_budget}"
             )
 
-    root = seed_node(seed, tol)
+    root = GenerationNode((), seed, zeros_from_coeffs(seed.coeffs, tol))
     tree = GenerationTree(seed=root, depth=depth)
     frontier = [root]
     mus = range(1, nf + 1)
@@ -238,9 +234,6 @@ def nested_radical_family(
 
 
 def match_poly_sets(a: list[MonicPoly], b: list[MonicPoly]) -> float:
-    """Max coefficient deviation under the best pairing of two equal-size
-    polynomial families: the bottleneck value, i.e. the minimum over all
-    pairings of the largest coefficient difference (exact, any size)."""
-    return bottleneck(
-        distance_matrix([p.coeffs for p in a], [p.coeffs for p in b])
-    )
+    """`set_distance` of two polynomial families' coefficient rows.  It stays
+    only until the benchmark reads coefficient arrays (ROADMAP item 1)."""
+    return set_distance([p.coeffs for p in a], [p.coeffs for p in b])

@@ -110,7 +110,7 @@ class MonicPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_complex(self.coeffs))
-        if self.n < 1:
+        if len(self.coeffs) < 1:
             raise ValueError("degree must be >= 1")
 
     @classmethod
@@ -120,10 +120,6 @@ class MonicPoly:
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", coeffs)
         return p
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
 
 
 @dataclass(frozen=True)

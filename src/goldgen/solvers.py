@@ -47,10 +47,6 @@ class LabeledPath:
         if self.values.shape[0] != len(self.times):
             raise ValueError("times/values length mismatch")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class PeriodReport:

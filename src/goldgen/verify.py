@@ -85,13 +85,12 @@ def suite_radical_family() -> list[Check]:
         except GoldgenError:
             continue
         for lvl in (1, 2, 3):
-            engine = [node.poly for node in tree.level(lvl)]
-            if len(engine) != len(fam[lvl - 1]):
+            engine = [node.poly.coeffs for node in tree.level(lvl)]
+            closed = [p.coeffs for p in fam[lvl - 1]]
+            if len(engine) != len(closed):
                 sizes_ok = False
                 continue
-            worst[lvl - 1] = max(
-                worst[lvl - 1], permgen.match_poly_sets(engine, fam[lvl - 1])
-            )
+            worst[lvl - 1] = max(worst[lvl - 1], set_distance(engine, closed))
         done += 1
     checks = [
         Check(f"closed-form vs engine, generation {lvl}", worst[lvl - 1], 1e-9)

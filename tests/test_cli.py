@@ -24,7 +24,6 @@ from goldgen import permgen
 from goldgen import solvers as sv
 from goldgen.cli import csv_text, main
 from goldgen.matching import set_distance
-from goldgen.polycore import MonicPoly
 from test_permgen import assert_tree_json
 
 
@@ -308,8 +307,7 @@ class TestGenerate:
         assert main(["generate", "--config", write_config(tmp_path, raw)]) == 0
         text = (tmp_path / "tree.json").read_text()
         cfg = cfgmod.parse_config(raw)
-        tree = permgen.generation_tree(MonicPoly(cfg.seed_coeffs), 2,
-                                       tol=cfg.tolerances)
+        tree = permgen.generation_tree(cfg.seed_coeffs, 2, tol=cfg.tolerances)
         assert_tree_json(text, tree)
         assert "\n" not in text
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from goldgen import permgen as pg
 from goldgen.errors import DegenerateZeros, TreeBudgetExceeded
+from goldgen.matching import set_distance
 from goldgen.polycore import (
     MonicPoly,
     Tolerances,
@@ -118,13 +119,13 @@ class TestMuIndexing:
 
 class TestGenerationStep:
     def test_zero_swap_changes_coeffs(self):
-        root = pg.seed_node(MonicPoly([0, -1]))  # zeros -1, 1
+        root = pg.generation_tree([0, -1], 0).seed  # zeros -1, 1
         coeffs = [root.zeros[pg.lift(root.zeros[None], mu)[1]] for mu in (1, 2)]
         np.testing.assert_allclose(coeffs[0], [-1, 1], atol=1e-10)
         np.testing.assert_allclose(coeffs[1], [1, -1], atol=1e-10)
 
     def test_child_zeros_consistent(self):
-        root = pg.seed_node(MonicPoly([0.3 - 1j, -0.8, 1.1 + 0.2j]))
+        root = pg.generation_tree([0.3 - 1j, -0.8, 1.1 + 0.2j], 0).seed
         (zeros,), order = pg.lift(root.zeros[None], 4)
         back = coeffs_from_zeros(zeros)
         np.testing.assert_allclose(back, root.zeros[order], atol=1e-9)
@@ -256,8 +257,8 @@ class TestClosedFormFamily:
             if tree.failed:
                 continue
             for k, closed in enumerate(fam, start=1):
-                engine = [node.poly for node in tree.level(k)]
-                assert pg.match_poly_sets(closed, engine) < 1e-9
+                engine = [node.poly.coeffs for node in tree.level(k)]
+                assert set_distance([p.coeffs for p in closed], engine) < 1e-9
 
     def test_degenerate_radicand_rejected(self):
         with pytest.raises(DegenerateZeros):
@@ -268,11 +269,17 @@ class TestMatchPolySets:
     def test_permuted_families_match(self):
         fam = [MonicPoly([1, 2]), MonicPoly([3, 4]), MonicPoly([5, 6])]
         assert pg.match_poly_sets(fam, fam[::-1]) == 0
+        assert pg.match_poly_sets([], []) == 0.0
 
     def test_distance_reported(self):
         a = [MonicPoly([0, 0]), MonicPoly([1, 1])]
         b = [MonicPoly([1, 1]), MonicPoly([0, 0.5])]
         assert pg.match_poly_sets(a, b) == pytest.approx(0.5)
+        # the sum-optimal pairing (total 1.0, largest 1.0), not the pairing
+        # with the smaller largest cost (total 1.17, largest 0.58)
+        a = [MonicPoly([0]), MonicPoly([0.3 + 0.5j])]
+        b = [MonicPoly([0]), MonicPoly([0.3 - 0.5j])]
+        assert pg.match_poly_sets(a, b) == 1.0
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

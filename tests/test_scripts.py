@@ -1,4 +1,5 @@
-"""The experiment scripts run to completion on their default inputs."""
+"""The experiment scripts run to completion on their default inputs, and
+the timing scripts, which import each other, parse their options."""
 
 import runpy
 import sys
@@ -18,3 +19,17 @@ def test_script_exits_0(monkeypatch, capsys, name):
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["bench_pairs.py", "cold_start.py",
+                                  "rhs_pairs.py"])
+def test_timing_script_help_exits_0(monkeypatch, capsys, name):
+    # scripts/ is on sys.path as when the script is run directly, so a
+    # broken import between them fails here; --help times nothing
+    path = SCRIPTS / name
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.setattr(sys, "argv", [str(path), "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
