@@ -1016,7 +1016,8 @@ class TestPeriodProperty:
 
 def test_cli_runs_without_scipy_or_jsonschema(tmp_path):
     """solve, simulate and generate load neither: scipy is imported by the
-    set matching of verify alone, and the config walker replaces jsonschema."""
+    set matching of verify alone, and the config walker replaces jsonschema.
+    numpy.polynomial (the Hermite oracle of the tests) stays out too."""
     configs = {
         "solve": dict(BASE_SIM, output=str(tmp_path / "path.csv")),
         "simulate": dict(BASE_SIM, output=str(tmp_path / "traj.csv")),
@@ -1031,7 +1032,8 @@ def test_cli_runs_without_scipy_or_jsonschema(tmp_path):
         "args = sys.argv[1:]\n"
         "for command, config in zip(args[::2], args[1::2]):\n"
         "    assert main([command, '--config', config]) == 0, command\n"
-        "print(sorted({'scipy', 'jsonschema'} & set(sys.modules)))\n"
+        "print(sorted({'scipy', 'jsonschema', 'numpy.polynomial'}\n"
+        "             & set(sys.modules)))\n"
     )
     src = str(Path(goldgen.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", script, *args],
