@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateZeros, TreeBudgetExceeded
+from .errors import DegenerateZeros, NonFiniteState, TreeBudgetExceeded
 from .matching import set_distance
 from .polycore import (
     MonicPoly,
@@ -193,6 +193,8 @@ def nested_radical_family(
 
     Every radical is taken as the principal square root; the per-level
     polynomial *sets* are branch-independent, individual labels are not.
+    Raises DegenerateZeros when a radical is below tol in modulus, and
+    NonFiniteState when a radical or coefficient overflows or is NaN.
     """
     b = complex(b)
     c = complex(c)
@@ -209,18 +211,20 @@ def nested_radical_family(
         if abs(r) < tol:
             raise DegenerateZeros(f"degenerate radicand: {name} ~ 0")
 
-    def quad(u: complex, r: complex, s: float) -> MonicPoly:
+    def quad(u: complex, r: complex, s: float) -> tuple[complex, complex]:
         # z^2 + u (z + 1) + s r (z - 1) -> y = (u + s r, u - s r)
-        return MonicPoly([u + s * r, u - s * r])
+        return u + s * r, u - s * r
 
-    gen1 = [quad(-b / 2, r0 / 2, s) for s in (+1.0, -1.0)]
-    gen2 = [
+    rows = np.array([
+        # generation 1
+        quad(-b / 2, r0 / 2, +1.0),
+        quad(-b / 2, r0 / 2, -1.0),
+        # generation 2
         quad((b - r0) / 4, r11 / 4, +1.0),
         quad((b - r0) / 4, r11 / 4, -1.0),
         quad((b + r0) / 4, r12 / 4, +1.0),
         quad((b + r0) / 4, r12 / 4, -1.0),
-    ]
-    gen3 = [
+        # generation 3
         quad((-b + r0 - r11) / 8, r21 / 8, +1.0),
         quad((-b + r0 - r11) / 8, r21 / 8, -1.0),
         quad((-b + r0 + r11) / 8, r22 / 8, +1.0),
@@ -229,8 +233,12 @@ def nested_radical_family(
         quad((-b - r0 - r12) / 8, r23 / 8, -1.0),
         quad((-b - r0 + r12) / 8, r24 / 8, +1.0),
         quad((-b - r0 + r12) / 8, r24 / 8, -1.0),
-    ]
-    return gen1, gen2, gen3
+    ], dtype=np.complex128)
+    # every radical enters some coefficient, so one check covers them all
+    if not np.isfinite(rows).all():
+        raise NonFiniteState("a radical or coefficient of the family overflows or is NaN")
+    family = [MonicPoly.trusted(row) for row in rows]
+    return family[:2], family[2:6], family[6:]
 
 
 def match_poly_sets(a: list[MonicPoly], b: list[MonicPoly]) -> float:

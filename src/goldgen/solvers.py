@@ -24,6 +24,7 @@ from .polycore import (
     check_distinct,
     coeff_motion,
     min_pairwise_gap,
+    row_max,
     zeros_from_coeffs,
 )
 
@@ -142,11 +143,21 @@ def _certify(clouds: np.ndarray):
     partner, at least g - d > d away: every cost that grows with distance
     is uniquely minimised by the nearest pairing.  d and g are computed to
     within a few ulps, so a ratio below _HALF_GAP proves d < g/2.
+
+    The nearest distances and their indices are built one zero of frame k
+    at a time, over (T-1, N) arrays: the distance by np.minimum (so NaN
+    propagates), the index by a strict < (the first nearest, as argmin).
     """
+    prev, nxt = clouds[:-1], clouds[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.abs(clouds[:-1, :, None] - clouds[1:, None, :])
-        ratio = dist.min(axis=2).max(axis=1) / min_pairwise_gap(clouds[:-1])
-    return dist.argmin(axis=2), ratio
+        near = np.abs(prev - nxt[:, :1])
+        nearest = np.zeros(near.shape, dtype=np.intp)
+        for j in range(1, clouds.shape[1]):
+            dist = np.abs(prev - nxt[:, j, None])
+            np.copyto(nearest, j, where=dist < near)
+            near = np.minimum(near, dist)
+        ratio = row_max(near) / min_pairwise_gap(prev)
+    return nearest, ratio
 
 
 def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPath:
@@ -161,6 +172,11 @@ def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPa
     two zeros of the first frame lie within tol.sep_tol, and
     TrackingAmbiguity, carrying every uncertified step in `intervals`, when
     some step is not certified (a non-finite frame included).
+
+    The labels of frame k are the first frame's order followed by the
+    nearest-zero maps of steps 1..k.  These prefix compositions come from a
+    doubling (Hillis-Steele) scan over the (T, N) index array: ceil(log2 T)
+    whole-array passes, no loop over frames.
     """
     if len(frames) < 2:
         raise TrackingAmbiguity("need at least two frames to track")
@@ -175,15 +191,20 @@ def track_zeros(frames, times=None, tol: Tolerances = Tolerances()) -> LabeledPa
         raise TrackingAmbiguity(
             f"t={times[k]:.6g}..{times[k + 1]:.6g}: a zero moves {ratio[k]:.3g} of "
             "the smallest gap, not under half: the grid does not resolve it", bad)
-    # label -> index into each frame; composed on lists, cheaper than numpy
-    # for a handful of labels
-    idx = canonical_order(clouds[0]).tolist()
-    order = [idx]
-    for step in nearest.tolist():
-        idx = [step[i] for i in idx]
-        order.append(idx)
-    out = np.take_along_axis(clouds, np.array(order), axis=1)
-    return LabeledPath(times=np.asarray(times, dtype=float), values=out)
+    # order[k, label] is the flat index k*N + i of the label's zero in frame
+    # k.  Row k starts as step k's nearest-zero map (row 0: the canonical
+    # order).  The pass at offset s looks up each row k >= s at the entries
+    # row k - s holds, moved s rows on, so row k then composes rows
+    # k-2s+1..k; once s >= T every row composes rows 0..k
+    t, n = clouds.shape
+    order = np.empty((t, n), dtype=np.intp)
+    order[0] = canonical_order(clouds[0])
+    np.add(nearest, n * np.arange(1, t)[:, None], out=order[1:])
+    s = 1
+    while s < t:
+        order[s:] = order.ravel()[order[:-s] + s * n]
+        s *= 2
+    return LabeledPath(times=np.asarray(times, dtype=float), values=clouds.ravel()[order])
 
 
 def _seed_labeled_path(spec: ModelSpec, x0, v0, grid, tol: Tolerances) -> LabeledPath:

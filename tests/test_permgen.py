@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goldgen import permgen as pg
-from goldgen.errors import DegenerateZeros, TreeBudgetExceeded
+from goldgen.errors import DegenerateZeros, NonFiniteState, TreeBudgetExceeded
 from goldgen.matching import set_distance
 from goldgen.polycore import (
     MonicPoly,
@@ -263,6 +263,13 @@ class TestClosedFormFamily:
     def test_degenerate_radicand_rejected(self):
         with pytest.raises(DegenerateZeros):
             pg.nested_radical_family(2.0, 1.0)  # b^2 - 4c = 0
+
+    @pytest.mark.parametrize("b, c", [(1e200, 1e300), (np.nan, 1.0), (1.0, np.inf),
+                                      (1e300 + 1e300j, 0.0), (1e155, 1.0)])
+    def test_overflow_is_a_goldgen_error(self, b, c):
+        # radicals or coefficients that overflow or are NaN
+        with pytest.raises(NonFiniteState):
+            pg.nested_radical_family(b, c)
 
 
 class TestMatchPolySets:

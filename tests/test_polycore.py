@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -357,6 +358,62 @@ class TestBatchRoots:
             assert set_distance(got, np.roots(np.concatenate(([1.0], row)))) <= 1e-10 * size
             # rows come back in canonical order
             np.testing.assert_array_equal(got, got[pc.canonical_order(got)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 40), st.integers(0, 2**32 - 1),
+           st.sets(st.sampled_from([1, 2, 3, 4])),
+           st.sampled_from([pc.DEFAULT_SEP_TOL, 1e-300]),
+           st.sampled_from([pc.MAX_SWEEPS, 4, 1]))
+    def test_row_does_not_depend_on_its_batch(self, n, batch, seed, extras, sep_tol,
+                                              sweeps):
+        # every row goes through the same operations whatever else shares
+        # its call, in whatever memory layout.  Row kinds: 0 near size 1,
+        # and in some batches 1 with a close pair (more sweeps), 2 non-finite,
+        # 3 and 4 scaled by 2^40 and 2^-40 (the only rows that are rescaled).
+        # A budget of 4 sweeps stalls some rows, one sweep leaves the start
+        # visible in the zeros.  A batch of kinds 0 and 1 keeps the caller's
+        # memory layout through the start, where a layout-dependent sum
+        # would show
+        rng = np.random.default_rng(seed)
+        zeros = _lattice_zeros(rng, batch, n)
+        # an exact power of two per row brings max_k |y_k|^(1/k) within a
+        # factor sqrt(2) of 1, so zeros_batch does not rescale the row
+        mag = np.abs(np.array([np.poly(z)[1:] for z in zeros]))
+        e = np.rint(np.max(np.log2(mag) / np.arange(1, n + 1), axis=1)).astype(int)
+        kind = rng.choice([0, *sorted(extras)], batch)
+        e[kind == 3] -= 40
+        e[kind == 4] += 40
+        zeros = np.ldexp(zeros.real, -e[:, None]) + 1j * np.ldexp(zeros.imag, -e[:, None])
+        if n > 1:
+            zeros[kind == 1, 1] = zeros[kind == 1, 0] + 1e-4
+        coeffs = np.array([np.poly(z)[1:] for z in zeros], dtype=complex)
+        coeffs[kind == 2, rng.integers(0, n)] = rng.choice([np.nan, np.inf])
+        tol = pc.Tolerances(sep_tol=sep_tol)
+
+        def solved(rows):
+            out, errors = pc.zeros_batch(rows, tol)
+            return [(z.tobytes(), repr(errors.get(r))) for r, z in enumerate(out)]
+
+        with mock.patch.object(pc, "MAX_SWEEPS", sweeps):
+            together = solved(coeffs)
+            alone = [solved(row[None])[0] for row in coeffs]
+            reversed_ = solved(coeffs[::-1])[::-1]  # a negatively strided view
+            fortran = solved(np.asfortranarray(coeffs))
+        assert together == alone == reversed_ == fortran
+
+    def test_linear_rows(self):
+        # N = 1: the zero is -y_1; a NaN row is reported on its own
+        y = np.array([[0.5 - 2j], [1e12 + 3j], [np.nan], [-1e-9j], [0.0]])
+        zeros, errors = pc.zeros_batch(y)
+        assert list(errors) == [2]
+        assert isinstance(errors[2], RootSolveFailed)
+        for r in (0, 1, 3, 4):
+            assert abs(zeros[r, 0] + y[r, 0]) <= 1e-12 * max(1.0, abs(y[r, 0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_empty_batch(self, n):
+        zeros, errors = pc.zeros_batch(np.zeros((0, n), dtype=complex))
+        assert zeros.shape == (0, n) and errors == {}
 
     def test_canonical_order_rowwise(self):
         x = np.array([[1 + 2j, 1 - 1j, -3 + 0j], [0j, -1j, 1j]])

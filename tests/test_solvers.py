@@ -354,6 +354,51 @@ class TestCertifiedTracking:
             np.testing.assert_array_equal(exc.value.intervals, [0, 1])
 
 
+def _nearest_labels(frames):
+    """Per-frame reference for the label scan: canonical first frame, then
+    each label moves to the first nearest zero of the next frame; and the
+    steps where the largest move is not under _HALF_GAP of the previous
+    frame's smallest gap (NaN included)."""
+    clouds = np.asarray(frames, dtype=np.complex128)
+    n = clouds.shape[1]
+    idx = pc.canonical_order(clouds[0])
+    out, refused = [clouds[0][idx]], []
+    for k in range(1, len(clouds)):
+        prev, nxt = clouds[k - 1], clouds[k]
+        with np.errstate(all="ignore"):
+            dist = np.abs(prev[:, None] - nxt[None, :])
+            gaps = np.abs(prev[:, None] - prev[None, :])[~np.eye(n, dtype=bool)]
+            ratio = dist.min(axis=1).max() / (gaps.min() if n > 1 else np.inf)
+        if not ratio < sv._HALF_GAP:
+            refused.append(k - 1)
+        idx = dist.argmin(axis=1)[idx]
+        out.append(nxt[idx])
+    return np.array(out), np.array(refused, dtype=int)
+
+
+class TestLabelScan:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 300), st.floats(0.001, 0.3),
+           st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 299), st.integers(0, 5),
+                              st.sampled_from([np.inf, np.nan, complex(np.inf, np.nan)])),
+                    max_size=2))
+    def test_matches_per_frame_reference(self, n, frames, step, seed, bad):
+        # smooth paths in shuffled order, some moving too far in a step for
+        # the certificate, some with inf or NaN zeros after the first frame
+        rng = np.random.default_rng(seed)
+        path = np.array(_shuffled_path(rng, n, frames, step))
+        for k, i, value in bad:
+            path[1 + k % (frames - 1), i % n] = value
+        want, refused = _nearest_labels(path)
+        if refused.size:
+            with pytest.raises(TrackingAmbiguity) as exc:
+                sv.track_zeros(path)
+            np.testing.assert_array_equal(exc.value.intervals, refused)
+        else:
+            np.testing.assert_array_equal(sv.track_zeros(path).values, want)
+
+
 # a bench-style input (linear seed, a = 0, N = 4, mu = (20,)) whose level-1
 # zeros move 0.61 of their smallest gap in one step of the 241-point grid
 SWEPT_X0 = np.array([-0.2785747051566412 + 0.5003234256719118j,
