@@ -5,14 +5,15 @@
         --pairs 10 --seconds 20 --seeds 101-110 --out BENCH_11.json
 
 Extracts the committed files of PARENT_REV (`git archive`) into a temporary
-directory and runs each tree's own, unmodified bench/run.py there and in
-this working tree, one run at a time.  Pair i uses the i-th named seed on
-both sides; even pairs run the parent first, odd pairs the change.  For
-every end-to-end metric of BENCHMARK.json it prints each side's median and
-quartiles, the change's median as a multiple of the parent's, and how many
-pairs the change won (strictly better in the metric's direction).  The out
-file holds every run's result and both sides' provenance as bench/run.py
-records it (machine, versions, commit or source hash, seed).
+directory, byte-compiles both trees' src/ (`compile_sources`; the out file
+records the commands), and runs each tree's own, unmodified bench/run.py
+there and in this working tree, one run at a time.  Pair i uses the i-th
+named seed on both sides; even pairs run the parent first, odd pairs the
+change.  For every end-to-end metric of BENCHMARK.json it prints each side's
+median and quartiles, the change's median as a multiple of the parent's, and
+how many pairs the change won (strictly better in the metric's direction).
+The out file holds every run's result and both sides' provenance as
+bench/run.py records it (machine, versions, commit or source hash, seed).
 
 Each workload then gets one traced run per side (`--trace 1`, first seed),
 whose per-layer metrics go under "traced".  A run stops after the first
@@ -57,6 +58,17 @@ def extract(commit: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def compile_sources(tree: Path) -> str:
+    """Byte-compile every module under tree/src, stale or not, and return
+    the command as run in `tree`.  compileall writes .pyc files even under
+    PYTHONDONTWRITEBYTECODE, so neither side of a pair compiles goldgen in a
+    timed run (or in the bench's setup_s), where only the freshly unpacked
+    parent would have to."""
+    cmd = ["python", "-m", "compileall", "-q", "-f", "src"]
+    subprocess.run([sys.executable, *cmd[1:]], cwd=tree, check=True, capture_output=True)
+    return " ".join(cmd)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0):
@@ -125,6 +137,8 @@ def main(argv=None) -> int:
         parent = tmp / "parent"
         extract(parent_commit, parent)
         trees = {"parent": parent, "change": ROOT}
+        report["compiled"] = {side: compile_sources(tree)
+                              for side, tree in trees.items()}
         for workload in args.workload:
             pairs, provenance = [], {}
             for i, seed in enumerate(args.seeds[:args.pairs]):

@@ -4,14 +4,16 @@
     python3 scripts/cold_start.py PARENT_REV --runs 10 --out BENCH_16.json
 
 Extracts the committed files of PARENT_REV (`git archive`) into a temporary
-directory. For each of `python -c pass`, `goldgen solve`, `goldgen
-simulate` and `goldgen generate` it times --runs fresh subprocesses per
-tree, alternating which tree goes first. solve and simulate read the README
-config; generate expands its initial positions as a seed to depth 2 (N=3,
-42 nodes). It prints each side's median and the parent's median over the
-change's. The record, with every run and each side's quartiles and machine
-info, goes under the key "cold_start" of --out, which is created or, if it
-exists, updated in place.
+directory and byte-compiles both trees' src/ (bench_pairs.compile_sources),
+so that no timed run compiles a goldgen module. For each of `python -c
+pass`, `goldgen solve`, `goldgen simulate` and `goldgen generate` it times
+--runs fresh subprocesses per tree, alternating which tree goes first.
+solve and simulate read the README config; generate expands its initial
+positions as a seed to depth 2 (N=3, 42 nodes). It prints each side's
+median and the parent's median over the change's. The record, with every
+run, each side's quartiles, machine info and the compile commands, goes
+under the key "cold_start" of --out, which is created or, if it exists,
+updated in place.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, extract, git, quartiles
+from bench_pairs import ROOT, compile_sources, extract, git, quartiles
 
 POSITIONS = [[0.9, 0.1], [-0.2, -0.5], [-0.8, 0.6]]
 README_CONFIG = {
@@ -86,7 +88,9 @@ def main(argv=None) -> int:
                                  "--config", str(path), "--output",
                                  str(tmp / f"{command}.out")]
         record = {"parent_commit": parent_commit, "runs": args.runs,
-                  "machine": machine(), "commands": {}}
+                  "machine": machine(), "commands": {},
+                  "compiled": {side: compile_sources(tree)
+                               for side, tree in trees.items()}}
         for command, cmd in commands.items():
             times = {"parent": [], "change": []}
             for i in range(args.runs):

@@ -3,8 +3,8 @@
 Subcommands: generate (tree JSON), simulate (trajectory CSV), solve
 (labeled-path CSV), verify (acceptance suites), period (period report).
 
-Exit codes: 0 ok, 1 verification failure, 2 usage/config error,
-3 numerical failure.  Output files are written atomically.
+Exit codes: 0 ok, 1 verification failure, 2 usage/config error (also an
+unwritable output), 3 numerical failure.  Outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -33,16 +33,19 @@ EXIT_NUMERIC = 3
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".goldgen-")
+    """Write through a temporary file, which no failure leaves behind."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".goldgen-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def csv_text(times, **series) -> str:
@@ -70,18 +73,13 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     depth = args.depth if args.depth is not None else cfg.depth
     if depth < 0:
         raise ConfigError(f"--depth must be >= 0, not {depth}")
-    tree = permgen.generation_tree(
-        cfg.seed_coeffs,
-        depth,
-        node_budget=cfg.node_budget,
-        tol=cfg.tolerances,
-    )
+    tree = permgen.generation_tree(cfg.seed_coeffs, depth, node_budget=cfg.node_budget,
+                                   tol=cfg.tolerances)
     path = _out_path(cfg, args, "tree.json")
     _atomic_write(path, tree.to_json())
-    print(f"wrote {path}: {len(tree.nodes)} nodes, depth {depth}")
-    if tree.failed:
-        for addr, msg in tree.failed.items():
-            print(f"  branch mu={list(addr)} halted: {msg}", file=sys.stderr)
+    print(f"wrote {path}: {sum(len(r) for r, *_ in tree.levels[1:])} nodes, depth {depth}")
+    for addr, msg in tree.failed.items():
+        print(f"  branch mu={list(addr)} halted: {msg}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 A generation step turns the zeros of one monic polynomial into the
 coefficients of the next: order the parent's zeros canonically, apply the
-mu-th lexicographic permutation, and read the result as a coefficient
-vector; `lift` takes that step.  A depth-k tree therefore has (N!)^k nodes
-at level k, addressed by k-vectors of permutation indices in [1, N!].
+mu-th lexicographic permutation, and read the result as coefficients
+(`lift`).  A depth-k tree has (N!)^k nodes at level k, addressed by
+k-vectors of permutation indices in [1, N!]; `GenerationTree` keeps each
+level as arrays and makes node objects only for callers that ask for them.
 
 Also holds the closed-form N=2 family (three generations by nested square
 roots) used as an independent oracle against the tree engine.
@@ -12,6 +13,8 @@ roots) used as an independent oracle against the tree engine.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -87,39 +90,73 @@ class GenerationNode:
 
 @dataclass
 class GenerationTree:
-    seed: GenerationNode
+    """A generation tree kept as level arrays: levels[k] = (rows, coeffs,
+    zeros) of level k's solved nodes in address order, levels[0] the seed's;
+    row parent * N! + mu - 1 indexes the previous level's nodes times the N!
+    orderings, and zeros are canonically ordered.  `to_json` reads only these;
+    `seed`, `nodes` and `level(k)` are GenerationNode views made on access."""
+
     depth: int
-    nodes: dict[tuple[int, ...], GenerationNode] = field(default_factory=dict)
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     # addresses whose expansion failed (value = error message)
     failed: dict[tuple[int, ...], str] = field(default_factory=dict)
 
+    def _addresses(self) -> list[list[tuple[int, ...]]]:
+        nf, out = math.factorial(self.levels[0][1].shape[1]), [[()]]
+        for rows, _, _ in self.levels[1:]:
+            out.append([out[-1][r // nf] + (r % nf + 1,) for r in rows.tolist()])
+        return out
+
+    @functools.cached_property
+    def seed(self) -> GenerationNode:
+        _, coeffs, zeros = self.levels[0]
+        return GenerationNode((), MonicPoly.trusted(coeffs[0]), zeros[0])
+
+    @functools.cached_property
+    def nodes(self) -> dict[tuple[int, ...], GenerationNode]:
+        return {a: GenerationNode(a, MonicPoly.trusted(c), z)
+                for addrs, (_, cs, zs) in zip(self._addresses()[1:], self.levels[1:])
+                for a, c, z in zip(addrs, cs, zs)}
+
     def level(self, k: int) -> list[GenerationNode]:
-        return [n for a, n in sorted(self.nodes.items()) if len(a) == k]
+        return [node for a, node in self.nodes.items() if len(a) == k]
 
     def to_json(self) -> str:
         """The tree as json.dumps writes {"seed", "depth", "nodes": [{"mu",
-        "coeffs", "zeros"}]} (nodes in address order, complex numbers as
-        [re, im]), formatting each float once: `str` of two floats is json's
-        text for them, and a child's coeffs join its parent's zero strings in
-        the mu-th order.  The bytes match because every zero and seed
-        coefficient is finite (zeros_batch fails non-finite rows; MonicPoly
-        validates the seed), addresses are Python ints, and node.poly.coeffs
-        is bit for bit parent.zeros[perm], as generation_tree builds it."""
-        addrs = sorted(self.nodes)
-        n = len(self.seed.zeros)
-        z = np.concatenate([self.seed.poly.coeffs, self.seed.zeros]
-                           + [self.nodes[a].zeros for a in addrs])
-        pairs = list(map(str, np.stack((z.real, z.imag), axis=1).tolist()))
-        zeros = {a: pairs[n * i:n * i + n] for i, a in enumerate([(), *addrs], 1)}
-        perms = {mu: mu_to_perm(mu, n) for mu in {a[-1] for a in addrs}}
-        nodes = ", ".join(
-            '{"mu": %s, "coeffs": [%s], "zeros": [%s]}' % (
-                list(a),
-                ", ".join([zeros[a[:-1]][p - 1] for p in perms[a[-1]]]),
-                ", ".join(zeros[a]))
-            for a in addrs)
-        return '{"seed": [%s], "depth": %d, "nodes": [%s]}' % (
-            ", ".join(pairs[:n]), self.depth, nodes)
+        "coeffs", "zeros"}]}, nodes in address order and complex numbers as
+        [re, im], in one join of texts: a float's `repr` is json's text for it
+        (all are finite), and a child's coeffs, bit for bit its parent's
+        zeros[perm], are its parent's zero texts in the mu-th order."""
+        n, depth = self.levels[0][1].shape[1], len(self.levels) - 1
+        nf, pairs = math.factorial(n), ", ".join(["[%s, %s]"] * n)
+        z = np.concatenate([self.levels[0][1]] + [lv[2] for lv in self.levels], axis=None)
+        # text[0]: seed coeffs; text[i + 1]: the zeros of node i (level order, root 0)
+        text = np.array(list(map(repr, z.view(np.float64).tolist())),
+                        dtype=object).reshape(-1, n, 2)
+        head = '{"seed": [%s], "depth": %d, "nodes": [' % (
+            pairs % tuple(text[0].flat), self.depth)
+        starts = np.cumsum([0] + [len(rows) for rows, _, _ in self.levels])
+        if starts[-1] == 1:  # no node but the root
+            return head + "]}"
+        addr = np.zeros((starts[-1], depth), dtype=int)  # zero-padded
+        parent, perm = np.zeros((2, starts[-1]), dtype=int)
+        for k, (rows, _, _) in enumerate(self.levels[1:], 1):
+            here = slice(starts[k], starts[k + 1])
+            parent[here], perm[here] = starts[k - 1] + rows // nf, rows % nf
+            addr[here, :k] = np.column_stack((addr[parent[here], :k - 1], perm[here] + 1))
+        node = np.lexsort(addr.T[::-1])[1:]  # address order, the root dropped
+        mu = np.array(list(map(str, range(nf + 1))), dtype=object)
+        rest = np.where(np.arange(nf + 1) > 0, ", " + mu, "")  # 0 pads an address
+        perms = np.array(list(itertools.permutations(range(n))))  # see generation_tree
+        args = np.concatenate((mu[addr[node, :1]], rest[addr[node, 1:]], text[
+            parent[node, None] + 1, perms[perm[node]]].reshape(len(node), -1),
+            text[node + 1].reshape(len(node), -1)), axis=1)
+        tokens = np.empty((len(node), 2 * args.shape[1] + 1), dtype=object)
+        tokens[:, 1::2] = args
+        node_text = '], "coeffs": [%s], "zeros": [%s]}, ' % (pairs, pairs)
+        tokens[:, ::2] = ('{"mu": [' + "%s" * depth + node_text).split("%s")
+        tokens[0, 0], tokens[-1, -1] = head + tokens[0, 0], tokens[-1, -1][:-2] + "]}"
+        return "".join(tokens.ravel().tolist())
 
 
 def generation_tree(
@@ -131,9 +168,10 @@ def generation_tree(
     """Expand the generation tree of `seed`, a MonicPoly or its coefficient
     vector, to the given depth.
 
-    Each level is root-extracted in one batched solve.  Branches whose solve
-    fails (degenerate or unconverged zeros) are recorded in `tree.failed`
-    and not expanded further.
+    Each level's rows are one fancy index of the previous level's zeros,
+    root-extracted in one batched solve.  Branches whose solve fails
+    (degenerate or unconverged zeros) are recorded in `tree.failed` and not
+    expanded further.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -141,39 +179,33 @@ def generation_tree(
         seed = MonicPoly(seed)
     n = len(seed.coeffs)
     nf = math.factorial(n)
-    # stop summing once past the budget: nf**depth can have millions of digits
+    # stop summing once past the budget: nf**depth can have millions of digits.
+    # N = 1 addresses hold depth**2 / 2 entries, so 2**depth - 1 counts too
     count, width = 0, 1
     for _ in range(depth):
         width *= nf
         count += width
-        if count > node_budget:
-            raise TreeBudgetExceeded(
-                f"a depth-{depth} tree would exceed the node budget of {node_budget}"
-            )
+        if count > node_budget or depth >= (node_budget + 1).bit_length():
+            raise TreeBudgetExceeded(f"a depth-{depth} tree would exceed the node "
+                                     f"budget of {node_budget}")
 
-    root = GenerationNode((), seed, zeros_from_coeffs(seed.coeffs, tol))
-    tree = GenerationTree(seed=root, depth=depth)
-    frontier = [root]
-    mus = range(1, nf + 1)
-    perms = np.array([mu_to_perm(mu, n) for mu in mus]) - 1
-    for _ in range(depth):
-        if not frontier:
-            break
-        addresses = [parent.address + (mu,) for parent in frontier for mu in mus]
-        # one batched solve for the whole level: row (parent, mu) holds the
-        # mu-th ordering of the parent's zeros, which zeros_batch returned
-        # checked and in canonical order
-        coeffs = np.concatenate([parent.zeros[perms] for parent in frontier])
+    zeros = zeros_from_coeffs(seed.coeffs, tol)[None]
+    tree = GenerationTree(depth, [(np.arange(1), seed.coeffs[None], zeros)])
+    # permutations() yields them in lexicographic order: row mu - 1 is the mu-th
+    perms = np.array(list(itertools.permutations(range(n)))) if depth else None
+    while len(tree.levels) <= depth and len(zeros):
+        # row parent * nf + mu - 1 holds the mu-th ordering of the parent's
+        # checked, canonically ordered zeros; the reshape copies it in C order
+        coeffs = zeros[:, perms].reshape(-1, n)
         zeros, errors = zeros_batch(coeffs, tol)
-        frontier = []
-        for i, address in enumerate(addresses):
-            if i in errors:
-                tree.failed[address] = str(errors[i])
-                continue
-            # zeros_batch fails every row with a non-finite coefficient
-            node = GenerationNode(address, MonicPoly.trusted(coeffs[i]), zeros[i])
-            tree.nodes[address] = node
-            frontier.append(node)
+        rows = np.arange(len(coeffs))
+        if errors:
+            parents = tree._addresses()[-1]
+            tree.failed.update((parents[r // nf] + (r % nf + 1,), str(e))
+                               for r, e in errors.items())
+            rows = np.delete(rows, list(errors))
+            coeffs, zeros = coeffs[rows], zeros[rows]
+        tree.levels.append((rows, coeffs, zeros))
     return tree
 
 

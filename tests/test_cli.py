@@ -24,6 +24,7 @@ from goldgen import permgen
 from goldgen import solvers as sv
 from goldgen.cli import csv_text, main
 from goldgen.matching import set_distance
+from goldgen.polycore import MonicPoly
 from test_permgen import assert_tree_json
 
 
@@ -412,6 +413,46 @@ class TestGenerate:
             f"the node budget of 1000000\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth", ["20", "1000000000000000000"])
+    def test_one_zero_seed_past_the_budget_exits_3_at_once(self, tmp_path, capsys,
+                                                           depth):
+        out = tmp_path / "tree.json"
+        raw = {"seed_coeffs": [[0.5, 0.1]], "depth": 1, "output": str(out)}
+        start = time.perf_counter()
+        code = main(["generate", "--config", write_config(tmp_path, raw),
+                     "--depth", depth])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "TreeBudgetExceeded" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_makes_no_node_objects(self, tmp_path, monkeypatch):
+        # the tree stays level arrays: no GenerationNode, and no MonicPoly but
+        # the validated seed, on the way from the config to the JSON
+        made = []
+
+        def counting(name, make):
+            def counted(*args, **kwargs):
+                made.append(name)
+                return make(*args, **kwargs)
+            return counted
+
+        node_init, poly_init = permgen.GenerationNode.__init__, MonicPoly.__init__
+        monkeypatch.setattr(permgen.GenerationNode, "__init__",
+                            counting("GenerationNode", node_init))
+        monkeypatch.setattr(MonicPoly, "__init__", counting("MonicPoly", poly_init))
+        monkeypatch.setattr(MonicPoly, "trusted",
+                            staticmethod(counting("MonicPoly", MonicPoly.trusted)))
+        raw = {"seed_coeffs": [[1.0, 0.0], [-1.0, 0.5], [0.3, 0.2]], "depth": 2,
+               "output": str(tmp_path / "tree.json")}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--config", write_config(tmp_path, raw)]) == 0
+        assert made == ["MonicPoly"]
+        # the counters see what the views make
+        tree = permgen.generation_tree(cfgmod.parse_config(raw).seed_coeffs, 2)
+        assert len(tree.nodes) == 42 and made.count("GenerationNode") == 42
+        monkeypatch.undo()
+        assert_tree_json((tmp_path / "tree.json").read_text(), tree)
+
 
 EMPTY_INITIAL = {k: v for k, v in BASE_SIM.items() if k != "n"}
 EMPTY_INITIAL["initial"] = {"positions": [], "velocities": []}
@@ -431,6 +472,22 @@ def test_empty_or_negative_input_is_config_error(tmp_path, capsys, command, raw,
     assert main([command, "--config", write_config(tmp_path, raw), *extra]) == 2
     assert capsys.readouterr().err.startswith(f"{command}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "simulate", "solve"])
+@pytest.mark.parametrize("where, reason", [("missing/out", "No such file or directory"),
+                                           ("outdir", "Is a directory")])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command, where, reason):
+    # a missing directory fails the temporary file, an existing directory
+    # the rename; neither leaves a temporary file behind
+    (tmp_path / "outdir").mkdir()
+    out = str(tmp_path / where)
+    raw = dict(BASE_SIM, seed_coeffs=BASE_SIM["initial"]["positions"], depth=1)
+    code = main([command, "--config", write_config(tmp_path, raw), "--output", out])
+    assert code == 2
+    assert capsys.readouterr().err == f"{command}: cannot write {out}: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["outdir", "run.json"]
+    assert not os.listdir(tmp_path / "outdir")
 
 
 README_CONFIG = {

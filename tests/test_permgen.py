@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from goldgen.polycore import (
     canonical_order,
     check_distinct,
     coeffs_from_zeros,
+    zeros_batch,
 )
 
 
@@ -198,6 +200,53 @@ class TestGenerationTree:
             pg.lift(tree.seed.zeros[None], 2, tol)
         assert tree.failed[(2,)] == str(exc.value)
 
+    @pytest.mark.parametrize("n, depth, sep_tol", [(2, 3, 1e-8), (3, 3, 0.5), (4, 2, 0.5)])
+    def test_levels_are_views_of_the_level_arrays(self, n, depth, sep_tol):
+        # level(k) is the address-ordered slice of `nodes`, and every node's
+        # coeffs are bit for bit its parent's zeros in the mu-th order
+        rng = np.random.default_rng([n, depth])
+        seed = MonicPoly(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        tree = pg.generation_tree(seed, depth, tol=Tolerances(sep_tol=sep_tol))
+        for k in range(depth + 2):
+            want = [nd for a, nd in sorted(tree.nodes.items()) if len(a) == k]
+            got = tree.level(k)
+            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+        for addr, node in tree.nodes.items():
+            assert node.address == addr
+            parent = tree.seed if len(addr) == 1 else tree.nodes[addr[:-1]]
+            perm = np.array(pg.mu_to_perm(addr[-1], n)) - 1
+            assert node.poly.coeffs.tobytes() == parent.zeros[perm].tobytes()
+        assert tree.seed.poly.coeffs.tobytes() == seed.coeffs.tobytes()
+
+    def test_rows_reach_zeros_batch_c_ordered(self, monkeypatch):
+        # the order of numpy's complex sums follows the memory layout, so a
+        # strided batch could round a row differently from its one-row solve
+        seen = []
+
+        def checked(coeffs, tol):
+            seen.append(coeffs.shape)
+            assert coeffs.flags.c_contiguous
+            return zeros_batch(coeffs, tol)
+
+        monkeypatch.setattr(pg, "zeros_batch", checked)
+        pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j, 0.3j]), depth=2,
+                           tol=Tolerances(sep_tol=0.5))
+        assert [shape[1] for shape in seen] == [3, 3] and seen[0][0] == 6
+
+    def test_one_zero_seed_keeps_to_the_budget(self):
+        # at N = 1 each level has one node, but an address holds `depth`
+        # entries: 2**depth - 1 nodes' worth of entries is what is budgeted
+        tree = pg.generation_tree(MonicPoly([0.5 + 0.1j]), depth=19)
+        assert len(tree.nodes) == 19 and (1,) * 19 in tree.nodes
+        for depth in (20, 10**18):
+            start = time.perf_counter()
+            with pytest.raises(TreeBudgetExceeded):
+                pg.generation_tree(MonicPoly([0.5 + 0.1j]), depth)
+            assert time.perf_counter() - start < 0.5
+        assert len(pg.generation_tree([1.0], 3, node_budget=7).nodes) == 3
+        with pytest.raises(TreeBudgetExceeded):
+            pg.generation_tree([1.0], 4, node_budget=7)
+
     def test_json_schema_fields(self):
         tree = pg.generation_tree(MonicPoly([1.0, -1.0]), depth=1)
         d = json.loads(tree.to_json())
@@ -211,15 +260,35 @@ class TestGenerationTree:
 
 class TestTreeJson:
     # (4, 3) is left out: 14424 nodes, over a second, and nothing the
-    # smaller trees do not already exercise
-    @pytest.mark.parametrize("n, depth", [
-        (n, depth) for n in (2, 3, 4) for depth in range(4) if (n, depth) != (4, 3)
+    # smaller trees do not already exercise.  sep_tol 0.5 fails branches at
+    # inner levels of the N = 3 and 4 trees (test_sep_tol_fails_inner_branches)
+    @pytest.mark.parametrize("n, depth, sep_tol", [
+        pytest.param(n, depth, sep_tol,
+                     id=f"{n}-{depth}" + (f"-sep{sep_tol}" if sep_tol > 1e-8 else ""))
+        for n in (1, 2, 3, 4) for depth in range(4) for sep_tol in (1e-8, 0.5)
+        if (n, depth) != (4, 3)
     ])
-    def test_bytes_match_json_dumps(self, n, depth):
+    def test_bytes_match_json_dumps(self, n, depth, sep_tol):
         rng = np.random.default_rng([n, depth])
         seed = MonicPoly(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
-        tree = pg.generation_tree(seed, depth)
+        tree = pg.generation_tree(seed, depth, tol=Tolerances(sep_tol=sep_tol))
         assert_tree_json(tree.to_json(), tree)
+
+    @pytest.mark.parametrize("n, depth, levels", [(3, 3, {2, 3}), (4, 2, {1, 2})])
+    def test_sep_tol_fails_inner_branches(self, n, depth, levels):
+        rng = np.random.default_rng([n, depth])
+        seed = MonicPoly(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        tree = pg.generation_tree(seed, depth, tol=Tolerances(sep_tol=0.5))
+        assert {len(a) for a in tree.failed} == levels
+        assert len(tree.level(depth)) > 0
+
+    def test_bytes_match_when_a_whole_level_fails(self):
+        # zeros 4w, 4w^2 (w^3 = 1): both children have a double zero
+        tree = pg.generation_tree(MonicPoly([4.0, 16.0]), 2, tol=Tolerances(sep_tol=1e-6))
+        assert set(tree.failed) == {(1,), (2,)} and not tree.nodes
+        assert tree.level(1) == [] and tree.level(2) == []
+        assert_tree_json(tree.to_json(), tree)
+        assert tree.to_json().endswith('"depth": 2, "nodes": []}')
 
     @pytest.mark.parametrize("seed, sep_tol, text, failed", [
         ([-3.0, 2.0], 1e-6, '"mu": [1, 1, 1]', True),

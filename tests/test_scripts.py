@@ -33,3 +33,16 @@ def test_timing_script_help_exits_0(monkeypatch, capsys, name):
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_compile_sources_writes_bytecode(monkeypatch, tmp_path):
+    # both trees of a timing pair are byte-compiled before any run, stale
+    # bytecode or not, so neither side times compiling goldgen
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from bench_pairs import compile_sources
+
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    cmd = compile_sources(tmp_path)
+    assert "compileall" in cmd and "-f" in cmd.split()
+    assert list((tmp_path / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))
