@@ -63,6 +63,12 @@ def csv_text(times, **series) -> str:
     return ",".join(cols) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
+def _failure_text(e: GoldgenError) -> str:
+    """`<Type> (level j): <message>`, without the level when it has none."""
+    level = "" if e.level is None else f" (level {e.level})"
+    return f"{type(e).__name__}{level}: {e}"
+
+
 def _out_path(cfg: RunConfig, args, default: str) -> str:
     return args.output or cfg.output or default
 
@@ -78,8 +84,8 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     path = _out_path(cfg, args, "tree.json")
     _atomic_write(path, tree.to_json())
     print(f"wrote {path}: {sum(len(r) for r, *_ in tree.levels[1:])} nodes, depth {depth}")
-    for addr, msg in tree.failed.items():
-        print(f"  branch mu={list(addr)} halted: {msg}", file=sys.stderr)
+    for addr, e in tree.failed.items():
+        print(f"  branch mu={list(addr)} halted: {_failure_text(e)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -112,14 +118,15 @@ def cmd_verify(args) -> int:
     all_ok = True
     for name in names:
         start = time.perf_counter()
-        checks = verify.SUITES[name]()
+        try:
+            checks = verify.SUITES[name]()
+        except GoldgenError as e:  # the engine failed: report it, run the rest
+            print(f"[FAIL] {name}: {_failure_text(e)}")
+            all_ok, checks = False, []
         elapsed = time.perf_counter() - start
         for c in checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(
-                f"[{status}] {name}: {c.name}  "
-                f"(residual {c.residual:.3e}, threshold {c.threshold:.3e})"
-            )
+            print(f"[{'PASS' if c.passed else 'FAIL'}] {name}: {c.name}  "
+                  f"(residual {c.residual:.3e}, threshold {c.threshold:.3e})")
             all_ok = all_ok and c.passed
         print(f"{name}: {elapsed:.2f} s")
     return EXIT_OK if all_ok else EXIT_VERIFY
@@ -173,7 +180,7 @@ def cmd_period(args) -> int:
             path, args.period, args.p_max, period_tol=args.tol
         )
     except GoldgenError as e:
-        print(f"period: {type(e).__name__}: {e}", file=sys.stderr)
+        print(f"period: {_failure_text(e)}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as e:  # grid not uniform, or its step does not divide T
         print(f"period: {e}", file=sys.stderr)
@@ -239,9 +246,7 @@ def main(argv=None) -> int:
             print(f"{args.command}: {e}", file=sys.stderr)
             return EXIT_CONFIG
         except GoldgenError as e:
-            level = getattr(e, "level", None)
-            loc = "" if level is None else f" (level {level})"
-            print(f"{args.command}: {type(e).__name__}{loc}: {e}", file=sys.stderr)
+            print(f"{args.command}: {_failure_text(e)}", file=sys.stderr)
             return EXIT_NUMERIC
 
 

@@ -22,6 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .dynamics import ModelSpec
+from .permgen import DEFAULT_NODE_BUDGET
 from .polycore import Tolerances
 
 
@@ -151,7 +152,7 @@ class RunConfig:
     mu: tuple[int, ...] = ()
     seed_coeffs: np.ndarray | None = None
     depth: int = 0
-    node_budget: int = 10**6
+    node_budget: int = DEFAULT_NODE_BUDGET
     initial: tuple[np.ndarray, np.ndarray] | None = None  # (positions, velocities)
     grid: Grid = field(default_factory=Grid)
     tolerances: Tolerances = field(default_factory=Tolerances)
@@ -196,7 +197,7 @@ def parse_config(raw: dict) -> RunConfig:
     cfg = RunConfig()
     cfg.mu = tuple(int(m) for m in raw.get("mu", []))
     cfg.depth = int(raw.get("depth", 0))
-    cfg.node_budget = int(raw.get("node_budget", 10**6))
+    cfg.node_budget = int(raw.get("node_budget", cfg.node_budget))
     cfg.output = raw.get("output")
     if "grid" in raw:
         cfg.grid = Grid(**raw["grid"])

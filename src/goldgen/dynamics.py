@@ -75,9 +75,9 @@ class Trajectory:
         return self.rejected_error + self.rejected_guard
 
 
-def _guarded_diffs(x: np.ndarray, sep_tol: float, level=None) -> np.ndarray:
+def _guarded_diffs(x: np.ndarray, sep_tol: float, level: int = 0) -> np.ndarray:
     """pair_diffs(x), once the smallest gap has passed the collision guard
-    (CollisionError tagged with `level` otherwise)."""
+    (CollisionError at `level` otherwise)."""
     diff = pair_diffs(x)
     gap = np.minimum.reduce(np.abs(diff), axis=None, initial=np.inf)
     if gap <= sep_tol:
@@ -116,9 +116,9 @@ def seed_rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndar
     return rhs_linear_seed(x, v, spec.a, spec.ia_sign)
 
 
-def _finite(a: np.ndarray, what: str) -> None:
+def _finite(a: np.ndarray, what: str, level: int) -> None:
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
-        raise NonFiniteState(f"non-finite {what}")
+        raise NonFiniteState(f"non-finite {what}", level=level)
 
 
 def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
@@ -139,7 +139,7 @@ def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.n
     """
     diff = _guarded_diffs(x, sep_tol, level)
     motion = coeff_motion(x, v)
-    _finite(motion, "coefficients")
+    _finite(motion, "coefficients", level + 1)
     y, y_dot = motion
     if level + 1 < spec.depth:
         y_ddot = _generation_accel(y, y_dot, spec, sep_tol, level + 1)
@@ -147,7 +147,8 @@ def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.n
         try:
             y_ddot = seed_rhs(y, y_dot, spec, sep_tol)
         except CollisionError as e:
-            raise CollisionError(str(e), level=level + 1) from e
+            e.level = level + 1
+            raise
     return accel_transfer(x, v, diff, y_ddot)
 
 
@@ -158,14 +159,15 @@ def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     prod(z - x_n) and its velocity are reconstructed algebraically from
     (x, xdot); its acceleration is the depth-(k-1) right-hand side; the
     second-derivative transfer identity then gives the acceleration of the
-    zeros.  A collision at recursion level j (0 = the integrated
-    coordinates) raises CollisionError with level j; a non-finite state,
-    coefficient vector or acceleration raises NonFiniteState (a seed model
-    returns its force unchecked).
+    zeros.  A failure carries its level j (0 = the integrated coordinates,
+    spec.depth = the seed's): a collision raises CollisionError, and
+    non-finite coefficients (level j >= 1's coordinates) or a non-finite
+    acceleration (level 0) raise NonFiniteState (a seed model returns its
+    force unchecked).
     """
     if spec.depth > 0:
         acc = _generation_accel(x, v, spec, sep_tol, level=0)
-        _finite(acc, "acceleration")
+        _finite(acc, "acceleration", 0)
         return acc
     return seed_rhs(x, v, spec, sep_tol)
 
@@ -176,16 +178,18 @@ def build_initial_state(x, v, mu, tol: Tolerances = Tolerances()):
     Per level: the next positions are the zeros of the level's generation
     step (permgen.lift), and the velocities, in the order that step gives
     the coefficients, are mapped through R.  Both the root extraction and R
-    use tol.  Returns the positions and velocities (x, v).
+    use tol.  Returns the positions and velocities (x, v).  A failure of
+    step j gets level len(mu) - j - 1, the level whose zeros it makes.
     """
     x = np.asarray(x, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     for j, mu_j in enumerate(mu):
         try:
             (x,), order = lift(x[None], int(mu_j), tol)
+            v = r_matrix(x, tol.sep_tol) @ v[order]
         except GoldgenError as e:
-            raise type(e)(f"level {j + 1}: {e}") from e
-        v = r_matrix(x, tol.sep_tol) @ v[order]
+            e.level = len(mu) - j - 1
+            raise
     return x, v
 
 
@@ -279,7 +283,7 @@ def integrate(
         K[i, n:] = rhs(u[:n], u[n:], spec, tol.sep_tol)
 
     u = np.concatenate([x0, v0], dtype=np.complex128)
-    _finite(u, "initial state")
+    _finite(u, "initial state", 0)
     abs_u = np.abs(u)
     ends = np.empty((_GAP_BATCH, n), dtype=np.complex128)
     n_ends = 0
@@ -332,7 +336,7 @@ def integrate(
             no_growth = True
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)) and not math.isfinite(err):
-                raise NonFiniteState(f"non-finite stage at t={t:.6g}")
+                raise NonFiniteState(f"non-finite stage at t={t:.6g}", level=0)
             continue
         # outputs in (t, t_new]: from the interpolant inside, u5 at t_new
         t_new = t_end if last else t + h
@@ -350,7 +354,7 @@ def integrate(
                 k = int(np.argmin(gaps))
                 if gaps[k] <= tol.sep_tol:
                     raise CollisionError(
-                        f"collision at t~{taus[k]:.6g}: gap {gaps[k]:.3e}"
+                        f"collision at t~{taus[k]:.6g}: gap {gaps[k]:.3e}", level=0
                     )
                 traj.min_gap = min(traj.min_gap, float(gaps[k]))
         if inner < stop:

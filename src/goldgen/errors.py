@@ -2,7 +2,16 @@
 
 
 class GoldgenError(Exception):
-    """Base class for all numerical / structural failures."""
+    """Base class for all numerical / structural failures.
+
+    `level`: the generation level that failed, 0 = the output coordinates
+    and the model's depth = the seed's (None when unknown or not a model's).
+    A layer that knows the level sets it on the exception and re-raises it.
+    """
+
+    def __init__(self, *args, level=None):
+        super().__init__(*args)
+        self.level = level
 
 
 class DegenerateZeros(GoldgenError):
@@ -14,15 +23,7 @@ class RootSolveFailed(GoldgenError):
 
 
 class CollisionError(GoldgenError):
-    """Particles approached closer than sep_tol during dynamics.
-
-    `level` (when set) identifies the recursion level of a generation model
-    at which the near-collision occurred (0 = outermost coordinates).
-    """
-
-    def __init__(self, msg, level=None):
-        super().__init__(msg)
-        self.level = level
+    """Particles approached closer than sep_tol during dynamics."""
 
 
 class NonFiniteState(GoldgenError):
@@ -46,8 +47,8 @@ class TrackingAmbiguity(GoldgenError):
     checked).
     """
 
-    def __init__(self, msg, intervals=()):
-        super().__init__(msg)
+    def __init__(self, msg, intervals=(), level=None):
+        super().__init__(msg, level=level)
         self.intervals = intervals
 
 

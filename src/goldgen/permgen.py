@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateZeros, NonFiniteState, TreeBudgetExceeded
+from .errors import DegenerateZeros, GoldgenError, NonFiniteState, TreeBudgetExceeded
 from .matching import set_distance
 from .polycore import (
     MonicPoly,
@@ -98,13 +98,23 @@ class GenerationTree:
 
     depth: int
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    # addresses whose expansion failed (value = error message)
-    failed: dict[tuple[int, ...], str] = field(default_factory=dict)
+    # addresses whose expansion failed, each with the error that stopped it
+    failed: dict[tuple[int, ...], GoldgenError] = field(default_factory=dict)
+    _views: dict[int, list[GenerationNode]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def _addresses(self) -> list[list[tuple[int, ...]]]:
-        nf, out = math.factorial(self.levels[0][1].shape[1]), [[()]]
-        for rows, _, _ in self.levels[1:]:
-            out.append([out[-1][r // nf] + (r % nf + 1,) for r in rows.tolist()])
+    @functools.cached_property
+    def perms(self) -> np.ndarray:
+        """Row mu - 1 is the mu-th permutation of range(N) (permutations()
+        yields them in lexicographic order)."""
+        return np.array(list(itertools.permutations(range(self.levels[0][1].shape[1]))))
+
+    def _addresses(self, upto: int | None = None) -> list[np.ndarray]:
+        """The addresses of levels 0..upto (all by default), level k's an
+        (R_k, k) array whose rows are its nodes' mu entries."""
+        nf, out = math.factorial(self.levels[0][1].shape[1]), [np.zeros((1, 0), int)]
+        for rows, _, _ in self.levels[1:][:upto]:
+            out.append(np.column_stack((out[-1][rows // nf], rows % nf + 1)))
         return out
 
     @functools.cached_property
@@ -114,12 +124,15 @@ class GenerationTree:
 
     @functools.cached_property
     def nodes(self) -> dict[tuple[int, ...], GenerationNode]:
-        return {a: GenerationNode(a, MonicPoly.trusted(c), z)
-                for addrs, (_, cs, zs) in zip(self._addresses()[1:], self.levels[1:])
-                for a, c, z in zip(addrs, cs, zs)}
+        return {nd.address: nd for k in range(1, len(self.levels)) for nd in self.level(k)}
 
     def level(self, k: int) -> list[GenerationNode]:
-        return [node for a, node in self.nodes.items() if len(a) == k]
+        """Level k's nodes (k >= 1) in address order, made on first access."""
+        if k not in self._views:
+            coeffs, zeros = self.levels[k][1:] if 0 < k < len(self.levels) else ((), ())
+            self._views[k] = [GenerationNode(tuple(a), MonicPoly.trusted(c), z) for a, c, z
+                              in zip(self._addresses(k)[-1].tolist(), coeffs, zeros)]
+        return self._views[k]
 
     def to_json(self) -> str:
         """The tree as json.dumps writes {"seed", "depth", "nodes": [{"mu",
@@ -139,17 +152,16 @@ class GenerationTree:
         if starts[-1] == 1:  # no node but the root
             return head + "]}"
         addr = np.zeros((starts[-1], depth), dtype=int)  # zero-padded
-        parent, perm = np.zeros((2, starts[-1]), dtype=int)
-        for k, (rows, _, _) in enumerate(self.levels[1:], 1):
-            here = slice(starts[k], starts[k + 1])
-            parent[here], perm[here] = starts[k - 1] + rows // nf, rows % nf
-            addr[here, :k] = np.column_stack((addr[parent[here], :k - 1], perm[here] + 1))
+        for k, level_addr in enumerate(self._addresses()):
+            addr[starts[k]:starts[k + 1], :k] = level_addr
+        # node i of level k >= 1: ordering rows[i] % nf of node starts[k-1] + rows[i] // nf
+        rows = np.concatenate([rows for rows, _, _ in self.levels])
+        parent = np.repeat(np.append(0, starts[:-2]), np.diff(starts)) + rows // nf
         node = np.lexsort(addr.T[::-1])[1:]  # address order, the root dropped
         mu = np.array(list(map(str, range(nf + 1))), dtype=object)
         rest = np.where(np.arange(nf + 1) > 0, ", " + mu, "")  # 0 pads an address
-        perms = np.array(list(itertools.permutations(range(n))))  # see generation_tree
         args = np.concatenate((mu[addr[node, :1]], rest[addr[node, 1:]], text[
-            parent[node, None] + 1, perms[perm[node]]].reshape(len(node), -1),
+            parent[node, None] + 1, self.perms[rows[node] % nf]].reshape(len(node), -1),
             text[node + 1].reshape(len(node), -1)), axis=1)
         tokens = np.empty((len(node), 2 * args.shape[1] + 1), dtype=object)
         tokens[:, 1::2] = args
@@ -170,8 +182,8 @@ def generation_tree(
 
     Each level's rows are one fancy index of the previous level's zeros,
     root-extracted in one batched solve.  Branches whose solve fails
-    (degenerate or unconverged zeros) are recorded in `tree.failed` and not
-    expanded further.
+    (degenerate or unconverged zeros) are recorded in `tree.failed`, with
+    their error, and not expanded further.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -191,21 +203,18 @@ def generation_tree(
 
     zeros = zeros_from_coeffs(seed.coeffs, tol)[None]
     tree = GenerationTree(depth, [(np.arange(1), seed.coeffs[None], zeros)])
-    # permutations() yields them in lexicographic order: row mu - 1 is the mu-th
-    perms = np.array(list(itertools.permutations(range(n)))) if depth else None
     while len(tree.levels) <= depth and len(zeros):
         # row parent * nf + mu - 1 holds the mu-th ordering of the parent's
         # checked, canonically ordered zeros; the reshape copies it in C order
-        coeffs = zeros[:, perms].reshape(-1, n)
+        coeffs = zeros[:, tree.perms].reshape(-1, n)
         zeros, errors = zeros_batch(coeffs, tol)
-        rows = np.arange(len(coeffs))
-        if errors:
-            parents = tree._addresses()[-1]
-            tree.failed.update((parents[r // nf] + (r % nf + 1,), str(e))
-                               for r, e in errors.items())
-            rows = np.delete(rows, list(errors))
-            coeffs, zeros = coeffs[rows], zeros[rows]
-        tree.levels.append((rows, coeffs, zeros))
+        tree.levels.append((np.arange(len(coeffs)), coeffs, zeros))
+        if errors:  # record the failed rows' addresses and drop the rows
+            addrs = tree._addresses()[-1][list(errors)].tolist()
+            tree.failed.update(zip(map(tuple, addrs), errors.values()))
+            rows = np.delete(np.arange(len(coeffs)), list(errors))
+            zeros = zeros[rows]
+            tree.levels[-1] = (rows, coeffs[rows], zeros)
     return tree
 
 

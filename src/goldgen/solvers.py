@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelSpec
-from .errors import DegenerateModes, NoPeriodFound, NonFiniteState, TrackingAmbiguity
+from .errors import (DegenerateModes, GoldgenError, NoPeriodFound, NonFiniteState,
+                     TrackingAmbiguity)
 from .permgen import lift
 from .polycore import (
     Tolerances,
@@ -232,17 +233,18 @@ def solve_generation_path(
     """Labeled zero path of `spec` by the algebraic route, from the seed
     state (x0, v0) at grid[0], one level per mu entry (len(mu) == depth).
 
-    Level 0 is the closed-form path of the seed model that spec's kind,
-    omega, a and ia_sign name.  Each level is the generation step
-    (permgen.lift) of the previous labeled path, its labels fixed at grid[0],
-    continuity-tracked.  Frame 0 of every level is, bit for bit, the state
-    that build_initial_state lifts (x0, v0) to.
+    The seed's level, spec.depth, is the closed-form path of the seed model
+    that spec's kind, omega, a and ia_sign name; level depth - j - 1 is the
+    generation step mu[j] (permgen.lift) of the level above, its labels fixed
+    at grid[0], continuity-tracked.  Frame 0 of every level is, bit for bit,
+    the state that build_initial_state lifts (x0, v0) to.
 
     A step that some level cannot track (see `track_zeros`) is bisected,
     the seed closed form and every level solved and tracked again through
     the added times; only the grid rows are returned.  A step still refused
     after _HALVINGS halvings of its grid step, or too narrow to halve in
     floating point, raises TrackingAmbiguity, so a true collision is refused.
+    Every failure carries the level it happened at.
     """
     mu = tuple(int(m) for m in mu)
     if len(mu) != spec.depth:
@@ -252,15 +254,18 @@ def solve_generation_path(
     # the step after a time is as deep as the deeper of its two ends
     halved = np.zeros(len(grid), dtype=int)
     while True:
+        level = spec.depth
         try:
             path = _seed_labeled_path(spec, x0, v0, times, tol)
             for m in mu:
+                level -= 1
                 path = track_zeros(lift(path.values, m, tol)[0], times, tol)
             return LabeledPath(grid, path.values[halved == 0])
-        except TrackingAmbiguity as e:
-            at = np.asarray(e.intervals, dtype=int)
-            if not at.size:
+        except GoldgenError as e:
+            e.level = level
+            if not isinstance(e, TrackingAmbiguity) or not len(e.intervals):
                 raise
+            at = np.asarray(e.intervals, dtype=int)
             lo, hi = times[at], times[at + 1]
             mid = 0.5 * (lo + hi)
             depth = np.maximum(halved[at], halved[at + 1])
@@ -268,6 +273,7 @@ def solve_generation_path(
                 raise TrackingAmbiguity(
                     f"{e}, even halved to 2^-{_HALVINGS} of the grid step or to one ulp",
                     intervals=at,
+                    level=level,
                 ) from e
             times = np.insert(times, at + 1, mid)
             halved = np.insert(halved, at + 1, depth + 1)

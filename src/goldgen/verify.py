@@ -2,7 +2,9 @@
 
 Each suite returns a list of Check records (name, measured residual,
 threshold, pass flag).  The CLI prints them; the acceptance tests assert
-them.  All randomness is seeded for reproducibility.
+them.  All randomness is seeded for reproducibility.  A draw is redrawn
+only when it fails a precondition of its check (a degenerate radicand, a
+gap below 0.3); an engine failure on a draw ends the suite.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ def _random_zero_sets(rng, count):
 def suite_identities() -> list[Check]:
     rng = np.random.default_rng(0)
     sets = _random_zero_sets(rng, 200)
-    worst_id = 0.0
-    worst_rr = 0.0
-    worst_vel = 0.0
+    worst_id = worst_rr = worst_vel = 0.0
     for z in sets:
         scale = max(1.0, float(np.max(np.abs(z))) ** len(z))
         res = polycore.identity_residuals(polycore.coeffs_from_zeros(z), z)
@@ -81,10 +81,7 @@ def suite_radical_family() -> list[Check]:
             fam = permgen.nested_radical_family(b, c, tol=1e-3)
         except DegenerateZeros:
             continue
-        try:
-            tree = permgen.generation_tree([b, c], depth=3)
-        except GoldgenError:
-            continue
+        tree = permgen.generation_tree([b, c], depth=3)
         for lvl in (1, 2, 3):
             engine = [node.poly.coeffs for node in tree.level(lvl)]
             closed = [p.coeffs for p in fam[lvl - 1]]
@@ -106,8 +103,7 @@ def suite_goldfish() -> list[Check]:
     n = 3
     omega = 1.0
     spec = ModelSpec("iso_goldfish", omega=omega)
-    worst_mid = 0.0
-    worst_ret = 0.0
+    worst_mid = worst_ret = 0.0
     done = 0
     while done < 20:
         x0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
@@ -115,22 +111,17 @@ def suite_goldfish() -> list[Check]:
         if polycore.min_pairwise_gap(x0) < 0.3:
             continue
         times = np.linspace(0.0, 2 * np.pi, 101)
-        try:
-            traj = dynamics.integrate(spec, x0, v0, times)
-            alg = solvers.solve_iso_goldfish_at(x0, v0, omega, traj.times)
-            for a, x in zip(alg, traj.x):
-                worst_mid = max(worst_mid, set_distance(a, x))
-            # the grid ends at exactly one period
-            worst_ret = max(worst_ret, set_distance(alg[-1], x0))
-        except DegenerateZeros:
-            continue
+        traj = dynamics.integrate(spec, x0, v0, times)
+        alg = solvers.solve_iso_goldfish_at(x0, v0, omega, traj.times)
+        worst_mid = max(worst_mid, *map(set_distance, alg, traj.x))
+        # the grid ends at exactly one period
+        worst_ret = max(worst_ret, set_distance(alg[-1], x0))
         done += 1
-    checks = [
+    return [
         Check("ODE vs algebraic (iso-goldfish)", worst_mid, 1e-6),
         Check("set return after one period", worst_ret, 1e-6),
+        *suite_linear_seed(),
     ]
-    checks += suite_linear_seed()
-    return checks
 
 
 def suite_linear_seed() -> list[Check]:
@@ -197,15 +188,9 @@ def suite_generations() -> list[Check]:
             v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
             grid = np.linspace(0.0, 2 * np.pi, 241)
             path = solvers.solve_generation_path(spec, x0, v0, mu, grid)
-            traj = dynamics.integrate(
-                spec, *dynamics.build_initial_state(x0, v0, mu), grid
-            )
+            traj = dynamics.integrate(spec, *dynamics.build_initial_state(x0, v0, mu), grid)
             worst = max(map(set_distance, traj.x, path.values))
-            checks.append(
-                Check(
-                    f"solvability depth {depth}, a={a_val}", worst, 1e-6
-                )
-            )
+            checks.append(Check(f"solvability depth {depth}, a={a_val}", worst, 1e-6))
 
     # permutation machinery
     worst_rank = 0
@@ -258,19 +243,8 @@ def suite_isochrony() -> list[Check]:
     sspec = ModelSpec("linear_seed", a=0.5, ia_sign=+1, depth=1)
     grid = np.linspace(0.0, 6 * T, 6 * steps_per + 1)
     path = solvers.solve_generation_path(sspec, x0, v0, (2,), grid)
-    devs = []
-    for j in range(5):
-        lo = j * steps_per
-        hi = (j + 1) * steps_per
-        devs.append(
-            max(
-                set_distance(a, b)
-                for a, b in zip(
-                    path.values[lo + steps_per : hi + steps_per],
-                    path.values[lo:hi],
-                )
-            )
-        )
+    periods = path.values[:-1].reshape(6, steps_per, -1)  # the frames of each period
+    devs = [max(map(set_distance, periods[j + 1], periods[j])) for j in range(5)]
     decreasing = all(devs[i + 1] < devs[i] for i in range(4))
     checks.append(
         Check("a=0.5 deviation strictly decreasing", 0.0 if decreasing else 1.0, 0.5)

@@ -289,6 +289,19 @@ class TestNonFiniteNumbers:
 
 
 class TestGenerate:
+    def test_halted_branches_name_their_error(self, tmp_path, capsys):
+        # zeros 0, 1, -1: with sep_tol 0.3 two grandchildren of branch 5
+        # have zeros too close, and the tree keeps its other 40 nodes
+        cfg = write_config(tmp_path, {"seed_coeffs": [[0, 0], [-1, 0], [0, 0]], "depth": 2,
+                                      "tolerances": {"sep_tol": 0.3},
+                                      "output": str(tmp_path / "tree.json")})
+        assert main(["generate", "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith(": 40 nodes, depth 2\n")
+        assert err.splitlines() == [
+            f"  branch mu={mu} halted: DegenerateZeros: near-multiple root: gap {gap} <= "
+            "4.854e-01" for mu, gap in (([5, 1], "1.537e-01"), ([5, 2], "3.820e-01"))]
+
     def test_tree_json(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -499,6 +512,15 @@ README_CONFIG = {
     "grid": {"t0": 0.0, "t1": 6.283185307179586, "dt_out": 0.02617993877991494},
 }
 
+# a depth-1 goldfish seed with two equal positions
+EQUAL_SEED_POSITIONS = dict(
+    BASE_SIM,
+    mu=[1],
+    model={"kind": "generation", "seed_kind": "goldfish", "depth": 1},
+    initial={"positions": [[0.5, 0.0], [0.5, 0.0], [-0.7, 0.2]],
+             "velocities": [[0.1, 0.0], [-0.1, 0.0], [0.0, 0.2]]},
+)
+
 
 class TestSimulate:
     def test_writes_csv(self, tmp_path):
@@ -570,32 +592,44 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "solve"])
     def test_root_tol_reaches_the_lift(self, tmp_path, capsys, command):
-        # level 1's roots reach a residual of 2.2e-16, above root_tol 1e-16:
-        # simulate's lift and solve's path extraction both refuse them
+        # level 1's roots reach a residual above root_tol 1e-16: simulate's
+        # lift and solve's path extraction both refuse them, naming level 1
         raw = dict(README_CONFIG, tolerances={"root_tol": 1e-16},
                    output=str(tmp_path / "x.csv"))
         assert main([command, "--config", write_config(tmp_path, raw)]) == 3
         err = capsys.readouterr().err
-        assert "RootSolveFailed" in err and "1.000e-16" in err
-        if command == "simulate":
-            assert "level 1:" in err
+        assert err.startswith(f"{command}: RootSolveFailed (level 1): root residual ")
+        assert "1.000e-16" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_collision_names_its_level(self, tmp_path, capsys):
         # equal seed positions are equal level-1 coefficients: the first
         # right-hand side refuses them one level below the coordinates
-        raw = dict(
-            BASE_SIM,
-            mu=[1],
-            model={"kind": "generation", "seed_kind": "goldfish", "depth": 1},
-            initial={"positions": [[0.5, 0.0], [0.5, 0.0], [-0.7, 0.2]],
-                     "velocities": [[0.1, 0.0], [-0.1, 0.0], [0.0, 0.2]]},
-            output=str(tmp_path / "x.csv"),
-        )
+        raw = dict(EQUAL_SEED_POSITIONS, output=str(tmp_path / "x.csv"))
         assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 3
         assert capsys.readouterr().err.startswith(
             "simulate: CollisionError (level 1): minimum gap ")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_solve_names_the_same_level(self, tmp_path, capsys):
+        # solve's seed path refuses the equal seed positions at their level, 1
+        raw = dict(EQUAL_SEED_POSITIONS, output=str(tmp_path / "x.csv"))
+        assert main(["solve", "--config", write_config(tmp_path, raw)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solve: DegenerateZeros (level 1): minimum pairwise gap ")
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_both_commands_number_levels_one_way(self, tmp_path, capsys, command, depth):
+        # no lift's roots meet root_tol 1e-17, so the first lift fails; it
+        # makes level depth - 1 (0 = the output coordinates, depth = the seed)
+        raw = dict(README_CONFIG, mu=[1] * depth, model=dict(README_CONFIG["model"],
+                                                              depth=depth),
+                   grid={"t0": 0.0, "t1": 1.0, "dt_out": 0.5},
+                   tolerances={"root_tol": 1e-17}, output=str(tmp_path / "x.csv"))
+        assert main([command, "--config", write_config(tmp_path, raw)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"{command}: RootSolveFailed (level {depth - 1}): root residual ")
 
     def test_missing_initial_is_config_error(self, tmp_path):
         raw = {k: v for k, v in BASE_SIM.items() if k != "initial"}
@@ -697,7 +731,7 @@ class TestSolve:
             assert main(["solve", "--config", write_config(tmp_path, raw)]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert err.startswith("solve: RootSolveFailed: ")
+        assert err.startswith("solve: RootSolveFailed (level 0): ")
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "x.csv").exists()
 

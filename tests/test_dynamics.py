@@ -385,6 +385,14 @@ class TestIntegrator:
                 dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), [1.0, -1.0],
                               [1e308, 1e308], np.linspace(0, 1, 5))
 
+    def test_step_budget_ends_the_run(self, monkeypatch):
+        # this run takes 58 steps to t = 1; a budget of 5 stops it
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 5)
+        with pytest.raises(StepSizeUnderflow, match="step budget exhausted"):
+            dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), [0.9 + 0.1j, -0.2 - 0.5j],
+                          [0.1 - 0.2j, 0.25 + 0.1j], np.linspace(0, 1, 5),
+                          pc.Tolerances(ode_rel=1e-12, ode_abs=1e-12))
+
     @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize("kind", dyn.SEED_KINDS)
     @pytest.mark.parametrize("where", ["x0", "v0"])

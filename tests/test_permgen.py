@@ -198,7 +198,8 @@ class TestGenerationTree:
         tree = pg.generation_tree(MonicPoly([-3.0, 2.0]), depth=1, tol=tol)
         with pytest.raises(DegenerateZeros) as exc:
             pg.lift(tree.seed.zeros[None], 2, tol)
-        assert tree.failed[(2,)] == str(exc.value)
+        assert type(tree.failed[(2,)]) is DegenerateZeros
+        assert str(tree.failed[(2,)]) == str(exc.value)
 
     @pytest.mark.parametrize("n, depth, sep_tol", [(2, 3, 1e-8), (3, 3, 0.5), (4, 2, 0.5)])
     def test_levels_are_views_of_the_level_arrays(self, n, depth, sep_tol):
@@ -328,6 +329,13 @@ class TestClosedFormFamily:
             for k, closed in enumerate(fam, start=1):
                 engine = [node.poly.coeffs for node in tree.level(k)]
                 assert set_distance([p.coeffs for p in closed], engine) < 1e-9
+
+    def test_radicals_take_the_upper_branch_on_the_cut(self):
+        # b = 0 - 0j gives r0 = sqrt(-4 - 0j), which numpy puts at -2i: the
+        # principal branch is +2i, so generation 1's first child is (i, -i)
+        gen1, _, _ = pg.nested_radical_family(complex(0.0, -0.0), 1.0)
+        assert complex(np.sqrt(complex(-4.0, -0.0))) == -2j
+        assert gen1[0].coeffs.tolist() == [1j, -1j]
 
     def test_degenerate_radicand_rejected(self):
         with pytest.raises(DegenerateZeros):
