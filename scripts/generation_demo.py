@@ -7,7 +7,7 @@ Usage: python scripts/generation_demo.py [b_re b_im c_re c_im]
 
 import sys
 
-
+from goldgen.errors import failure_text
 from goldgen.matching import set_distance
 from goldgen.permgen import nested_radical_family, generation_tree
 
@@ -33,8 +33,8 @@ def main(argv):
         print(f"  closed-form deviation: {dev:.3e}")
     if tree.failed:
         print("\nhalted branches:")
-        for addr, msg in tree.failed.items():
-            print(f"  mu={list(addr)}: {msg}")
+        for addr, e in tree.failed.items():
+            print(f"  mu={list(addr)}: {failure_text(e)}")
     return 0
 
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from goldgen.dynamics import ModelSpec
-from goldgen.errors import GoldgenError
+from goldgen.errors import GoldgenError, failure_text
 from goldgen.solvers import detect_period, solve_generation_path
 
 X0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
@@ -32,7 +32,7 @@ def main():
             print(f"mu={mu}     p={rep.multiplier}              "
                   f"{rep.residual:.3e}")
         except GoldgenError as e:
-            print(f"mu={mu}     {type(e).__name__}: {e}")
+            print(f"mu={mu}     {failure_text(e)}")
     return 0
 
 

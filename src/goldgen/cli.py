@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics, permgen, solvers, verify
 from .config import ConfigError, RunConfig, load_config
-from .errors import GoldgenError
+from .errors import GoldgenError, failure_text
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -63,12 +63,6 @@ def csv_text(times, **series) -> str:
     return ",".join(cols) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
-def _failure_text(e: GoldgenError) -> str:
-    """`<Type> (level j): <message>`, without the level when it has none."""
-    level = "" if e.level is None else f" (level {e.level})"
-    return f"{type(e).__name__}{level}: {e}"
-
-
 def _out_path(cfg: RunConfig, args, default: str) -> str:
     return args.output or cfg.output or default
 
@@ -85,7 +79,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     _atomic_write(path, tree.to_json())
     print(f"wrote {path}: {sum(len(r) for r, *_ in tree.levels[1:])} nodes, depth {depth}")
     for addr, e in tree.failed.items():
-        print(f"  branch mu={list(addr)} halted: {_failure_text(e)}", file=sys.stderr)
+        print(f"  branch mu={list(addr)} halted: {failure_text(e)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -121,7 +115,7 @@ def cmd_verify(args) -> int:
         try:
             checks = verify.SUITES[name]()
         except GoldgenError as e:  # the engine failed: report it, run the rest
-            print(f"[FAIL] {name}: {_failure_text(e)}")
+            print(f"[FAIL] {name}: {failure_text(e)}")
             all_ok, checks = False, []
         elapsed = time.perf_counter() - start
         for c in checks:
@@ -180,7 +174,7 @@ def cmd_period(args) -> int:
             path, args.period, args.p_max, period_tol=args.tol
         )
     except GoldgenError as e:
-        print(f"period: {_failure_text(e)}", file=sys.stderr)
+        print(f"period: {failure_text(e)}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as e:  # grid not uniform, or its step does not divide T
         print(f"period: {e}", file=sys.stderr)
@@ -246,7 +240,7 @@ def main(argv=None) -> int:
             print(f"{args.command}: {e}", file=sys.stderr)
             return EXIT_CONFIG
         except GoldgenError as e:
-            print(f"{args.command}: {_failure_text(e)}", file=sys.stderr)
+            print(f"{args.command}: {failure_text(e)}", file=sys.stderr)
             return EXIT_NUMERIC
 
 

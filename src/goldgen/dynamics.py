@@ -4,7 +4,8 @@ The hierarchy: a solvable seed model (goldfish / isochronous goldfish /
 linear two-mode seed) plus generation models whose accelerations follow
 from the second-derivative transfer identity: the coefficient vector of
 the associated polynomial evolves under the depth-(k-1) model, and the
-coordinates are the polynomial's zeros.
+coordinates are the polynomial's zeros.  One recursion (_accel) runs the
+levels, the seed model last.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Trajectory:
         return self.rejected_error + self.rejected_guard
 
 
-def _guarded_diffs(x: np.ndarray, sep_tol: float, level: int = 0) -> np.ndarray:
+def _guarded_diffs(x: np.ndarray, sep_tol: float, level: int) -> np.ndarray:
     """pair_diffs(x), once the smallest gap has passed the collision guard
     (CollisionError at `level` otherwise)."""
     diff = pair_diffs(x)
@@ -85,16 +86,6 @@ def _guarded_diffs(x: np.ndarray, sep_tol: float, level: int = 0) -> np.ndarray:
             f"minimum gap {gap:.3e} <= sep_tol {sep_tol:.3e}", level=level
         )
     return diff
-
-
-def rhs_goldfish(x, v, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
-    """xddot_n = sum_{l != n} 2 xdot_n xdot_l / (x_n - x_l)."""
-    return goldfish_force(v, _guarded_diffs(x, sep_tol))
-
-
-def rhs_iso_goldfish(x, v, omega: float, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
-    """Goldfish forces plus the isochronizing i*omega*xdot term."""
-    return rhs_goldfish(x, v, sep_tol) + 1j * omega * v
 
 
 def rhs_linear_seed(x, v, a: complex, ia_sign: int = +1) -> np.ndarray:
@@ -108,48 +99,37 @@ def rhs_linear_seed(x, v, a: complex, ia_sign: int = +1) -> np.ndarray:
     return (1j - a) * v + ia_sign * (1j * a * x)
 
 
-def seed_rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
-    if spec.kind == "goldfish":
-        return rhs_goldfish(x, v, sep_tol)
-    if spec.kind == "iso_goldfish":
-        return rhs_iso_goldfish(x, v, spec.omega, sep_tol)
-    return rhs_linear_seed(x, v, spec.a, spec.ia_sign)
-
-
 def _finite(a: np.ndarray, what: str, level: int) -> None:
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NonFiniteState(f"non-finite {what}", level=level)
 
 
-def _generation_accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
+def _accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
     """Acceleration of the zeros x (velocities v) at recursion level `level`
-    of the model `spec` (depth > level).
-
-    Per level, the numpy pair differences are built once: their smallest
-    modulus is the collision guard, and accel_transfer takes one reciprocal
-    of them for both of its terms.  y and its velocity come from
-    coeff_motion (one scalar forward-mode fold over the sorted zeros) as
-    one array, and that array is the level's only finiteness check: a
-    non-finite x_n or v_n makes y_1 or ydot_1 non-finite.  A non-finite
-    y_ddot from the level below needs no check of its own either, because
-    it makes every entry of the transfer non-finite, up to rhs's check of
-    the final acceleration.  These are the polycore primitives of the
-    public transfer functions, so the result equals their composition to
-    the bit.
+    of the model `spec`.  Level spec.depth is the seed: rhs_linear_seed, or
+    goldfish_force past the collision guard (plus i*omega*v for
+    iso_goldfish).  Every other level builds its numpy pair differences
+    once: their smallest modulus is the collision guard, and accel_transfer
+    takes one reciprocal of them for both of its terms.  y and its velocity
+    come from coeff_motion (one scalar forward-mode fold over the sorted
+    zeros) as one array, and that array is the level's only finiteness
+    check: a non-finite x_n or v_n makes y_1 or ydot_1 non-finite.  A
+    non-finite y_ddot from the level below needs no check of its own
+    either, because it makes every entry of the transfer non-finite, up to
+    rhs's check of the final acceleration.  These are the polycore
+    primitives of the public transfer functions, so the result equals their
+    composition to the bit.
     """
+    if level == spec.depth:
+        if spec.kind == "linear_seed":
+            return rhs_linear_seed(x, v, spec.a, spec.ia_sign)
+        acc = goldfish_force(v, _guarded_diffs(x, sep_tol, level))
+        return acc + 1j * spec.omega * v if spec.kind == "iso_goldfish" else acc
     diff = _guarded_diffs(x, sep_tol, level)
     motion = coeff_motion(x, v)
     _finite(motion, "coefficients", level + 1)
     y, y_dot = motion
-    if level + 1 < spec.depth:
-        y_ddot = _generation_accel(y, y_dot, spec, sep_tol, level + 1)
-    else:
-        try:
-            y_ddot = seed_rhs(y, y_dot, spec, sep_tol)
-        except CollisionError as e:
-            e.level = level + 1
-            raise
-    return accel_transfer(x, v, diff, y_ddot)
+    return accel_transfer(x, v, diff, _accel(y, y_dot, spec, sep_tol, level + 1))
 
 
 def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
@@ -165,11 +145,10 @@ def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     acceleration (level 0) raise NonFiniteState (a seed model returns its
     force unchecked).
     """
+    acc = _accel(x, v, spec, sep_tol, 0)
     if spec.depth > 0:
-        acc = _generation_accel(x, v, spec, sep_tol, level=0)
         _finite(acc, "acceleration", 0)
-        return acc
-    return seed_rhs(x, v, spec, sep_tol)
+    return acc
 
 
 def build_initial_state(x, v, mu, tol: Tolerances = Tolerances()):
@@ -259,7 +238,7 @@ def integrate(
     Checks, and where they run: a non-finite x0 or v0 raises
     NonFiniteState before the first step, once per run; each stage's rhs
     guards every recursion level and checks a generation model's
-    coefficients and acceleration (see _generation_accel), and the error
+    coefficients and acceleration (see _accel), and the error
     test rejects a seed model's non-finite stage.  Interpolated outputs are
     guarded as they are written.  Step ends need no guard of their own, as
     each is a last stage's state, so their gaps only feed min_gap, in one

@@ -14,6 +14,12 @@ class GoldgenError(Exception):
         self.level = level
 
 
+def failure_text(e: GoldgenError) -> str:
+    """`<Type> (level j): <message>`, without the level when it has none."""
+    level = "" if e.level is None else f" (level {e.level})"
+    return f"{type(e).__name__}{level}: {e}"
+
+
 class DegenerateZeros(GoldgenError):
     """Two zeros (or positions) closer than the separation tolerance."""
 

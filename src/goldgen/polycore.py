@@ -11,7 +11,8 @@ prefactor) and accel_transfer.  Every function here takes and returns
 plain arrays; MonicPoly is kept for the generation tree's nodes.
 
 The kernel primitives (coeff_motion, accel_transfer, prefactor) check
-nothing; the public functions validate their inputs, and the dynamics
+nothing; the public functions validate their inputs (accel_transfer's
+callers run check_distinct or the kernel's guard first), and the dynamics
 kernel checks each recursion level twice: the collision guard on the
 smallest modulus of the level's pair_diffs, and one finiteness check of
 coeff_motion's (2, N) result.  That one check suffices because the fold
@@ -486,14 +487,6 @@ def zeros_velocity(x, y_dot) -> np.ndarray:
 def coeffs_velocity(x, x_dot) -> np.ndarray:
     """ydot_m = (-1)^m sum_n sigma_{n,m}(x) xdot_n (needs no distinctness)."""
     return coeff_motion(_as_complex(x), _as_complex(x_dot))[1]
-
-
-def zeros_acceleration(x, x_dot, y_ddot) -> np.ndarray:
-    """Transfer of second derivatives from coefficients to zeros
-    (accel_transfer), for distinct zeros x."""
-    x, x_dot, y_ddot = _as_complex(x), _as_complex(x_dot), _as_complex(y_ddot)
-    check_distinct(x)
-    return accel_transfer(x, x_dot, pair_diffs(x), y_ddot)
 
 
 def identity_residuals(coeffs, x) -> dict:

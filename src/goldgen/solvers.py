@@ -115,12 +115,9 @@ def solve_iso_goldfish_at(
     flat = times.reshape(-1)
     if omega == 0.0:
         weight = flat.astype(np.complex128)
-        recur = flat == 0.0
     else:
-        phase = np.exp(1j * omega * flat) - 1.0
-        weight = phase / (1j * omega)
-        # t a multiple of the base period: the configuration recurs
-        recur = (flat == 0.0) | (np.abs(phase) < 1e-12)
+        weight = (np.exp(1j * omega * flat) - 1.0) / (1j * omega)
+    recur = flat == 0.0  # frame 0 is x0 itself, bit for bit
     # rows that overflow fail in zeros_from_coeffs as non-finite coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         y0, y_dot0 = coeff_motion(x0, v0)

@@ -172,7 +172,7 @@ def suite_generations() -> list[Check]:
         if polycore.min_pairwise_gap(x) < 0.2:
             continue
         general = dynamics.rhs(x, v, gen1)
-        gold = dynamics.rhs_goldfish(x, v)
+        gold = dynamics.rhs(x, v, ModelSpec("goldfish"))
         pref = polycore.prefactor(1.0 / polycore.pair_diffs(x))
         simplified = gold + (1j - a) * v - 1j * a * pref * x**nn
         worst_simpl = max(worst_simpl, float(np.max(np.abs(general - simplified))))

@@ -15,6 +15,7 @@ from goldgen.errors import (
 
 
 GOLDFISH_PAIR = ([1.0, -1.0], [0.1, -0.1])
+GOLDFISH = dyn.ModelSpec("goldfish")
 
 
 def random_state(rng, n, gap=0.3):
@@ -58,24 +59,27 @@ class TestModelSpec:
 class TestSeedRHS:
     def test_goldfish_two_body(self):
         x, v = np.array([1, -1], dtype=complex), np.array([1, 1], dtype=complex)
-        np.testing.assert_allclose(dyn.rhs_goldfish(x, v), [1, -1])
+        np.testing.assert_allclose(dyn.rhs(x, v, GOLDFISH), [1, -1])
 
     def test_goldfish_zero_velocity(self):
         x, v = np.array([1, -1, 1j]), np.zeros(3, dtype=complex)
-        np.testing.assert_allclose(dyn.rhs_goldfish(x, v), 0)
+        np.testing.assert_allclose(dyn.rhs(x, v, GOLDFISH), 0)
 
     def test_iso_reduces_at_omega0(self):
         rng = np.random.default_rng(0)
         x, v = random_state(rng, 4)
         np.testing.assert_allclose(
-            dyn.rhs_iso_goldfish(x, v, 0.0), dyn.rhs_goldfish(x, v)
+            dyn.rhs(x, v, dyn.ModelSpec("iso_goldfish", omega=0.0)),
+            dyn.rhs(x, v, GOLDFISH),
         )
 
     def test_iso_extra_term(self):
         rng = np.random.default_rng(1)
         x, v = random_state(rng, 3)
         np.testing.assert_allclose(
-            dyn.rhs_iso_goldfish(x, v, 2.5) - dyn.rhs_goldfish(x, v), 2.5j * v
+            dyn.rhs(x, v, dyn.ModelSpec("iso_goldfish", omega=2.5))
+            - dyn.rhs(x, v, GOLDFISH),
+            2.5j * v,
         )
 
     def test_linear_seed_signs(self):
@@ -88,7 +92,7 @@ class TestSeedRHS:
 
     def test_collision_guard(self):
         with pytest.raises(CollisionError):
-            dyn.rhs_goldfish(np.array([0.0, 1e-12]), np.array([1.0, 1.0]))
+            dyn.rhs(np.array([0.0, 1e-12]), np.array([1.0, 1.0]), GOLDFISH)
 
 
 class TestGenerationRHS:
@@ -101,8 +105,8 @@ class TestGenerationRHS:
         v = pc.zeros_velocity(x, y_dot)
         spec = dyn.ModelSpec("iso_goldfish", omega=1.0, depth=1)
         got = dyn.rhs(x, v, spec)
-        y_ddot = dyn.rhs_iso_goldfish(y, y_dot, 1.0)
-        want = pc.zeros_acceleration(x, v, y_ddot)
+        y_ddot = dyn.rhs(y, y_dot, dyn.ModelSpec("iso_goldfish", omega=1.0))
+        want = pc.accel_transfer(x, v, pc.pair_diffs(x), y_ddot)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_depth2_equals_nesting_by_hand(self):
@@ -116,7 +120,7 @@ class TestGenerationRHS:
         ydot = pc.coeffs_velocity(x, v)
         spec1 = dyn.ModelSpec("goldfish", depth=1)
         yddot = dyn.rhs(y, ydot, spec1)
-        want = pc.zeros_acceleration(x, v, yddot)
+        want = pc.accel_transfer(x, v, pc.pair_diffs(x), yddot)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_collision_reports_level(self):
@@ -126,6 +130,19 @@ class TestGenerationRHS:
         with pytest.raises(CollisionError) as exc:
             dyn.rhs(x, np.array([1.0, 1.0]), spec)
         assert exc.value.level == 1
+
+    @pytest.mark.parametrize("kind", ["goldfish", "iso_goldfish"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_seed_collision_names_the_seed_level(self, kind, depth):
+        # seed coordinates 1e-13 apart, each level above them the zeros of
+        # the level below: separated everywhere but at the seed
+        x = np.array([0.5, 0.5 + 1e-13], dtype=complex)
+        for _ in range(depth):
+            x = pc.zeros_from_coeffs(x)
+        spec = dyn.ModelSpec(kind, omega=1.0, depth=depth)
+        with pytest.raises(CollisionError) as exc:
+            dyn.rhs(x, np.ones(2, dtype=complex), spec)
+        assert exc.value.level == depth
 
 
 def reference_seed(x, v, seed):
@@ -150,7 +167,8 @@ def reference_generation(x, v, seed, depth):
     y = signs * pc.elem_sym_all(x)
     y_dot = pc.coeffs_velocity(x, v)
     y_ddot = reference_generation(y, y_dot, seed, depth - 1)
-    return pc.zeros_acceleration(x, v, y_ddot)
+    pc.check_distinct(x)
+    return pc.accel_transfer(x, v, pc.pair_diffs(x), y_ddot)
 
 
 unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
@@ -161,7 +179,7 @@ class TestGenerationKernel:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(2, 6),
-        st.integers(1, 3),
+        st.integers(0, 3),
         st.sampled_from(dyn.SEED_KINDS),
         st.floats(0.0, 3.0),
         unit_complex,

@@ -1,5 +1,6 @@
-"""The experiment scripts run to completion on their default inputs, and
-the timing scripts, which import each other, parse their options."""
+"""The experiment scripts run to completion on their default inputs and
+print failures in the CLI's format, and the timing scripts, which import
+each other, parse their options."""
 
 import runpy
 import sys
@@ -7,18 +8,27 @@ from pathlib import Path
 
 import pytest
 
+from goldgen import permgen, solvers
+from goldgen.errors import DegenerateZeros, TrackingAmbiguity
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("name", ["generation_demo.py", "period_sweep.py",
-                                  "isochrony_decay.py"])
-def test_script_exits_0(monkeypatch, capsys, name):
+def run_script(monkeypatch, capsys, name):
+    """Run a script as __main__ with no arguments; its exit code must be 0.
+    Returns what it printed."""
     path = SCRIPTS / name
     monkeypatch.setattr(sys, "argv", [str(path)])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 0
-    assert capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["generation_demo.py", "period_sweep.py",
+                                  "isochrony_decay.py"])
+def test_script_exits_0(monkeypatch, capsys, name):
+    assert run_script(monkeypatch, capsys, name)
 
 
 @pytest.mark.parametrize("name", ["bench_pairs.py", "cold_start.py",
@@ -46,3 +56,25 @@ def test_compile_sources_writes_bytecode(monkeypatch, tmp_path):
     cmd = compile_sources(tmp_path)
     assert "compileall" in cmd and "-f" in cmd.split()
     assert list((tmp_path / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))
+
+
+def test_period_sweep_names_the_failed_level(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise TrackingAmbiguity("a zero moves too far", level=0)
+
+    monkeypatch.setattr(solvers, "solve_generation_path", refuse)
+    out = run_script(monkeypatch, capsys, "period_sweep.py")
+    assert "mu=1     TrackingAmbiguity (level 0): a zero moves too far" in out
+
+
+def test_generation_demo_names_the_error_type(monkeypatch, capsys):
+    expand = permgen.generation_tree
+
+    def with_failure(*args, **kwargs):
+        tree = expand(*args, **kwargs)
+        tree.failed[(1, 2)] = DegenerateZeros("near-multiple root: gap 0")
+        return tree
+
+    monkeypatch.setattr(permgen, "generation_tree", with_failure)
+    out = run_script(monkeypatch, capsys, "generation_demo.py")
+    assert "  mu=[1, 2]: DegenerateZeros: near-multiple root: gap 0\n" in out

@@ -79,6 +79,14 @@ class TestIsoGoldfishClosedForm:
         out = sv.solve_iso_goldfish_at(X0, V0, 1.0, 2 * np.pi)
         np.testing.assert_allclose(out, X0[pc.canonical_order(X0)], atol=1e-10)
 
+    def test_near_period_is_solved_not_snapped(self):
+        # 5e-13 past one period, fast zeros have moved about 1.35e-11 from
+        # X0 along their returned velocities 100 V0: solved, not set to X0
+        dt = 5e-13
+        out = sv.solve_iso_goldfish_at(X0, 100 * V0, 1.0, 2 * np.pi + dt)
+        assert set_distance(out, X0) > 1e-11
+        assert set_distance(out, X0 + dt * 100 * V0) < 1e-13
+
     def test_matches_ode_omega1(self):
         spec = dyn.ModelSpec("iso_goldfish", omega=1.0)
         grid = np.linspace(0.0, 2 * np.pi, 41)
