@@ -17,9 +17,12 @@ It prints, per kind, the median over rounds of parent time / change time
 with its quartiles, both sides' steps, rejections and RHS calls (which must
 match: the change may not alter the step sequence), and the largest
 relative difference of x and v (max |change - parent| / max(1, max
-|parent|)) over the output grid.  With --out the record, with machine info
-and every round's times, goes under the key "rhs_pairs" of that file, which
-is created or, if it exists, updated in place.
+|parent|)) over the output grid.  It gives no single verdict: each side
+runs in its own worker process, whose offset a sum of one side's times
+would read as a gain or a loss; `bench_pairs.py`'s alternating bench pairs
+give one.  With --out the record, with machine info and every round's
+times, goes under the key "rhs_pairs" of that file, which is created or,
+if it exists, updated in place.
 
 A round takes about 2 x REPS times the summed integrate time of the 16 kinds
 (about 9 s on 2 cores); this is not a test.
@@ -161,16 +164,12 @@ def main(argv=None) -> int:
               f"{'/'.join(map(str, counts['parent']))} | "
               f"{'/'.join(map(str, counts['change']))}   "
               f"{diff['x']:.1e}, {diff['v']:.1e}{same}", flush=True)
-    total = {side: sum(min(t) for t in times[side]) for side in times}
-    print(f"sum of best times: parent {total['parent']:.3f} s, change "
-          f"{total['change']:.3f} s, x{total['parent'] / total['change']:.3f}")
     if args.out:
         out = Path(args.out)
         report = json.loads(out.read_text()) if out.exists() else {}
         report["rhs_pairs"] = {
             "parent_commit": parent_commit, "seed": args.seed, "rounds": args.rounds,
-            "reps": REPS, "machine": machine(), "kinds": kinds,
-            "sum_best_s": total}
+            "reps": REPS, "machine": machine(), "kinds": kinds}
         out.write_text(json.dumps(report, indent=1) + "\n")
         print(f"wrote {out}")
     return 0

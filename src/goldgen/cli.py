@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics, permgen, solvers, verify
 from .config import ConfigError, RunConfig, load_config
-from .errors import GoldgenError, failure_text
+from .errors import GoldgenError, NoPeriodFound, failure_text
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -162,23 +162,13 @@ def cmd_period(args) -> int:
          "finite and > 0"),
     ):
         if not ok:
-            print(f"period: {flag} must be {rule}, not {value!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"{flag} must be {rule}, not {value!r}")
     try:
         path = solvers.LabeledPath(*_read_path_csv(args.trajectory))
+        # a ValueError here: the grid is not uniform or its step does not divide T
+        rep = solvers.detect_period(path, args.period, args.p_max, period_tol=args.tol)
     except (OSError, ValueError, csv.Error) as e:
-        print(f"period: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        rep = solvers.detect_period(
-            path, args.period, args.p_max, period_tol=args.tol
-        )
-    except GoldgenError as e:
-        print(f"period: {failure_text(e)}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as e:  # grid not uniform, or its step does not divide T
-        print(f"period: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(e)) from e
     print(json.dumps(dataclasses.asdict(rep)))
     return EXIT_OK
 
@@ -226,11 +216,11 @@ def main(argv=None) -> int:
         return cmd_verify(args)
     # every overflow is caught by an explicit finiteness check (exit 2 or 3)
     with np.errstate(all="ignore"):
-        if args.command == "period":
-            return cmd_period(args)
-        command = {"generate": cmd_generate, "simulate": cmd_simulate,
-                   "solve": cmd_solve}[args.command]
         try:
+            if args.command == "period":
+                return cmd_period(args)
+            command = {"generate": cmd_generate, "simulate": cmd_simulate,
+                       "solve": cmd_solve}[args.command]
             cfg = load_config(args.config)
             needs_path = command is not cmd_generate
             if needs_path and (cfg.initial is None or cfg.model is None):
@@ -241,7 +231,7 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         except GoldgenError as e:
             print(f"{args.command}: {failure_text(e)}", file=sys.stderr)
-            return EXIT_NUMERIC
+            return EXIT_VERIFY if isinstance(e, NoPeriodFound) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

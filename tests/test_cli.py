@@ -18,11 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goldgen
+from goldgen import cli
 from goldgen import config as cfgmod
 from goldgen import dynamics as dyn
 from goldgen import permgen
 from goldgen import solvers as sv
 from goldgen.cli import csv_text, main
+from goldgen.errors import NoPeriodFound
 from goldgen.matching import set_distance
 from goldgen.polycore import MonicPoly
 from test_permgen import assert_tree_json
@@ -974,6 +976,26 @@ class TestVerifyAndPeriod:
         p.write_text("t,x1_re,x1_im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
         assert main(["period", str(p), "--period=1.0", flag]) == 2
         assert capsys.readouterr().err == f"period: {rule}\n"
+
+    def test_period_bad_flag_raises_config_error(self, tmp_path, capsys):
+        p = tmp_path / "path.csv"
+        p.write_text("t,x1_re,x1_im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
+        args = cli.build_parser().parse_args(["period", str(p), "--period=1.0",
+                                              "--p-max=0"])
+        with pytest.raises(cfgmod.ConfigError) as exc:
+            cli.cmd_period(args)
+        assert str(exc.value) == "--p-max must be >= 1, not 0"
+        assert capsys.readouterr().err == ""
+
+    def test_period_not_found_raises(self, tmp_path, capsys):
+        p = tmp_path / "path.csv"
+        p.write_text("t,x1_re,x1_im\n" + "".join(f"{t},{np.exp(t):.17g},0\n"
+                                                  for t in range(11)))
+        args = cli.build_parser().parse_args(["period", str(p), "--period=1.0",
+                                              "--p-max=5"])
+        with pytest.raises(NoPeriodFound):
+            cli.cmd_period(args)
+        assert capsys.readouterr().err == ""
 
 
 # numbers of ordinary size, and of sizes that overflow a product, a square or
