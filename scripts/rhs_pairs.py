@@ -15,7 +15,8 @@ model, N and depth.
 
 It prints, per kind, the median over rounds of parent time / change time
 with its quartiles, both sides' steps, rejections and RHS calls (which must
-match: the change may not alter the step sequence), and the largest
+match: the change may not alter the step sequence; the script exits 1,
+after writing its record, when they differ for any kind), and the largest
 relative difference of x and v (max |change - parent| / max(1, max
 |parent|)) over the output grid.  It gives no single verdict: each side
 runs in its own worker process, whose offset a sum of one side's times
@@ -111,6 +112,12 @@ def rel_diff(a: list, b: list) -> float:
     return float(np.abs(a - b).max() / max(1.0, np.abs(b).max()))
 
 
+def count_mismatches(kinds: list) -> list:
+    """The kinds whose parent and change steps, rejections or RHS calls
+    differ, given main's per-kind records."""
+    return [k["kind"] for k in kinds if k["counts"]["parent"] != k["counts"]["change"]]
+
+
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:] == ["--worker"]:
         return worker()
@@ -172,6 +179,11 @@ def main(argv=None) -> int:
             "reps": REPS, "machine": machine(), "kinds": kinds}
         out.write_text(json.dumps(report, indent=1) + "\n")
         print(f"wrote {out}")
+    differ = count_mismatches(kinds)
+    if differ:
+        print(f"steps, rejections or RHS calls differ for: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -11,6 +11,8 @@ levels, the seed model last.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from cmath import isfinite
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,8 @@ from .polycore import (
     DEFAULT_SEP_TOL,
     Tolerances,
     accel_transfer,
-    coeff_motion,
+    coeff_rows,
+    fold,
     goldfish_force,
     min_pairwise_gap,
     pair_diffs,
@@ -99,11 +102,6 @@ def rhs_linear_seed(x, v, a: complex, ia_sign: int = +1) -> np.ndarray:
     return (1j - a) * v + ia_sign * (1j * a * x)
 
 
-def _finite(a: np.ndarray, what: str, level: int) -> None:
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
-        raise NonFiniteState(f"non-finite {what}", level=level)
-
-
 def _accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
     """Acceleration of the zeros x (velocities v) at recursion level `level`
     of the model `spec`.  Level spec.depth is the seed: rhs_linear_seed, or
@@ -111,14 +109,15 @@ def _accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
     iso_goldfish).  Every other level builds its numpy pair differences
     once: their smallest modulus is the collision guard, and accel_transfer
     takes one reciprocal of them for both of its terms.  y and its velocity
-    come from coeff_motion (one scalar forward-mode fold over the sorted
-    zeros) as one array, and that array is the level's only finiteness
-    check: a non-finite x_n or v_n makes y_1 or ydot_1 non-finite.  A
-    non-finite y_ddot from the level below needs no check of its own
-    either, because it makes every entry of the transfer non-finite, up to
-    rhs's check of the final acceleration.  These are the polycore
-    primitives of the public transfer functions, so the result equals their
-    composition to the bit.
+    come from fold (one scalar forward-mode fold over the sorted zeros) as
+    two Python lists, and the level's only finiteness check runs on those
+    2N scalars (cmath.isfinite) before coeff_rows makes them the (2, N)
+    array that coeff_motion returns: a non-finite x_n or v_n makes y_1 or
+    ydot_1 non-finite.  A non-finite y_ddot from the level below needs no
+    check of its own either, because it makes every entry of the transfer
+    non-finite, up to rhs's check of the final acceleration.  These are the
+    polycore primitives of the public transfer functions, so the result
+    equals their composition to the bit.
     """
     if level == spec.depth:
         if spec.kind == "linear_seed":
@@ -126,9 +125,10 @@ def _accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
         acc = goldfish_force(v, _guarded_diffs(x, sep_tol, level))
         return acc + 1j * spec.omega * v if spec.kind == "iso_goldfish" else acc
     diff = _guarded_diffs(x, sep_tol, level)
-    motion = coeff_motion(x, v)
-    _finite(motion, "coefficients", level + 1)
-    y, y_dot = motion
+    e, d = fold(x, v)
+    if not (all(map(isfinite, e)) and all(map(isfinite, d))):
+        raise NonFiniteState("non-finite coefficients", level=level + 1)
+    y, y_dot = coeff_rows(e, d)
     return accel_transfer(x, v, diff, _accel(y, y_dot, spec, sep_tol, level + 1))
 
 
@@ -143,11 +143,13 @@ def rhs(x, v, spec: ModelSpec, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     spec.depth = the seed's): a collision raises CollisionError, and
     non-finite coefficients (level j >= 1's coordinates) or a non-finite
     acceleration (level 0) raise NonFiniteState (a seed model returns its
-    force unchecked).
+    force unchecked).  Both finiteness checks run in scalar Python, on the
+    fold's lists (see _accel) and on acc.tolist(): at small N that is a
+    fraction of numpy's fixed price for isfinite plus a reduce.
     """
     acc = _accel(x, v, spec, sep_tol, 0)
-    if spec.depth > 0:
-        _finite(acc, "acceleration", 0)
+    if spec.depth > 0 and not all(map(isfinite, acc.tolist())):
+        raise NonFiniteState("non-finite acceleration", level=0)
     return acc
 
 
@@ -236,48 +238,59 @@ def integrate(
     initial state or an interpolated output at or below sep_tol aborts.
 
     Checks, and where they run: a non-finite x0 or v0 raises
-    NonFiniteState before the first step, once per run; each stage's rhs
-    guards every recursion level and checks a generation model's
-    coefficients and acceleration (see _accel), and the error
-    test rejects a seed model's non-finite stage.  Interpolated outputs are
-    guarded as they are written.  Step ends need no guard of their own, as
-    each is a last stage's state, so their gaps only feed min_gap, in one
-    batched call per _GAP_BATCH accepted steps.
+    NonFiniteState before the first step, once per run (one numpy isfinite);
+    each stage's rhs guards every recursion level and checks a generation
+    model's coefficients and acceleration in scalar Python (see _accel and
+    rhs), and the error test rejects a seed model's non-finite stage.
+    Interpolated outputs are guarded as they are written, on the smallest
+    of their gaps (the row that fails is looked up only then).  Step ends
+    need no guard of their own, as each is a last stage's state, so their
+    gaps only feed min_gap, in one batched call per _GAP_BATCH accepted
+    steps.
+
+    Per step the loop pays numpy's call price only for array arithmetic:
+    the output rows a step covers are found by bisecting the grid as a
+    Python list from the first unwritten row, t and the counters are
+    Python numbers, and the trajectory's counters are stored once, at the
+    end.  The stages call the module-level rhs, so a wrapper bound to
+    dynamics.rhs sees every call.
     """
     out_times = np.asarray(out_times, dtype=float)
     if np.any(np.diff(out_times) <= 0):
         raise ValueError("output grid must be strictly increasing")
 
+    times = out_times.tolist()
     n = len(x0)
     guarded = spec.depth > 0 or spec.kind != "linear_seed"
+    sep_tol = float(tol.sep_tol)
     # row k holds the state (x, v) at out_times[k]; rows < filled are written
-    out = np.empty((len(out_times), 2 * n), dtype=np.complex128)
-    traj = Trajectory(out_times, out[:, :n], out[:, n:])
+    out = np.empty((len(times), 2 * n), dtype=np.complex128)
     # stage k_i of the state u = (x, v) is row i: (v, acceleration)
     K = np.empty((7, 2 * n), dtype=np.complex128)
-
-    def stage(i, u):
-        traj.rhs_calls += 1
-        K[i, :n] = u[n:]
-        K[i, n:] = rhs(u[:n], u[n:], spec, tol.sep_tol)
+    K_x, K_v = K[:, :n], K[:, n:]
 
     u = np.concatenate([x0, v0], dtype=np.complex128)
-    _finite(u, "initial state", 0)
+    if not np.isfinite(u).all():
+        raise NonFiniteState("non-finite initial state", level=0)
     abs_u = np.abs(u)
     ends = np.empty((_GAP_BATCH, n), dtype=np.complex128)
     n_ends = 0
-    t = out_times[0]
-    t_end = out_times[-1]
-    h = min(_FIRST_STEP, t_end - t)
+    steps = rejected_error = rejected_guard = 0
+    min_gap = min_pairwise_gap(u[:n]) if guarded else np.inf
+    t = times[0]
+    t_end = times[-1]
+    # not capped at the span: the step-size floor below is tested before
+    # the last-step clip, which shortens the step to a span of any length
+    h = _FIRST_STEP
     out[0] = u
     filled = 1
-    if guarded:
-        traj.min_gap = min_pairwise_gap(u[:n])
-    stage(0, u)
+    K_x[0] = u[n:]
+    K_v[0] = rhs(u[:n], u[n:], spec, sep_tol)
+    rhs_calls = 1
     err_prev = 1e-4  # Hairer's starting value
     no_growth = False
     while t < t_end:
-        if traj.steps + traj.rejected > _MAX_STEPS:
+        if steps + rejected_error + rejected_guard > _MAX_STEPS:
             raise StepSizeUnderflow("step budget exhausted")
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
@@ -288,9 +301,11 @@ def integrate(
         try:
             for i in range(1, 7):
                 u5 = u + h * np.dot(_DP_A[i], K[:i])
-                stage(i, u5)
+                rhs_calls += 1
+                K_x[i] = u5[n:]
+                K_v[i] = rhs(u5[:n], u5[n:], spec, sep_tol)
         except CollisionError as e:
-            traj.rejected_guard += 1
+            rejected_guard += 1
             no_growth = True
             h *= 0.5
             if h < 1e-12 * max(1.0, abs(t)):
@@ -311,16 +326,17 @@ def integrate(
         r /= scale
         err = math.sqrt(np.add.reduce(r * r) / r.size)
         if not err <= 1.0:
-            traj.rejected_error += 1
+            rejected_error += 1
             no_growth = True
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)) and not math.isfinite(err):
                 raise NonFiniteState(f"non-finite stage at t={t:.6g}", level=0)
             continue
-        # outputs in (t, t_new]: from the interpolant inside, u5 at t_new
+        # outputs in (t, t_new]: from the interpolant inside, u5 at t_new;
+        # rows before `filled` lie at or before t, so the search starts there
         t_new = t_end if last else t + h
-        stop = int(np.searchsorted(out_times, t_new, side="right"))
-        inner = stop - 1 if out_times[stop - 1] == t_new else stop
+        stop = bisect_right(times, t_new, filled)
+        inner = stop - 1 if times[stop - 1] == t_new else stop
         if inner > filled:
             taus = out_times[filled:inner]
             theta = (taus - t) / h
@@ -330,22 +346,23 @@ def integrate(
             us += u
             if guarded:
                 gaps = min_pairwise_gap(us[:, :n])
-                k = int(np.argmin(gaps))
-                if gaps[k] <= tol.sep_tol:
+                gap = gaps.min()
+                if gap <= sep_tol:
+                    k = int(np.argmin(gaps))
                     raise CollisionError(
                         f"collision at t~{taus[k]:.6g}: gap {gaps[k]:.3e}", level=0
                     )
-                traj.min_gap = min(traj.min_gap, float(gaps[k]))
+                min_gap = min(min_gap, float(gap))
         if inner < stop:
             out[inner] = u5
         filled = stop
-        traj.steps += 1
+        steps += 1
         if guarded:
             ends[n_ends] = u5[:n]
             n_ends += 1
             if n_ends == _GAP_BATCH or last:
                 gap = float(min_pairwise_gap(ends[:n_ends]).min())
-                traj.min_gap = min(traj.min_gap, gap)
+                min_gap = min(min_gap, gap)
                 n_ends = 0
         t, u, abs_u = t_new, u5, abs_u5
         K[0] = K[6]  # first same as last
@@ -355,4 +372,6 @@ def integrate(
         no_growth = False
         err_prev = max(err, 1e-4)
         h *= fac
-    return traj
+    return Trajectory(out_times, out[:, :n], out[:, n:], steps=steps,
+                      rejected_error=rejected_error, rejected_guard=rejected_guard,
+                      rhs_calls=rhs_calls, min_gap=min_gap)

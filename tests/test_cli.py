@@ -525,6 +525,18 @@ EQUAL_SEED_POSITIONS = dict(
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("grid", [{"t0": 0.0, "t1": 1e-15, "dt_out": 1e-15},
+                                      {"t0": 1e6, "t1": 1e6 + 1e-9, "dt_out": 1e-9}])
+    def test_grid_shorter_than_the_step_floor(self, tmp_path, grid):
+        # the span is below the integrator's step-size floor; solve and
+        # simulate both take it
+        raw = dict(BASE_SIM, model={"kind": "linear_seed", "a": [0.5, 0.0]}, grid=grid,
+                   output=str(tmp_path / "t.csv"))
+        cfg = write_config(tmp_path, raw)
+        for command in ("simulate", "solve"):
+            assert main([command, "--config", cfg]) == 0
+            assert len(np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)) == 2
+
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "traj.csv"
         cfg = write_config(tmp_path, dict(BASE_SIM, output=str(out)))

@@ -233,6 +233,27 @@ class TestGenerationKernel:
             with pytest.raises(NonFiniteState):
                 dyn.rhs(x, v, spec)
 
+    def test_coefficient_check_reports_the_level_it_fails(self):
+        # level 1's coefficients are finite (-1e200 - 1e100, 1e300); their
+        # own sigma_2 overflows, so the coefficients of level 2 are not
+        x, v = np.array([1e200, 1e100 + 0j]), np.array([1.0, 1.0 + 0j])
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState, match="non-finite coefficients") as exc:
+                dyn.rhs(x, v, spec)
+        assert exc.value.level == 2
+
+    def test_acceleration_check_reports_level_0(self):
+        # finite coefficients and gaps above sep_tol, but the prefactor's
+        # product of reciprocal gaps (1e200 each) overflows
+        x = np.array([0, 1e-200, 2e-200, 0.5 + 0.5j])
+        v = np.array([0.1, -0.2j, 0.3, 0.1j])
+        spec = dyn.ModelSpec("linear_seed", a=0.5, depth=1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(NonFiniteState, match="non-finite acceleration") as exc:
+                dyn.rhs(x, v, spec, sep_tol=1e-300)
+        assert exc.value.level == 0
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 5),
@@ -411,6 +432,21 @@ class TestIntegrator:
                           [0.1 - 0.2j, 0.25 + 0.1j], np.linspace(0, 1, 5),
                           pc.Tolerances(ode_rel=1e-12, ode_abs=1e-12))
 
+    @pytest.mark.parametrize("grid", [[0.0, 1e-15], [1e6, 1e6 + 1e-9]])
+    def test_grid_shorter_than_the_step_floor(self, grid):
+        # the whole span lies below the step-size floor 1e-14 max(1, |t|),
+        # which a step is held to before the last-step clip shortens it
+        from goldgen.solvers import solve_linear_seed
+
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j])
+        grid = np.array(grid)
+        traj = dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), x0, v0, grid)
+        assert traj.steps == 1
+        ref_x, ref_v = solve_linear_seed(x0, v0, 0.5, +1, (grid - grid[0])[:, None])
+        np.testing.assert_allclose(traj.x, ref_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(traj.v, ref_v, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize("kind", dyn.SEED_KINDS)
     @pytest.mark.parametrize("where", ["x0", "v0"])
@@ -505,6 +541,24 @@ class TestDenseOutput:
         assert traj.x.shape == traj.v.shape == (len(grid), 3)
         np.testing.assert_allclose(traj.x, ref_x, rtol=0, atol=1e-8)
         np.testing.assert_allclose(traj.v, ref_v, rtol=0, atol=1e-8)
+
+    def test_step_ending_on_an_output_time_writes_its_end_state(self, monkeypatch):
+        # the first step, of 0.25, is accepted and ends exactly on the
+        # interior output time 0.25: that row is the step's end state, as on
+        # a grid that ends there, not the interpolant at theta = 1 (which is
+        # NaN here, so no row may come from it)
+        monkeypatch.setattr(dyn, "_FIRST_STEP", 0.25)
+        monkeypatch.setattr(dyn, "_DP_P", np.full_like(dyn._DP_P, np.nan))
+        tol = pc.Tolerances(ode_rel=1e-3, ode_abs=1e-3)
+        spec = dyn.ModelSpec("linear_seed", a=0.5)
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
+        full = dyn.integrate(spec, x0, v0, [0.0, 0.25, 1.0], tol)
+        first = dyn.integrate(spec, x0, v0, [0.0, 0.25], tol)
+        assert (first.steps, first.rejected) == (1, 0)
+        assert np.all(np.isfinite(full.x)) and np.all(np.isfinite(full.v))
+        assert np.array_equal(full.x[1], first.x[-1])
+        assert np.array_equal(full.v[1], first.v[-1])
 
     def test_min_gap_covers_every_written_state(self):
         spec, s0, grid = readme_model()

@@ -78,3 +78,20 @@ def test_generation_demo_names_the_error_type(monkeypatch, capsys):
     monkeypatch.setattr(permgen, "generation_tree", with_failure)
     out = run_script(monkeypatch, capsys, "generation_demo.py")
     assert "  mu=[1, 2]: DegenerateZeros: near-multiple root: gap 0\n" in out
+
+
+def test_rhs_pairs_flags_differing_counts(monkeypatch):
+    # the timing pair may not change the step sequence: main exits 1 on
+    # the kinds named here, those whose steps, rejections or RHS calls differ
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from rhs_pairs import count_mismatches
+
+    def kind(name, parent, change):
+        return {"kind": name, "counts": {"parent": parent, "change": change}}
+
+    same = [kind("iso N=3 depth=0", [127, 0, 763], [127, 0, 763])]
+    assert count_mismatches(same) == []
+    assert count_mismatches(same + [
+        kind("lin a=0.5 N=3 depth=1", [97, 0, 583], [97, 1, 589]),
+        kind("iso N=4 depth=1", [214, 1, 1291], [215, 1, 1291]),
+    ]) == ["lin a=0.5 N=3 depth=1", "iso N=4 depth=1"]
