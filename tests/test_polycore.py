@@ -371,7 +371,7 @@ class TestBatchRoots:
     @given(st.integers(1, 8), st.integers(2, 40), st.integers(0, 2**32 - 1),
            st.sets(st.sampled_from([1, 2, 3, 4])),
            st.sampled_from([pc.DEFAULT_SEP_TOL, 1e-300]),
-           st.sampled_from([pc.MAX_SWEEPS, 4, 1]))
+           st.sampled_from([pc.MAX_SWEEPS, 4, 2, 1]))
     def test_row_does_not_depend_on_its_batch(self, n, batch, seed, extras, sep_tol,
                                               sweeps):
         # every row goes through the same operations whatever else shares
@@ -379,9 +379,10 @@ class TestBatchRoots:
         # and in some batches 1 with a close pair (more sweeps), 2 non-finite,
         # 3 and 4 scaled by 2^40 and 2^-40 (the only rows that are rescaled).
         # A budget of 4 sweeps stalls some rows, one sweep leaves the start
-        # visible in the zeros.  A batch of kinds 0 and 1 keeps the caller's
-        # memory layout through the start, where a layout-dependent sum
-        # would show
+        # visible in the zeros, and with two, rows that settle before their
+        # second step share a call with rows that stall after it.  A batch
+        # of kinds 0 and 1 keeps the caller's memory layout through the
+        # start, where a layout-dependent sum would show
         rng = np.random.default_rng(seed)
         zeros = _lattice_zeros(rng, batch, n)
         # an exact power of two per row brings max_k |y_k|^(1/k) within a
@@ -419,9 +420,19 @@ class TestBatchRoots:
             assert abs(zeros[r, 0] + y[r, 0]) <= 1e-12 * max(1.0, abs(y[r, 0]))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_empty_batch(self, n):
+    def test_empty_batch(self, n, monkeypatch):
+        # no row can leave an empty working set, so no sweep may run
+        calls = []
+        horner = pc._horner
+
+        def counted(*args):
+            calls.append(1)
+            return horner(*args)
+
+        monkeypatch.setattr(pc, "_horner", counted)
         zeros, errors = pc.zeros_batch(np.zeros((0, n), dtype=complex))
-        assert zeros.shape == (0, n) and errors == {}
+        assert zeros.shape == (0, n) and zeros.dtype == complex and errors == {}
+        assert len(calls) <= 1
 
     def test_canonical_order_rowwise(self):
         x = np.array([[1 + 2j, 1 - 1j, -3 + 0j], [0j, -1j, 1j]])

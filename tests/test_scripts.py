@@ -32,7 +32,7 @@ def test_script_exits_0(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", ["bench_pairs.py", "cold_start.py",
-                                  "rhs_pairs.py"])
+                                  "rhs_pairs.py", "same_answers.py"])
 def test_timing_script_help_exits_0(monkeypatch, capsys, name):
     # scripts/ is on sys.path as when the script is run directly, so a
     # broken import between them fails here; --help times nothing
@@ -95,3 +95,36 @@ def test_rhs_pairs_flags_differing_counts(monkeypatch):
         kind("lin a=0.5 N=3 depth=1", [97, 0, 583], [97, 1, 589]),
         kind("iso N=4 depth=1", [214, 1, 1291], [215, 1, 1291]),
     ]) == ["lin a=0.5 N=3 depth=1", "iso N=4 depth=1"]
+
+
+def test_same_answers_against_itself(monkeypatch):
+    # one case per workload and one verify suite, the working tree on both
+    # sides, each in its own worker interpreter
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from same_answers import ROOT, compare, run_tree
+
+    report = compare(*(run_tree(ROOT, [5], 1, ["isochrony"]) for _ in range(2)))
+    assert [r["workload"] for r in report["cases"]] == [
+        "solve", "simulate", "generate", "oracle"]
+    assert report["summary"] == {"cases": 4, "cases_identical": 4,
+                                 "verify": 2, "verify_identical": 2}
+    assert report["identical"]
+
+
+def test_same_answers_measures_what_moved(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from same_answers import compare
+
+    case = {"workload": "solve", "seed": 5, "index": 0, "kind": "iso N=3 depth=0",
+            "output": "t,x1_re\n0,0.5\n1,-2\n", "console": "wrote <workdir>/case1.csv"}
+    moved = dict(case, output="t,x1_re\n0,0.5\n1,-2.0000000000000004\n")
+    report = compare({"cases": [case, case], "verify": {"s: a": "0.0", "s: b": "1e-15"}},
+                     {"cases": [case, moved], "verify": {"s: a": "4e-16", "s: b": "1e-15"}})
+    assert not report["identical"]
+    same, diff = report["cases"]
+    assert same["identical"] and "max_abs" not in same
+    assert not diff["output_identical"] and diff["console_identical"]
+    assert diff["max_abs"] == 4.440892098500626e-16
+    assert diff["max_rel"] == 4.440892098500626e-16 / 2.0000000000000004
+    assert [r["identical"] for r in report["verify"]] == [False, True]
+    assert report["verify"][0]["max_abs"] == 4e-16
