@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trajectory", help="CSV file with t,x1_re,... columns")
     p.add_argument("--period", type=float, required=True, help="base period T")
     p.add_argument("--p-max", type=int, default=math.factorial(6))
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=solvers.DEFAULT_PERIOD_TOL)
     return ap
 
 

@@ -115,9 +115,9 @@ def _accel(x, v, spec: ModelSpec, sep_tol: float, level: int) -> np.ndarray:
     array that coeff_motion returns: a non-finite x_n or v_n makes y_1 or
     ydot_1 non-finite.  A non-finite y_ddot from the level below needs no
     check of its own either, because it makes every entry of the transfer
-    non-finite, up to rhs's check of the final acceleration.  These are the
-    polycore primitives of the public transfer functions, so the result
-    equals their composition to the bit.
+    non-finite, up to rhs's check of the final acceleration.  fold and
+    coeff_rows are coeff_motion, so the result equals the composition of
+    coeff_motion and accel_transfer to the bit.
     """
     if level == spec.depth:
         if spec.kind == "linear_seed":

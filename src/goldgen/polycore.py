@@ -3,13 +3,13 @@
 Symmetric functions, the zeros<->coefficients maps, a simultaneous
 (Aberth-Ehrlich) root finder, the R / R^{-1} matrices and the first- and
 second-derivative transfer relations between a polynomial's zeros and its
-coefficients.  Each identity is implemented once, for the public functions
-and the dynamics kernel alike: fold (sigma_m(x) and their derivative along
-v in one O(N^2) pass, as two Python lists, under coeff_motion,
-elem_sym_all and the columns of r_matrix_inverse), the N x N pair terms
-(pair_diffs, goldfish_force, prefactor) and accel_transfer.  Every
-function here takes and returns plain arrays; MonicPoly is kept for the
-generation tree's nodes.
+coefficients.  Each identity has one entry point, shared by the public
+functions and the dynamics kernel: fold (sigma_m(x) and their derivative
+along v in one O(N^2) pass, as two Python lists, under coeff_motion,
+coeffs_from_zeros and the columns of r_matrix_inverse), the N x N pair
+terms (pair_diffs, goldfish_force, prefactor), r_matrix and
+accel_transfer.  Every function here takes and returns plain arrays;
+MonicPoly is kept for the generation tree's nodes.
 
 The kernel primitives (fold, coeff_rows, coeff_motion, accel_transfer,
 prefactor) check nothing; the public functions validate their inputs
@@ -200,12 +200,6 @@ def fold(x: np.ndarray, v: np.ndarray) -> tuple[list, list]:
     return e[1:], d[1:]
 
 
-def elem_sym_all(z) -> np.ndarray:
-    """All sigma_m, m = 1..N: coeff_motion's fold, its velocity unused."""
-    z = _as_complex(z)
-    return np.array(fold(z, np.zeros_like(z))[0], dtype=np.complex128)
-
-
 @functools.cache
 def _signs_powers(n: int):
     """(-1)^m for m = 1..n and the powers N - m of the transfer identities."""
@@ -268,7 +262,7 @@ def coeffs_from_zeros(zs) -> np.ndarray:
     """Vieta map: y_m = (-1)^m sigma_m of the zeros."""
     x = _as_complex(zs)
     check_distinct(x)
-    return _signs_powers(len(x))[0] * elem_sym_all(x)
+    return coeff_motion(x, np.zeros_like(x))[0]
 
 
 @functools.cache
@@ -512,27 +506,3 @@ def r_matrix_inverse(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     check_distinct(x, sep_tol)
     eye = np.eye(len(x), dtype=np.complex128)
     return np.column_stack([coeff_motion(x, e)[1] for e in eye])
-
-
-def zeros_velocity(x, y_dot) -> np.ndarray:
-    """xdot = R(x) ydot."""
-    return r_matrix(x) @ _as_complex(y_dot)
-
-
-def coeffs_velocity(x, x_dot) -> np.ndarray:
-    """ydot_m = (-1)^m sum_n sigma_{n,m}(x) xdot_n (needs no distinctness)."""
-    return coeff_motion(_as_complex(x), _as_complex(x_dot))[1]
-
-
-def identity_residuals(coeffs, x) -> dict:
-    """Residuals of the two zero/coefficient identities for the zeros x.
-
-    identity1: max_n |x_n^N + sum_m y_m x_n^{N-m}|  (y = coeffs)
-    identity2: same with y_m replaced by (-1)^m sigma_m of the zeros
-    """
-    coeffs, x = _as_complex(coeffs), _as_complex(x)
-    if len(coeffs) != len(x):
-        raise ValueError("degree mismatch")
-    r1, r2 = (np.abs(np.polyval(np.concatenate(([1.0], y)), x)).max()
-              for y in (coeffs, coeffs_from_zeros(x)))
-    return {"identity1": float(r1), "identity2": float(r2)}

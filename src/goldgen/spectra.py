@@ -24,12 +24,6 @@ def hermite_zeros(n: int) -> np.ndarray:
     return np.linalg.eigvalsh(jacobi).astype(np.complex128)
 
 
-def equilibrium_residual(x) -> float:
-    """max_n |x_n - sum_{l != n} (x_n - x_l)^{-1}| = max |equilibrium_flow(x)|;
-    vanishes at Hermite zeros."""
-    return float(np.max(np.abs(equilibrium_flow(x))))
-
-
 def m_matrix(x) -> np.ndarray:
     """M_{nm} = -(x_n - x_m)^{-2} off-diagonal; rows sum to zero."""
     x = np.asarray(x, dtype=np.complex128)

@@ -49,8 +49,10 @@ def suite_identities() -> list[Check]:
     worst_id = worst_rr = worst_vel = 0.0
     for z in sets:
         scale = max(1.0, float(np.max(np.abs(z))) ** len(z))
-        res = polycore.identity_residuals(polycore.coeffs_from_zeros(z), z)
-        worst_id = max(worst_id, res["identity1"] / scale, res["identity2"] / scale)
+        # with Vieta coefficients identity2 (y_m = (-1)^m sigma_m) is identity1
+        y = polycore.coeffs_from_zeros(z)
+        res = float(np.abs(np.polyval(np.concatenate(([1.0], y)), z)).max())
+        worst_id = max(worst_id, res / scale)
         r = polycore.r_matrix(z, sep_tol=1e-6)
         rinv = polycore.r_matrix_inverse(z, sep_tol=1e-6)
         eye = np.eye(len(z))
@@ -60,7 +62,7 @@ def suite_identities() -> list[Check]:
             float(np.max(np.abs(rinv @ r - eye))),
         )
         vd = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
-        back = polycore.coeffs_velocity(z, polycore.zeros_velocity(z, vd))
+        back = polycore.coeff_motion(z, r @ vd)[1]
         worst_vel = max(worst_vel, float(np.max(np.abs(back - vd))))
     return [
         Check("identity1/identity2 residual", worst_id, 1e-9),
@@ -257,7 +259,7 @@ def suite_hermite() -> list[Check]:
     worst_spec = 0.0
     for n in range(2, 11):
         x = spectra.hermite_zeros(n)
-        worst_eq = max(worst_eq, spectra.equilibrium_residual(x))
+        worst_eq = max(worst_eq, float(np.max(np.abs(spectra.equilibrium_flow(x)))))
         lam = np.linalg.eigvals(spectra.m_matrix(x))
         worst_spec = max(
             worst_spec, float(np.max(np.abs(np.sort(lam.real) - np.arange(n))))

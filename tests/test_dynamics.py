@@ -102,7 +102,7 @@ class TestGenerationRHS:
         rng = np.random.default_rng(2)
         y, y_dot = random_state(rng, 3)
         x = pc.zeros_from_coeffs(y)
-        v = pc.zeros_velocity(x, y_dot)
+        v = pc.r_matrix(x) @ y_dot
         spec = dyn.ModelSpec("iso_goldfish", omega=1.0, depth=1)
         got = dyn.rhs(x, v, spec)
         y_ddot = dyn.rhs(y, y_dot, dyn.ModelSpec("iso_goldfish", omega=1.0))
@@ -115,9 +115,7 @@ class TestGenerationRHS:
         spec2 = dyn.ModelSpec("goldfish", depth=2)
         got = dyn.rhs(x, v, spec2)
         # manual two-level unwind
-        signs = (-1.0) ** np.arange(1, 4)
-        y = signs * pc.elem_sym_all(x)
-        ydot = pc.coeffs_velocity(x, v)
+        y, ydot = pc.coeff_motion(x, v)
         spec1 = dyn.ModelSpec("goldfish", depth=1)
         yddot = dyn.rhs(y, ydot, spec1)
         want = pc.accel_transfer(x, v, pc.pair_diffs(x), yddot)
@@ -160,12 +158,10 @@ def reference_seed(x, v, seed):
 
 def reference_generation(x, v, seed, depth):
     """The generation RHS composed from the public polycore transfer
-    functions, one level at a time."""
+    primitives, coeff_motion and accel_transfer, one level at a time."""
     if depth == 0:
         return reference_seed(x, v, seed)
-    signs = (-1.0) ** np.arange(1, len(x) + 1)
-    y = signs * pc.elem_sym_all(x)
-    y_dot = pc.coeffs_velocity(x, v)
+    y, y_dot = pc.coeff_motion(x, v)
     y_ddot = reference_generation(y, y_dot, seed, depth - 1)
     pc.check_distinct(x)
     return pc.accel_transfer(x, v, pc.pair_diffs(x), y_ddot)
@@ -309,7 +305,7 @@ class TestBuildInitialState:
         x, v = dyn.build_initial_state(x0, v0, (3,))
         # invert: coefficients of the lifted x should move at the permuted
         # seed velocity
-        ydot = pc.coeffs_velocity(x, v)
+        ydot = pc.coeff_motion(x, v)[1]
         order = np.lexsort((x0.imag, x0.real))
         want = v0[order][[1, 0, 2]]  # mu = 3: the permutation (2, 1, 3)
         np.testing.assert_allclose(ydot, want, atol=1e-10)

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldgen import polycore as pc
-from goldgen.errors import DegenerateZeros, RootSolveFailed
+from goldgen.errors import DegenerateZeros, GoldgenError, RootSolveFailed
+
+
+def elem_sym(z):
+    """sigma_m(z), m = 1..N, read off the fold under coeff_motion."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.array(pc.fold(z, np.zeros_like(z))[0])
 
 
 def brute_elem_sym(z, m):
@@ -26,18 +32,18 @@ complex_entries = st.complex_numbers(
 
 class TestElemSym:
     def test_sum(self):
-        assert pc.elem_sym_all([2, 3])[0] == 5
+        assert elem_sym([2, 3])[0] == 5
 
     def test_product(self):
-        assert pc.elem_sym_all([2, 3])[1] == 6
+        assert elem_sym([2, 3])[1] == 6
 
     def test_pairs(self):
         # brute force over index pairs: 1*2 + 1*3 + 2*3 = 11
-        assert pc.elem_sym_all([1, 2, 3])[1] == pytest.approx(11)
+        assert elem_sym([1, 2, 3])[1] == pytest.approx(11)
 
     @given(st.lists(complex_entries, min_size=2, max_size=6))
     def test_matches_brute_force(self, z):
-        got = pc.elem_sym_all(z)
+        got = elem_sym(z)
         for m in range(1, len(z) + 1):
             want = brute_elem_sym(z, m)
             assert abs(got[m - 1] - want) <= 1e-9 * (1 + abs(want))
@@ -45,7 +51,7 @@ class TestElemSym:
     @given(st.lists(complex_entries, min_size=2, max_size=6), st.data())
     def test_permutation_invariant(self, z, data):
         perm = data.draw(st.permutations(z))
-        got, want = pc.elem_sym_all(perm), pc.elem_sym_all(z)
+        got, want = elem_sym(perm), elem_sym(z)
         assert np.all(np.abs(got - want) <= 1e-15 * (1 + np.abs(want)))
 
 
@@ -239,18 +245,18 @@ class TestRMatrices:
 
 class TestDerivativeTransfer:
     def test_zero_velocity_maps_to_zero(self):
-        assert np.all(pc.zeros_velocity([1, -1], [0, 0]) == 0)
-        assert np.all(pc.coeffs_velocity([1, -1], [0, 0]) == 0)
+        x = np.array([1, -1], dtype=complex)
+        assert np.all(pc.r_matrix(x) @ np.zeros(2) == 0)
+        assert np.all(pc.coeff_motion(x, np.zeros(2, dtype=complex))[1] == 0)
 
     def test_hand_computed_forward(self):
         np.testing.assert_allclose(
-            pc.zeros_velocity([1, -1], [1, 0]), [-0.5, -0.5], atol=1e-15
+            pc.r_matrix([1, -1]) @ [1, 0], [-0.5, -0.5], atol=1e-15
         )
 
     def test_hand_computed_backward(self):
-        np.testing.assert_allclose(
-            pc.coeffs_velocity([1, -1], [1, 1]), [-2, 0], atol=1e-15
-        )
+        x, v = np.array([1, -1], dtype=complex), np.array([1, 1], dtype=complex)
+        np.testing.assert_allclose(pc.coeff_motion(x, v)[1], [-2, 0], atol=1e-15)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -260,7 +266,7 @@ class TestDerivativeTransfer:
             if pc.min_pairwise_gap(x) < 5e-2:
                 continue
             vd = rng.normal(size=n) + 1j * rng.normal(size=n)
-            back = pc.coeffs_velocity(x, pc.zeros_velocity(x, vd))
+            back = pc.coeff_motion(x, pc.r_matrix(x) @ vd)[1]
             np.testing.assert_allclose(back, vd, atol=1e-10)
 
     def test_velocity_matches_finite_difference(self):
@@ -275,7 +281,7 @@ class TestDerivativeTransfer:
         fd = (zb - za) / (2 * h)
         x0 = pc.zeros_from_coeffs(p0)
         np.testing.assert_allclose(
-            pc.zeros_velocity(x0, ydot), fd, atol=1e-6
+            pc.r_matrix(x0) @ ydot, fd, atol=1e-6
         )
 
 
@@ -311,29 +317,10 @@ class TestAcceleration:
         h = 1e-4
         fd2 = (roots_at(h) - 2 * roots_at(0.0) + roots_at(-h)) / h**2
         x0 = roots_at(0.0)
-        v0 = pc.zeros_velocity(x0, y1)
+        v0 = pc.r_matrix(x0) @ y1
         np.testing.assert_allclose(
             pc.accel_transfer(x0, v0, pc.pair_diffs(x0), y2), fd2, atol=1e-5
         )
-
-
-class TestIdentityResiduals:
-    def test_matched_pair(self):
-        z = np.array([0.3 + 1j, -0.8, 1.2 - 0.4j])
-        p = pc.coeffs_from_zeros(z)
-        res = pc.identity_residuals(p, z)
-        assert res["identity1"] < 1e-12
-        assert res["identity2"] < 1e-12
-
-    def test_mismatched_pair(self):
-        res = pc.identity_residuals([0, -1], [1, 2])  # z^2 - 1
-        assert res["identity1"] == pytest.approx(3.0)  # |p(2)|
-
-    def test_identities_agree_for_vieta_coeffs(self):
-        z = np.array([1.5, -0.5 + 0.7j, 0.2 - 0.3j])
-        p = pc.coeffs_from_zeros(z)
-        res = pc.identity_residuals(p, z)
-        assert abs(res["identity1"] - res["identity2"]) < 1e-13
 
 
 def _lattice_zeros(rng, batch, n):
@@ -544,3 +531,28 @@ class TestRootFinderOracle:
         assert pc.min_pairwise_gap(zs) > sep_tol * scale
         # a pair at distance 2 delta is resolved to ~ eps / delta
         assert set_distance(zs, truth) <= 1e-15 / delta + 1e-12
+
+    # Silently wrong zeros that the absolute acceptance rule lets through.
+    # Both pins turn red when that rule is mended; remove them then.
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+    def test_exact_double_zero_is_refused(self):
+        # z^2: today the start circle, +-(1.4e-8 + 5.8e-9j), is accepted
+        with pytest.raises(DegenerateZeros):
+            pc.zeros_from_coeffs([0, 0])
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+    def test_small_zeros_are_resolved_or_refused(self):
+        from goldgen.matching import set_distance
+
+        # every zero of size 1e-3: |p| < root_tol on the whole start circle,
+        # and today the first sweep is accepted, 0.45 of the largest zero off
+        z = 1e-3 * np.array([0.9 + 0.1j, -0.6 + 0.7j, -0.4 - 0.8j, 0.3 - 0.5j,
+                             0.1 + 0.6j])
+        coeffs = np.poly(z)[1:]
+        truth = _mp_zeros(coeffs)
+        try:
+            zs = pc.zeros_from_coeffs(coeffs)
+        except GoldgenError:
+            return
+        assert set_distance(zs, truth) <= 1e-9 * float(np.max(np.abs(truth)))

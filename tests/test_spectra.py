@@ -34,10 +34,13 @@ class TestHermite:
             sp.hermite_zeros(13)
 
     def test_equilibrium_residual(self):
+        def residual(x):
+            return np.max(np.abs(sp.equilibrium_flow(x)))
+
         for n in range(2, 13):
-            assert sp.equilibrium_residual(sp.hermite_zeros(n)) < 1e-9
+            assert residual(sp.hermite_zeros(n)) < 1e-9
         # a non-equilibrium configuration has a visible residual
-        assert sp.equilibrium_residual([1.0, -1.0]) > 0.4
+        assert residual([1.0, -1.0]) > 0.4
 
 
 class TestMMatrix:
