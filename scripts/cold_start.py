@@ -13,7 +13,7 @@ positions as a seed to depth 2 (N=3, 42 nodes). It prints each side's
 median and the parent's median over the change's. The record, with every
 run, each side's quartiles, machine info and the compile commands, goes
 under the key "cold_start" of --out, which is created or, if it exists,
-updated in place.
+updated in place (bench_pairs.update_json).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, compile_sources, extract, git, quartiles
+from bench_pairs import ROOT, compile_sources, extract, git, quartiles, update_json
 
 POSITIONS = [[0.9, 0.1], [-0.2, -0.5], [-0.8, 0.6]]
 README_CONFIG = {
@@ -104,11 +104,8 @@ def main(argv=None) -> int:
                   f"{stats['change']['median']:.3f} s  x{speedup:.2f}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    out = Path(args.out)
-    report = json.loads(out.read_text()) if out.exists() else {}
-    report["cold_start"] = record
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}")
+    update_json(args.out, {"cold_start": record})
+    print(f"wrote {args.out}")
     return 0
 
 

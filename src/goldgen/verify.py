@@ -49,10 +49,12 @@ def suite_identities() -> list[Check]:
     worst_id = worst_rr = worst_vel = 0.0
     for z in sets:
         scale = max(1.0, float(np.max(np.abs(z))) ** len(z))
-        # with Vieta coefficients identity2 (y_m = (-1)^m sigma_m) is identity1
+        # identity1: the zeros are zeros of the Vieta coefficients; identity2:
+        # y_m = (-1)^m sigma_m, against numpy's product of the factors z - z_n
         y = polycore.coeffs_from_zeros(z)
-        res = float(np.abs(np.polyval(np.concatenate(([1.0], y)), z)).max())
-        worst_id = max(worst_id, res / scale)
+        res1 = float(np.abs(np.polyval(np.concatenate(([1.0], y)), z)).max())
+        res2 = float(np.abs(y - np.poly(z)[1:]).max())
+        worst_id = max(worst_id, res1 / scale, res2 / scale)
         r = polycore.r_matrix(z, sep_tol=1e-6)
         rinv = polycore.r_matrix_inverse(z, sep_tol=1e-6)
         eye = np.eye(len(z))
@@ -85,7 +87,7 @@ def suite_radical_family() -> list[Check]:
             continue
         tree = permgen.generation_tree([b, c], depth=3)
         for lvl in (1, 2, 3):
-            engine = [node.poly.coeffs for node in tree.level(lvl)]
+            engine = tree.levels[lvl][1] if lvl < len(tree.levels) else ()
             closed = [p.coeffs for p in fam[lvl - 1]]
             if len(engine) != len(closed):
                 sizes_ok = False
@@ -209,12 +211,10 @@ def suite_generations() -> list[Check]:
             dtype=np.complex128,
         )
         tree = permgen.generation_tree(polycore.coeffs_from_zeros(z), depth=1)
-        children = {
-            tuple(np.round(node.poly.coeffs, 9).tolist()) for node in tree.level(1)
-        }
+        children = {tuple(c) for c in np.round(tree.levels[1][1], 9).tolist()}
         orderings = {
             tuple(np.round(np.array(p), 9).tolist())
-            for p in itertools.permutations(tree.seed.zeros)
+            for p in itertools.permutations(tree.levels[0][2][0])
         }
         if children != orderings:
             bad += 1

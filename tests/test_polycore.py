@@ -532,8 +532,9 @@ class TestRootFinderOracle:
         # a pair at distance 2 delta is resolved to ~ eps / delta
         assert set_distance(zs, truth) <= 1e-15 / delta + 1e-12
 
-    # Silently wrong zeros that the absolute acceptance rule lets through.
-    # Both pins turn red when that rule is mended; remove them then.
+    # What the absolute acceptance rule gets wrong: silently wrong zeros it
+    # lets through, and converged zeros it refuses for some starts.  These
+    # pins turn red when that rule is mended; remove their marks then.
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
     def test_exact_double_zero_is_refused(self):
@@ -556,3 +557,34 @@ class TestRootFinderOracle:
         except GoldgenError:
             return
         assert set_distance(zs, truth) <= 1e-9 * float(np.max(np.abs(truth)))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+    @pytest.mark.parametrize("b, c", [(0.7 - 0.2j, 1e-100 * (0.3 + 0.4j)),
+                                      (1e100 * (0.7 - 0.2j), 0.3 + 0.4j)])
+    def test_tiny_zero_beside_a_large_one(self, b, c):
+        # z^2 + b z + c: the small zero is -c/b to within ~1e-100 relative.
+        # Today the first comes back 4e75 relative off and the second as 0
+        small = -c / b
+        try:
+            zs = pc.zeros_from_coeffs([b, c])
+        except GoldgenError:
+            return
+        assert abs(zs[np.argmin(np.abs(zs))] - small) <= 1e-9 * abs(small)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 6 and 11")
+    def test_wilkinson_survives_start_rotation(self, monkeypatch):
+        from goldgen.matching import set_distance
+
+        # acceptance must not rest on the start: today Wilkinson-10 is
+        # refused at 5 of these 10 rotations (-4, -2, +1, +3, +4)
+        rotation = pc._START_ROTATION
+        try:
+            for shift in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+                monkeypatch.setattr(pc, "_START_ROTATION", rotation + shift * 1e-15)
+                pc._start_angles.cache_clear()  # the angles are cached by n
+                for n in range(3, 11):
+                    zs = pc.zeros_from_coeffs(np.poly(range(1, n + 1))[1:])
+                    assert set_distance(zs, np.arange(1, n + 1)) <= 1e-8
+        finally:
+            monkeypatch.undo()
+            pc._start_angles.cache_clear()

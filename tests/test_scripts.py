@@ -2,6 +2,7 @@
 print failures in the CLI's format, and the timing scripts, which import
 each other, parse their options."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ def test_script_exits_0(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", ["bench_pairs.py", "cold_start.py",
-                                  "rhs_pairs.py", "same_answers.py"])
+                                  "same_answers.py"])
 def test_timing_script_help_exits_0(monkeypatch, capsys, name):
     # scripts/ is on sys.path as when the script is run directly, so a
     # broken import between them fails here; --help times nothing
@@ -80,23 +81,6 @@ def test_generation_demo_names_the_error_type(monkeypatch, capsys):
     assert "  mu=[1, 2]: DegenerateZeros: near-multiple root: gap 0\n" in out
 
 
-def test_rhs_pairs_flags_differing_counts(monkeypatch):
-    # the timing pair may not change the step sequence: main exits 1 on
-    # the kinds named here, those whose steps, rejections or RHS calls differ
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    from rhs_pairs import count_mismatches
-
-    def kind(name, parent, change):
-        return {"kind": name, "counts": {"parent": parent, "change": change}}
-
-    same = [kind("iso N=3 depth=0", [127, 0, 763], [127, 0, 763])]
-    assert count_mismatches(same) == []
-    assert count_mismatches(same + [
-        kind("lin a=0.5 N=3 depth=1", [97, 0, 583], [97, 1, 589]),
-        kind("iso N=4 depth=1", [214, 1, 1291], [215, 1, 1291]),
-    ]) == ["lin a=0.5 N=3 depth=1", "iso N=4 depth=1"]
-
-
 def test_same_answers_against_itself(monkeypatch):
     # one case per workload and one verify suite, the working tree on both
     # sides, each in its own worker interpreter
@@ -118,13 +102,51 @@ def test_same_answers_measures_what_moved(monkeypatch):
     case = {"workload": "solve", "seed": 5, "index": 0, "kind": "iso N=3 depth=0",
             "output": "t,x1_re\n0,0.5\n1,-2\n", "console": "wrote <workdir>/case1.csv"}
     moved = dict(case, output="t,x1_re\n0,0.5\n1,-2.0000000000000004\n")
-    report = compare({"cases": [case, case], "verify": {"s: a": "0.0", "s: b": "1e-15"}},
-                     {"cases": [case, moved], "verify": {"s: a": "4e-16", "s: b": "1e-15"}})
+    # simulate's console line carries its steps, rejections and RHS calls:
+    # one more step differs even when the CSVs agree
+    line = ("wrote <workdir>/case1.csv: 241 samples, %d steps (0 rejected: 0 error, "
+            "0 guard), 1039 RHS calls, min gap 3.000e-01")
+    run = dict(case, workload="simulate", console=line % 173)
+    report = compare(
+        {"cases": [case, case, run], "verify": {"s: a": "0.0", "s: b": "1e-15"}},
+        {"cases": [case, moved, dict(run, console=line % 174)],
+         "verify": {"s: a": "4e-16", "s: b": "1e-15"}})
     assert not report["identical"]
-    same, diff = report["cases"]
+    same, diff, steps = report["cases"]
     assert same["identical"] and "max_abs" not in same
     assert not diff["output_identical"] and diff["console_identical"]
     assert diff["max_abs"] == 4.440892098500626e-16
     assert diff["max_rel"] == 4.440892098500626e-16 / 2.0000000000000004
+    assert steps["output_identical"] and not steps["console_identical"]
+    assert not steps["identical"] and steps["max_abs"] == 1.0
     assert [r["identical"] for r in report["verify"]] == [False, True]
     assert report["verify"][0]["max_abs"] == 4e-16
+
+
+def test_bench_pairs_keeps_the_cold_start_record(monkeypatch, tmp_path):
+    # the README sends cold_start.py and then bench_pairs.py to one file;
+    # both runs are faked here, only their writing of the report is real
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+    import cold_start
+
+    def extract(commit, dest):
+        dest.mkdir()
+
+    for script in (bench_pairs, cold_start):
+        monkeypatch.setattr(script, "git", lambda *args: "0" * 40)
+        monkeypatch.setattr(script, "extract", extract)
+        monkeypatch.setattr(script, "compile_sources", lambda tree: "compiled")
+    monkeypatch.setattr(cold_start, "timed", lambda argv, tree: 0.25)
+    metrics = {m["name"]: {"value": 1.0} for m in json.loads(
+        (SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]}
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda *args, **kwargs: ({"metrics": metrics}, {}))
+
+    out = tmp_path / "BENCH.json"
+    assert cold_start.main(["HEAD", "--runs", "2", "--out", str(out)]) == 0
+    assert bench_pairs.main(["HEAD", "--workload", "solve", "--pairs", "2",
+                             "--seconds", "1", "--seeds", "1-2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["cold_start"]["commands"]["solve"]["speedup"] == 1.0
+    assert report["workloads"]["solve"]["summary"]["items_per_kref"]["pairs"] == 2
