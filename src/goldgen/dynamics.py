@@ -259,7 +259,11 @@ def integrate(
     if np.any(np.diff(out_times) <= 0):
         raise ValueError("output grid must be strictly increasing")
 
-    times = out_times.tolist()
+    # every model is autonomous: steps run in the time elapsed since t0, so the
+    # step-size floors and theta keep their digits at any t0 (messages add t0)
+    t0 = float(out_times[0])
+    elapsed = out_times - t0
+    times = elapsed.tolist()
     n = len(x0)
     guarded = spec.depth > 0 or spec.kind != "linear_seed"
     sep_tol = float(tol.sep_tol)
@@ -293,7 +297,7 @@ def integrate(
         if steps + rejected_error + rejected_guard > _MAX_STEPS:
             raise StepSizeUnderflow("step budget exhausted")
         if h < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
+            raise StepSizeUnderflow(f"step size underflow at t={t0 + t:.6g}")
         last = t + 1.01 * h >= t_end
         if last:
             h = t_end - t
@@ -311,7 +315,7 @@ def integrate(
             if h < 1e-12 * max(1.0, abs(t)):
                 gap = min_pairwise_gap(u[:n])
                 raise CollisionError(
-                    f"collision approaching t~{t:.6g}: gap {gap:.3e} "
+                    f"collision approaching t~{t0 + t:.6g}: gap {gap:.3e} "
                     f"and shrinking, step size collapsed",
                     level=e.level,
                 ) from e
@@ -330,7 +334,7 @@ def integrate(
             no_growth = True
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)) and not math.isfinite(err):
-                raise NonFiniteState(f"non-finite stage at t={t:.6g}", level=0)
+                raise NonFiniteState(f"non-finite stage at t={t0 + t:.6g}", level=0)
             continue
         # outputs in (t, t_new]: from the interpolant inside, u5 at t_new;
         # rows before `filled` lie at or before t, so the search starts there
@@ -338,7 +342,7 @@ def integrate(
         stop = bisect_right(times, t_new, filled)
         inner = stop - 1 if times[stop - 1] == t_new else stop
         if inner > filled:
-            taus = out_times[filled:inner]
+            taus = elapsed[filled:inner]
             theta = (taus - t) / h
             us = out[filled:inner]
             np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K), out=us)
@@ -350,7 +354,7 @@ def integrate(
                 if gap <= sep_tol:
                     k = int(np.argmin(gaps))
                     raise CollisionError(
-                        f"collision at t~{taus[k]:.6g}: gap {gaps[k]:.3e}", level=0
+                        f"collision at t~{t0 + taus[k]:.6g}: gap {gaps[k]:.3e}", level=0
                     )
                 min_gap = min(min_gap, float(gap))
         if inner < stop:

@@ -25,6 +25,7 @@ from .matching import set_distance
 from .polycore import (
     MonicPoly,
     Tolerances,
+    as_vector,
     canonical_order,
     zeros_batch,
     zeros_from_coeffs,
@@ -94,7 +95,7 @@ class GenerationTree:
     zeros) of level k's solved nodes in address order, levels[0] the seed's;
     row parent * N! + mu - 1 indexes the previous level's nodes times the N!
     orderings, and zeros are canonically ordered.  `to_json` reads only these;
-    `seed`, `nodes` and `level(k)` are GenerationNode views made on access."""
+    `nodes` and `level(k)` are GenerationNode views made on access."""
 
     depth: int
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -118,11 +119,6 @@ class GenerationTree:
         return out
 
     @functools.cached_property
-    def seed(self) -> GenerationNode:
-        _, coeffs, zeros = self.levels[0]
-        return GenerationNode((), MonicPoly.trusted(coeffs[0]), zeros[0])
-
-    @functools.cached_property
     def nodes(self) -> dict[tuple[int, ...], GenerationNode]:
         return {nd.address: nd for k in range(1, len(self.levels)) for nd in self.level(k)}
 
@@ -130,7 +126,7 @@ class GenerationTree:
         """Level k's nodes (k >= 1) in address order, made on first access."""
         if k not in self._views:
             coeffs, zeros = self.levels[k][1:] if 0 < k < len(self.levels) else ((), ())
-            self._views[k] = [GenerationNode(tuple(a), MonicPoly.trusted(c), z) for a, c, z
+            self._views[k] = [GenerationNode(tuple(a), MonicPoly(c), z) for a, c, z
                               in zip(self._addresses(k)[-1].tolist(), coeffs, zeros)]
         return self._views[k]
 
@@ -178,7 +174,7 @@ def generation_tree(
     tol: Tolerances = Tolerances(),
 ) -> GenerationTree:
     """Expand the generation tree of `seed`, a MonicPoly or its coefficient
-    vector, to the given depth.
+    vector (1-d, finite, N >= 1, else ValueError), to the given depth.
 
     Each level's rows are one fancy index of the previous level's zeros,
     root-extracted in one batched solve.  Branches whose solve fails
@@ -187,9 +183,10 @@ def generation_tree(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if not isinstance(seed, MonicPoly):
-        seed = MonicPoly(seed)
-    n = len(seed.coeffs)
+    coeffs = as_vector(seed.coeffs if isinstance(seed, MonicPoly) else seed)
+    n = len(coeffs)
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     nf = math.factorial(n)
     # stop summing once past the budget: nf**depth can have millions of digits.
     # N = 1 addresses hold depth**2 / 2 entries, so 2**depth - 1 counts too
@@ -201,8 +198,8 @@ def generation_tree(
             raise TreeBudgetExceeded(f"a depth-{depth} tree would exceed the node "
                                      f"budget of {node_budget}")
 
-    zeros = zeros_from_coeffs(seed.coeffs, tol)[None]
-    tree = GenerationTree(depth, [(np.arange(1), seed.coeffs[None], zeros)])
+    zeros = zeros_from_coeffs(coeffs, tol)[None]
+    tree = GenerationTree(depth, [(np.arange(1), coeffs[None], zeros)])
     while len(tree.levels) <= depth and len(zeros):
         # row parent * nf + mu - 1 holds the mu-th ordering of the parent's
         # checked, canonically ordered zeros; the reshape copies it in C order
@@ -278,7 +275,7 @@ def nested_radical_family(
     # every radical enters some coefficient, so one check covers them all
     if not np.isfinite(rows).all():
         raise NonFiniteState("a radical or coefficient of the family overflows or is NaN")
-    family = [MonicPoly.trusted(row) for row in rows]
+    family = [MonicPoly(row) for row in rows]
     return family[:2], family[2:6], family[6:]
 
 

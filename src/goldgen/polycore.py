@@ -9,7 +9,8 @@ along v in one O(N^2) pass, as two Python lists, under coeff_motion,
 coeffs_from_zeros and the columns of r_matrix_inverse), the N x N pair
 terms (pair_diffs, goldfish_force, prefactor), r_matrix and
 accel_transfer.  Every function here takes and returns plain arrays;
-MonicPoly is kept for the generation tree's nodes.
+MonicPoly, a record of a coefficient vector that checks nothing, is kept
+for the generation tree's node views and the closed-form family.
 
 The kernel primitives (fold, coeff_rows, coeff_motion, accel_transfer,
 prefactor) check nothing; the public functions validate their inputs
@@ -89,7 +90,8 @@ _STEP_FLOOR = 1e-16 * (1.0 + 2.0 * math.sqrt(2.0))
 _START_ROTATION = 0.401257302210934
 
 
-def _as_complex(v) -> np.ndarray:
+def as_vector(v) -> np.ndarray:
+    """v as a complex128 array; ValueError unless it is 1-d and finite."""
     a = np.asarray(v, dtype=np.complex128)
     if a.ndim != 1:
         raise ValueError("expected a 1-d vector")
@@ -150,22 +152,10 @@ def check_distinct(x, sep_tol: float = DEFAULT_SEP_TOL) -> None:
 
 @dataclass(frozen=True)
 class MonicPoly:
-    """Monic polynomial z^N + sum_m coeffs[m-1] z^{N-m}."""
+    """Monic polynomial z^N + sum_m coeffs[m-1] z^{N-m}: a plain record of
+    its coefficient vector, which it does not check."""
 
     coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_complex(self.coeffs))
-        if len(self.coeffs) < 1:
-            raise ValueError("degree must be >= 1")
-
-    @classmethod
-    def trusted(cls, coeffs: np.ndarray) -> "MonicPoly":
-        """A polynomial from a finite complex128 vector of length >= 1, not
-        re-validated."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
 
 
 @dataclass(frozen=True)
@@ -260,7 +250,7 @@ def accel_transfer(x: np.ndarray, v: np.ndarray, diff: np.ndarray,
 
 def coeffs_from_zeros(zs) -> np.ndarray:
     """Vieta map: y_m = (-1)^m sigma_m of the zeros."""
-    x = _as_complex(zs)
+    x = as_vector(zs)
     check_distinct(x)
     return coeff_motion(x, np.zeros_like(x))[0]
 
@@ -493,7 +483,7 @@ def zeros_from_coeffs(coeffs, tol: Tolerances = Tolerances()) -> np.ndarray:
 
 def r_matrix(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """R_{nm} = -[prod_{l != n} (x_n - x_l)^{-1}] x_n^{N-m}."""
-    x = _as_complex(x)
+    x = as_vector(x)
     check_distinct(x, sep_tol)
     _, powers = _signs_powers(len(x))
     return -prefactor(1.0 / pair_diffs(x))[:, None] * x[:, None] ** powers
@@ -502,7 +492,7 @@ def r_matrix(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
 def r_matrix_inverse(x, sep_tol: float = DEFAULT_SEP_TOL) -> np.ndarray:
     """[R^{-1}]_{nm} = (-1)^n sigma_{m,n}(x), so that R R^{-1} = I: column m
     is coeff_motion's coefficient velocity for a unit velocity of zero m."""
-    x = _as_complex(x)
+    x = as_vector(x)
     check_distinct(x, sep_tol)
     eye = np.eye(len(x), dtype=np.complex128)
     return np.column_stack([coeff_motion(x, e)[1] for e in eye])

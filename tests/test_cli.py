@@ -441,8 +441,8 @@ class TestGenerate:
         assert not out.exists()
 
     def test_generate_makes_no_node_objects(self, tmp_path, monkeypatch):
-        # the tree stays level arrays: no GenerationNode, and no MonicPoly but
-        # the validated seed, on the way from the config to the JSON
+        # the tree stays level arrays: no GenerationNode and no MonicPoly on
+        # the way from the config to the JSON
         made = []
 
         def counting(name, make):
@@ -455,16 +455,15 @@ class TestGenerate:
         monkeypatch.setattr(permgen.GenerationNode, "__init__",
                             counting("GenerationNode", node_init))
         monkeypatch.setattr(MonicPoly, "__init__", counting("MonicPoly", poly_init))
-        monkeypatch.setattr(MonicPoly, "trusted",
-                            staticmethod(counting("MonicPoly", MonicPoly.trusted)))
         raw = {"seed_coeffs": [[1.0, 0.0], [-1.0, 0.5], [0.3, 0.2]], "depth": 2,
                "output": str(tmp_path / "tree.json")}
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["generate", "--config", write_config(tmp_path, raw)]) == 0
-        assert made == ["MonicPoly"]
+        assert made == []
         # the counters see what the views make
         tree = permgen.generation_tree(cfgmod.parse_config(raw).seed_coeffs, 2)
-        assert len(tree.nodes) == 42 and made.count("GenerationNode") == 42
+        assert len(tree.nodes) == 42
+        assert made.count("GenerationNode") == made.count("MonicPoly") == 42
         monkeypatch.undo()
         assert_tree_json((tmp_path / "tree.json").read_text(), tree)
 
@@ -536,6 +535,21 @@ class TestSimulate:
         for command in ("simulate", "solve"):
             assert main([command, "--config", cfg]) == 0
             assert len(np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)) == 2
+
+    @pytest.mark.parametrize("t0", [2.0**34, 2.0**40])
+    def test_late_start_steps_as_from_zero(self, tmp_path, t0):
+        # the integrator steps in the time elapsed since t0, so the step-size
+        # floor 1e-14 * |t| does not refuse the first step of a late start
+        def x_v_columns(start):
+            raw = dict(BASE_SIM, mu=[2], output=str(tmp_path / "t.csv"),
+                       model={"kind": "generation", "seed_kind": "linear_seed",
+                              "a": [0.5, 0.0], "depth": 1},
+                       grid={"t0": start, "t1": start + 0.25, "dt_out": 2.0**-4})
+            assert main(["simulate", "--config", write_config(tmp_path, raw)]) == 0
+            rows = (tmp_path / "t.csv").read_text().splitlines()
+            return [row.split(",", 1)[1] for row in rows]
+
+        assert x_v_columns(t0) == x_v_columns(0.0)
 
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "traj.csv"

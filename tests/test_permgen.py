@@ -31,7 +31,7 @@ def assert_tree_json(text: str, tree) -> None:
         return [[float(z.real), float(z.imag)] for z in np.asarray(a)]
 
     want = json.dumps({
-        "seed": pairs(tree.seed.poly.coeffs),
+        "seed": pairs(tree.levels[0][1][0]),
         "depth": tree.depth,
         "nodes": [
             {"mu": list(addr), "coeffs": pairs(node.poly.coeffs),
@@ -44,6 +44,12 @@ def assert_tree_json(text: str, tree) -> None:
                  min(len(text), len(want)))
         lo = max(i - 40, 0)
         pytest.fail(f"differs at {i}: {text[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+
+
+def parent_zeros(tree, addr):
+    """The zeros that the node at `addr` is an ordering of: its parent's, or
+    the seed's for a level-1 node."""
+    return tree.levels[0][2][0] if len(addr) == 1 else tree.nodes[addr[:-1]].zeros
 
 
 def canonical_sort(x):
@@ -121,16 +127,16 @@ class TestMuIndexing:
 
 class TestGenerationStep:
     def test_zero_swap_changes_coeffs(self):
-        root = pg.generation_tree([0, -1], 0).seed  # zeros -1, 1
-        coeffs = [root.zeros[pg.lift(root.zeros[None], mu)[1]] for mu in (1, 2)]
+        root = pg.generation_tree([0, -1], 0).levels[0][2][0]  # zeros -1, 1
+        coeffs = [root[pg.lift(root[None], mu)[1]] for mu in (1, 2)]
         np.testing.assert_allclose(coeffs[0], [-1, 1], atol=1e-10)
         np.testing.assert_allclose(coeffs[1], [1, -1], atol=1e-10)
 
     def test_child_zeros_consistent(self):
-        root = pg.generation_tree([0.3 - 1j, -0.8, 1.1 + 0.2j], 0).seed
-        (zeros,), order = pg.lift(root.zeros[None], 4)
+        root = pg.generation_tree([0.3 - 1j, -0.8, 1.1 + 0.2j], 0).levels[0][2][0]
+        (zeros,), order = pg.lift(root[None], 4)
         back = coeffs_from_zeros(zeros)
-        np.testing.assert_allclose(back, root.zeros[order], atol=1e-9)
+        np.testing.assert_allclose(back, root[order], atol=1e-9)
 
     def test_address_extends(self):
         tree = pg.generation_tree(MonicPoly([0, -1]), depth=2)
@@ -175,21 +181,22 @@ class TestGenerationTree:
         tree = pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j, 0.3j]), depth=2)
         assert len(tree.nodes) == 6 + 36 and not tree.failed
         for addr, node in tree.nodes.items():
-            parent = tree.seed if len(addr) == 1 else tree.nodes[addr[:-1]]
-            (zeros,), order = pg.lift(parent.zeros[None], addr[-1])
-            np.testing.assert_array_equal(node.poly.coeffs, parent.zeros[order])
+            parent = parent_zeros(tree, addr)
+            (zeros,), order = pg.lift(parent[None], addr[-1])
+            np.testing.assert_array_equal(node.poly.coeffs, parent[order])
             np.testing.assert_allclose(node.zeros, zeros, atol=1e-12)
 
     def test_nodes_pass_the_checks_they_skip(self):
-        # nodes are built unvalidated from zeros_batch rows; they pass the
-        # validating constructor and the separation check, and their zeros
-        # are in the canonical order the next level branches on
+        # nodes are built unchecked from zeros_batch rows; their coeffs are
+        # what the seed check asks for (finite complex128 vectors), their zeros
+        # pass the separation check and are in the canonical order the next
+        # level branches on
         tree = pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j, 0.3j]), depth=2)
         for node in tree.nodes.values():
-            poly = MonicPoly(node.poly.coeffs)
-            assert node.poly.coeffs.dtype == node.zeros.dtype == np.complex128
-            np.testing.assert_array_equal(poly.coeffs, node.poly.coeffs)
-            check_distinct(node.zeros, 1e-8 * max(1.0, np.abs(poly.coeffs).max()))
+            coeffs = node.poly.coeffs
+            assert coeffs.dtype == node.zeros.dtype == np.complex128
+            assert coeffs.shape == (3,) and np.isfinite(coeffs).all()
+            check_distinct(node.zeros, 1e-8 * max(1.0, np.abs(coeffs).max()))
             np.testing.assert_array_equal(canonical_order(node.zeros),
                                           np.arange(len(node.zeros)))
 
@@ -197,7 +204,7 @@ class TestGenerationTree:
         tol = Tolerances(sep_tol=1e-6)
         tree = pg.generation_tree(MonicPoly([-3.0, 2.0]), depth=1, tol=tol)
         with pytest.raises(DegenerateZeros) as exc:
-            pg.lift(tree.seed.zeros[None], 2, tol)
+            pg.lift(tree.levels[0][2], 2, tol)
         assert type(tree.failed[(2,)]) is DegenerateZeros
         assert str(tree.failed[(2,)]) == str(exc.value)
 
@@ -214,10 +221,9 @@ class TestGenerationTree:
             assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
         for addr, node in tree.nodes.items():
             assert node.address == addr
-            parent = tree.seed if len(addr) == 1 else tree.nodes[addr[:-1]]
             perm = np.array(pg.mu_to_perm(addr[-1], n)) - 1
-            assert node.poly.coeffs.tobytes() == parent.zeros[perm].tobytes()
-        assert tree.seed.poly.coeffs.tobytes() == seed.coeffs.tobytes()
+            assert node.poly.coeffs.tobytes() == parent_zeros(tree, addr)[perm].tobytes()
+        assert tree.levels[0][1][0].tobytes() == seed.coeffs.tobytes()
 
     def test_rows_reach_zeros_batch_c_ordered(self, monkeypatch):
         # the order of numpy's complex sums follows the memory layout, so a
@@ -233,6 +239,19 @@ class TestGenerationTree:
         pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j, 0.3j]), depth=2,
                            tol=Tolerances(sep_tol=0.5))
         assert [shape[1] for shape in seen] == [3, 3] and seen[0][0] == 6
+
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "degree must be >= 1"),
+        ([[1.0, 2.0]], "expected a 1-d vector"),
+        ([1.0, np.nan], "non-finite entries"),
+    ], ids=["empty", "2-d", "nan"])
+    def test_seed_is_checked_in_any_form(self, coeffs, text):
+        # the seed check is generation_tree's own: a MonicPoly is a plain
+        # record, so it refuses the same seeds with the same text
+        for seed in (coeffs, np.array(coeffs), MonicPoly(coeffs)):
+            with pytest.raises(ValueError) as exc:
+                pg.generation_tree(seed, 1)
+            assert str(exc.value) == text
 
     def test_one_zero_seed_keeps_to_the_budget(self):
         # at N = 1 each level has one node, but an address holds `depth`
