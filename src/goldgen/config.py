@@ -128,7 +128,8 @@ class Grid:
 
     def times(self) -> np.ndarray:
         """t0 + k dt_out for k = 0..count, where count dt_out = t1 - t0 to
-        within 1e-9 max(1, |t1 - t0|)."""
+        within 1e-9 max(1, |t1 - t0|); they must be strictly increasing as
+        rounded (a dt_out below the spacing of floats near t0 repeats times)."""
         span = self.t1 - self.t0
         if not math.isfinite(span / self.dt_out):
             raise ConfigError("grid: (t1 - t0) / dt_out is not finite")
@@ -143,7 +144,13 @@ class Grid:
             steps = np.arange(count + 1)
         except (ValueError, MemoryError) as e:  # more than numpy can index
             raise ConfigError(f"grid: {count + 1:.3g} output times are too many") from e
-        return self.t0 + self.dt_out * steps
+        times = self.t0 + self.dt_out * steps
+        if not (np.diff(times) > 0).all():
+            raise ConfigError(
+                f"grid: t0 + k dt_out is not strictly increasing in floating point "
+                f"(t0 {self.t0!r}, dt_out {self.dt_out!r})"
+            )
+        return times
 
 
 @dataclass

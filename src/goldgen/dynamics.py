@@ -242,18 +242,32 @@ def integrate(
     each stage's rhs guards every recursion level and checks a generation
     model's coefficients and acceleration in scalar Python (see _accel and
     rhs), and the error test rejects a seed model's non-finite stage.
-    Interpolated outputs are guarded as they are written, on the smallest
-    of their gaps (the row that fails is looked up only then).  Step ends
-    need no guard of their own, as each is a last stage's state, so their
-    gaps only feed min_gap, in one batched call per _GAP_BATCH accepted
-    steps.
+    Interpolated outputs are guarded when their batch is written (below):
+    the run raises for the first step, in time, that holds an output at or
+    below sep_tol, naming that step's closest output, as if each step had
+    been guarded on its own.  Step ends need no guard of their own, as each
+    is a last stage's state, so their gaps only feed min_gap.
 
-    Per step the loop pays numpy's call price only for array arithmetic:
-    the output rows a step covers are found by bisecting the grid as a
-    Python list from the first unwritten row, t and the counters are
-    Python numbers, and the trajectory's counters are stored once, at the
-    end.  The stages call the module-level rhs, so a wrapper bound to
-    dynamics.rhs sees every call.
+    Per step the loop pays numpy's call price only for the stages, the
+    error test and a few row copies.  The seven stages are the rows of one
+    (7, 3N) array, row i holding (x_i, v_i, a_i), so the derivatives
+    k_i = (v_i, a_i) are one view of it: a stage forms its state in place
+    and stores only its acceleration, and first-same-as-last copies one
+    row.  An accepted step with output times inside it records its rows,
+    t and h and a copy of its stage rows, and its outputs are written in a
+    batch: once per _GAP_BATCH such steps or step ends, after the last
+    step, and before a GoldgenError leaves the loop (a collision among the
+    batch's outputs, the earlier failure, is then raised in its place).  A
+    batch forms P^T K for all its steps in one stacked matmul (bit for bit
+    the per-step product), theta and its powers for all its rows at once,
+    and one min_pairwise_gap over all its rows and step ends.  Only the
+    product of a step's theta rows with its P^T K, and the h and u it
+    scales and shifts by, stay per step: stacked per-row products run
+    BLAS's matrix-vector path, whose sums round differently.  The output
+    rows a step covers are found by bisecting the grid as a Python list from
+    the first unwritten row, t and the counters are Python numbers, and the
+    trajectory's counters are stored once, at the end.  The stages call the
+    module-level rhs, so a wrapper bound to dynamics.rhs sees every call.
     """
     out_times = np.asarray(out_times, dtype=float)
     if np.any(np.diff(out_times) <= 0):
@@ -262,25 +276,70 @@ def integrate(
     # every model is autonomous: steps run in the time elapsed since t0, so the
     # step-size floors and theta keep their digits at any t0 (messages add t0)
     t0 = float(out_times[0])
-    elapsed = out_times - t0
-    times = elapsed.tolist()
+    times = (out_times - t0).tolist()
     n = len(x0)
     guarded = spec.depth > 0 or spec.kind != "linear_seed"
     sep_tol = float(tol.sep_tol)
     # row k holds the state (x, v) at out_times[k]; rows < filled are written
     out = np.empty((len(times), 2 * n), dtype=np.complex128)
-    # stage k_i of the state u = (x, v) is row i: (v, acceleration)
-    K = np.empty((7, 2 * n), dtype=np.complex128)
-    K_x, K_v = K[:, :n], K[:, n:]
+    # row i of S is stage i: its state (x_i, v_i) and acceleration a_i
+    S = np.empty((7, 3 * n), dtype=np.complex128)
+    K = S[:, n:]
+    stages = [(_DP_A[i], K[:i], S[i, :2 * n], S[i, :n], S[i, n:2 * n], S[i, 2 * n:])
+              for i in range(1, 7)]
+    du = np.empty(2 * n, dtype=np.complex128)
+    u, u5, x5 = S[0, :2 * n], S[6, :2 * n], S[6, :n]  # the step's start and end
 
-    u = np.concatenate([x0, v0], dtype=np.complex128)
+    u[:n] = x0
+    u[n:] = v0
     if not np.isfinite(u).all():
         raise NonFiniteState("non-finite initial state", level=0)
     abs_u = np.abs(u)
+    # accepted steps whose interpolated rows are not yet written: their
+    # (first row, stop row, t, h) and stage rows; x of the unflushed step ends
+    pending = []
+    pending_S = np.empty((_GAP_BATCH, 7, 3 * n), dtype=np.complex128)
     ends = np.empty((_GAP_BATCH, n), dtype=np.complex128)
     n_ends = 0
     steps = rejected_error = rejected_guard = 0
     min_gap = min_pairwise_gap(u[:n]) if guarded else np.inf
+
+    def flush():
+        """Write the pending steps' interpolated rows and fold their gaps and
+        the pending step ends' into min_gap; clears the batch first, so a
+        flush on the way out of a failed flush finds nothing to do."""
+        nonlocal n_ends, min_gap
+        batch, n_batch_ends = pending[:], n_ends
+        pending.clear()
+        n_ends = 0
+        if batch:
+            PK = np.matmul(_DP_P.T, pending_S[:len(batch), :, n:])
+            theta = np.array([(tau - t_j) / h_j for a, b, t_j, h_j in batch
+                              for tau in times[a:b]])
+            powers = theta[:, None] ** _POWERS
+            i = 0
+            for j, (a, b, _, h_j) in enumerate(batch):
+                us = out[a:b]
+                np.dot(powers[i:i + b - a], PK[j], out=us)
+                us *= h_j
+                us += pending_S[j, 0, :2 * n]
+                i += b - a
+        if not guarded or not (batch or n_batch_ends):
+            return
+        # rows r0..r1 are the batch's outputs and the step ends on output
+        # times between them, which are already written
+        r0, r1 = (batch[0][0], batch[-1][1]) if batch else (0, 0)
+        gaps = min_pairwise_gap(np.concatenate((out[r0:r1, :n], ends[:n_batch_ends])))
+        if batch and gaps[:r1 - r0].min() <= sep_tol:
+            for a, b, _, _ in batch:
+                g = gaps[a - r0:b - r0]
+                if g.min() <= sep_tol:
+                    k = int(np.argmin(g))
+                    raise CollisionError(
+                        f"collision at t~{t0 + times[a + k]:.6g}: gap {g[k]:.3e}", level=0
+                    )
+        min_gap = min(min_gap, float(gaps.min()))
+
     t = times[0]
     t_end = times[-1]
     # not capped at the span: the step-size floor below is tested before
@@ -288,94 +347,83 @@ def integrate(
     h = _FIRST_STEP
     out[0] = u
     filled = 1
-    K_x[0] = u[n:]
-    K_v[0] = rhs(u[:n], u[n:], spec, sep_tol)
+    S[0, 2 * n:] = rhs(u[:n], u[n:], spec, sep_tol)
     rhs_calls = 1
     err_prev = 1e-4  # Hairer's starting value
     no_growth = False
-    while t < t_end:
-        if steps + rejected_error + rejected_guard > _MAX_STEPS:
-            raise StepSizeUnderflow("step budget exhausted")
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflow(f"step size underflow at t={t0 + t:.6g}")
-        last = t + 1.01 * h >= t_end
-        if last:
-            h = t_end - t
-        # the last stage is evaluated at u5 (its row of A is B5)
-        try:
-            for i in range(1, 7):
-                u5 = u + h * np.dot(_DP_A[i], K[:i])
-                rhs_calls += 1
-                K_x[i] = u5[n:]
-                K_v[i] = rhs(u5[:n], u5[n:], spec, sep_tol)
-        except CollisionError as e:
-            rejected_guard += 1
-            no_growth = True
-            h *= 0.5
-            if h < 1e-12 * max(1.0, abs(t)):
-                gap = min_pairwise_gap(u[:n])
-                raise CollisionError(
-                    f"collision approaching t~{t0 + t:.6g}: gap {gap:.3e} "
-                    f"and shrinking, step size collapsed",
-                    level=e.level,
-                ) from e
-            continue
-        abs_u5 = np.abs(u5)
-        scale = np.maximum(abs_u, abs_u5)
-        scale *= tol.ode_rel
-        scale += tol.ode_abs
-        r = np.dot(_DP_E, K)
-        r *= h
-        r = np.abs(r)
-        r /= scale
-        err = math.sqrt(np.add.reduce(r * r) / r.size)
-        if not err <= 1.0:
-            rejected_error += 1
-            no_growth = True
-            h *= max(0.2, 0.9 * err ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)) and not math.isfinite(err):
-                raise NonFiniteState(f"non-finite stage at t={t0 + t:.6g}", level=0)
-            continue
-        # outputs in (t, t_new]: from the interpolant inside, u5 at t_new;
-        # rows before `filled` lie at or before t, so the search starts there
-        t_new = t_end if last else t + h
-        stop = bisect_right(times, t_new, filled)
-        inner = stop - 1 if times[stop - 1] == t_new else stop
-        if inner > filled:
-            taus = elapsed[filled:inner]
-            theta = (taus - t) / h
-            us = out[filled:inner]
-            np.dot(theta[:, None] ** _POWERS, np.dot(_DP_P.T, K), out=us)
-            us *= h
-            us += u
-            if guarded:
-                gaps = min_pairwise_gap(us[:, :n])
-                gap = gaps.min()
-                if gap <= sep_tol:
-                    k = int(np.argmin(gaps))
+    try:
+        while t < t_end:
+            if steps + rejected_error + rejected_guard > _MAX_STEPS:
+                raise StepSizeUnderflow("step budget exhausted")
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflow(f"step size underflow at t={t0 + t:.6g}")
+            last = t + 1.01 * h >= t_end
+            if last:
+                h = t_end - t
+            # the last stage is evaluated at u5 (its row of A is B5)
+            try:
+                for a_i, k_i, u_i, x_i, v_i, acc_i in stages:
+                    np.dot(a_i, k_i, out=du)
+                    du *= h
+                    np.add(u, du, out=u_i)
+                    rhs_calls += 1
+                    acc_i[:] = rhs(x_i, v_i, spec, sep_tol)
+            except CollisionError as e:
+                rejected_guard += 1
+                no_growth = True
+                h *= 0.5
+                if h < 1e-12 * max(1.0, abs(t)):
+                    gap = min_pairwise_gap(u[:n])
                     raise CollisionError(
-                        f"collision at t~{t0 + taus[k]:.6g}: gap {gaps[k]:.3e}", level=0
-                    )
-                min_gap = min(min_gap, float(gap))
-        if inner < stop:
-            out[inner] = u5
-        filled = stop
-        steps += 1
-        if guarded:
-            ends[n_ends] = u5[:n]
-            n_ends += 1
-            if n_ends == _GAP_BATCH or last:
-                gap = float(min_pairwise_gap(ends[:n_ends]).min())
-                min_gap = min(min_gap, gap)
-                n_ends = 0
-        t, u, abs_u = t_new, u5, abs_u5
-        K[0] = K[6]  # first same as last
-        # Hairer's PI controller (HNW I, II.4): alpha = 0.17, beta = 0.04
-        fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0
-        fac = min(1.0 if no_growth else 10.0, max(0.2, fac))
-        no_growth = False
-        err_prev = max(err, 1e-4)
-        h *= fac
+                        f"collision approaching t~{t0 + t:.6g}: gap {gap:.3e} "
+                        f"and shrinking, step size collapsed",
+                        level=e.level,
+                    ) from e
+                continue
+            abs_u5 = np.abs(u5)
+            scale = np.maximum(abs_u, abs_u5)
+            scale *= tol.ode_rel
+            scale += tol.ode_abs
+            r = np.dot(_DP_E, K)
+            r *= h
+            r = np.abs(r)
+            r /= scale
+            err = math.sqrt(np.add.reduce(r * r) / r.size)
+            if not err <= 1.0:
+                rejected_error += 1
+                no_growth = True
+                h *= max(0.2, 0.9 * err ** -0.2)
+                if h < 1e-14 * max(1.0, abs(t)) and not math.isfinite(err):
+                    raise NonFiniteState(f"non-finite stage at t={t0 + t:.6g}", level=0)
+                continue
+            # outputs in (t, t_new]: from the interpolant inside, u5 at t_new;
+            # rows before `filled` lie at or before t, so the search starts there
+            t_new = t_end if last else t + h
+            stop = bisect_right(times, t_new, filled)
+            inner = stop - 1 if times[stop - 1] == t_new else stop
+            if inner > filled:
+                pending_S[len(pending)] = S
+                pending.append((filled, inner, t, h))
+            if inner < stop:
+                out[inner] = u5
+            filled = stop
+            steps += 1
+            if guarded:
+                ends[n_ends] = x5
+                n_ends += 1
+            if last or n_ends == _GAP_BATCH or len(pending) == _GAP_BATCH:
+                flush()
+            t, abs_u = t_new, abs_u5
+            S[0] = S[6]  # first same as last: u is now u5
+            # Hairer's PI controller (HNW I, II.4): alpha = 0.17, beta = 0.04
+            fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0
+            fac = min(1.0 if no_growth else 10.0, max(0.2, fac))
+            no_growth = False
+            err_prev = max(err, 1e-4)
+            h *= fac
+    except GoldgenError:
+        flush()  # a collision among the pending outputs is raised in its place
+        raise
     return Trajectory(out_times, out[:, :n], out[:, n:], steps=steps,
                       rejected_error=rejected_error, rejected_guard=rejected_guard,
                       rhs_calls=rhs_calls, min_gap=min_gap)

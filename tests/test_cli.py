@@ -536,6 +536,18 @@ class TestSimulate:
             assert main([command, "--config", cfg]) == 0
             assert len(np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)) == 2
 
+    def test_grid_that_repeats_a_time_is_a_config_error(self, tmp_path, capsys):
+        # floats near 1e16 are 2 apart, so t0 + k * 0.5 repeats times
+        raw = dict(BASE_SIM, mu=[2], output=str(tmp_path / "t.csv"),
+                   model={"kind": "generation", "seed_kind": "linear_seed",
+                          "a": [0.5, 0.0], "depth": 1},
+                   grid={"t0": 1e16, "t1": 1e16 + 4, "dt_out": 0.5})
+        cfg = write_config(tmp_path, raw)
+        for command in ("simulate", "solve"):
+            assert main([command, "--config", cfg]) == 2
+            assert "not strictly increasing" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("t0", [2.0**34, 2.0**40])
     def test_late_start_steps_as_from_zero(self, tmp_path, t0):
         # the integrator steps in the time elapsed since t0, so the step-size

@@ -555,6 +555,11 @@ class TestDenseOutput:
         assert np.all(np.isfinite(full.x)) and np.all(np.isfinite(full.v))
         assert np.array_equal(full.x[1], first.x[-1])
         assert np.array_equal(full.v[1], first.v[-1])
+        # the patch does reach the interpolant: an output inside that step
+        # comes back NaN, so the rows above are not finite by accident
+        inside = dyn.integrate(spec, x0, v0, [0.0, 0.125, 0.25, 1.0], tol)
+        assert np.all(np.isnan(inside.x[1])) and np.all(np.isnan(inside.v[1]))
+        assert np.array_equal(inside.x[2], first.x[-1])
 
     def test_min_gap_covers_every_written_state(self):
         spec, s0, grid = readme_model()
@@ -574,6 +579,19 @@ class TestDenseOutput:
         with pytest.raises(CollisionError, match="collision at t~0.25"):
             dyn.integrate(dyn.ModelSpec("goldfish"), *GOLDFISH_PAIR,
                           [0.0, 0.25, 1.0])
+
+    def test_output_collision_outranks_a_later_failure(self, monkeypatch):
+        # outputs are guarded once per batch of steps; a failure later in the
+        # batch (here the step budget, spent on the step after the one that
+        # holds t = 0.25, the 5th of 8) still reports the output collision
+        gap = dyn.min_pairwise_gap
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 4)
+        with pytest.raises(StepSizeUnderflow, match="step budget exhausted"):
+            dyn.integrate(GOLDFISH, *GOLDFISH_PAIR, [0.0, 0.25, 1.0])
+        monkeypatch.setattr(dyn, "min_pairwise_gap", lambda xs: np.zeros(len(xs))
+                            if np.ndim(xs) == 2 else gap(xs))
+        with pytest.raises(CollisionError, match="collision at t~0.25: gap 0.000e"):
+            dyn.integrate(GOLDFISH, *GOLDFISH_PAIR, [0.0, 0.25, 1.0])
 
 
 class TestIntegratorCounters:

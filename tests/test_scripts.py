@@ -100,25 +100,34 @@ def test_same_answers_measures_what_moved(monkeypatch):
     from same_answers import compare
 
     case = {"workload": "solve", "seed": 5, "index": 0, "kind": "iso N=3 depth=0",
-            "output": "t,x1_re\n0,0.5\n1,-2\n", "console": "wrote <workdir>/case1.csv"}
+            "output": "t,x1_re\n0,0.5\n1,-2\n", "console": "wrote <workdir>/case1.csv",
+            "counters": ""}
     moved = dict(case, output="t,x1_re\n0,0.5\n1,-2.0000000000000004\n")
     # simulate's console line carries its steps, rejections and RHS calls:
     # one more step differs even when the CSVs agree
     line = ("wrote <workdir>/case1.csv: 241 samples, %d steps (0 rejected: 0 error, "
             "0 guard), 1039 RHS calls, min gap 3.000e-01")
-    run = dict(case, workload="simulate", console=line % 173)
+    counters = ("min_gap %s, steps 173, rejected_error 0, rejected_guard 0, "
+                "rhs_calls 1039")
+    run = dict(case, workload="simulate", console=line % 173,
+               counters=counters % "0.30000000000000004")
     report = compare(
-        {"cases": [case, case, run], "verify": {"s: a": "0.0", "s: b": "1e-15"}},
-        {"cases": [case, moved, dict(run, console=line % 174)],
+        {"cases": [case, case, run, run], "verify": {"s: a": "0.0", "s: b": "1e-15"}},
+        {"cases": [case, moved, dict(run, console=line % 174),
+                   dict(run, counters=counters % "0.3")],
          "verify": {"s: a": "4e-16", "s: b": "1e-15"}})
     assert not report["identical"]
-    same, diff, steps = report["cases"]
+    same, diff, steps, gap = report["cases"]
     assert same["identical"] and "max_abs" not in same
     assert not diff["output_identical"] and diff["console_identical"]
     assert diff["max_abs"] == 4.440892098500626e-16
     assert diff["max_rel"] == 4.440892098500626e-16 / 2.0000000000000004
     assert steps["output_identical"] and not steps["console_identical"]
     assert not steps["identical"] and steps["max_abs"] == 1.0
+    # a min_gap that moves past the console's four digits still differs
+    assert gap["output_identical"] and gap["console_identical"]
+    assert not gap["counters_identical"] and not gap["identical"]
+    assert gap["max_abs"] == 0.30000000000000004 - 0.3
     assert [r["identical"] for r in report["verify"]] == [False, True]
     assert report["verify"][0]["max_abs"] == 4e-16
 
