@@ -14,8 +14,7 @@ median and quartiles, the change's median as a multiple of the parent's, and
 how many pairs the change won (strictly better in the metric's direction).
 The out file holds every run's result and both sides' provenance as
 bench/run.py records it (machine, versions, commit or source hash, seed);
-an existing out file is updated in place (`update_json`), so a
-"cold_start" record that cold_start.py wrote there is kept.
+an existing out file is replaced.
 
 Each workload then gets one traced run per side (`--trace 1`, first seed),
 whose per-layer metrics go under "traced".  A run stops after the first
@@ -86,15 +85,6 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int =
     record = json.loads((tree / ".bench_out" /
                          f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return result, record["provenance"]
-
-
-def update_json(path, record: dict) -> None:
-    """Write record's keys into the JSON object in path, created if missing;
-    the keys record does not hold are kept."""
-    path = Path(path)
-    report = json.loads(path.read_text()) if path.exists() else {}
-    report.update(record)
-    path.write_text(json.dumps(report, indent=1) + "\n")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -182,7 +172,7 @@ def main(argv=None) -> int:
                       f"change {c:12.6g}")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    update_json(args.out, report)
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -222,7 +222,8 @@ def integrate(
     The complex state (x, v) is advanced directly (RK stages are linear
     combinations); the error norm runs over real and imaginary parts, and a
     step is accepted only when it is at most 1 (so a NaN norm rejects the
-    step, and a run whose step size underflows on one raises NonFiniteState);
+    step, and a run whose step size underflows on a non-finite stage raises
+    NonFiniteState, on finite stages StepSizeUnderflow);
     tol gives its ode_rel, ode_abs and sep_tol.
     Steps run freely towards the last output time (only the last one is
     clipped), and each output time inside an accepted step is filled from
@@ -393,7 +394,8 @@ def integrate(
                 rejected_error += 1
                 no_growth = True
                 h *= max(0.2, 0.9 * err ** -0.2)
-                if h < 1e-14 * max(1.0, abs(t)) and not math.isfinite(err):
+                # finite stages whose norm overflows end at the step floor
+                if h < 1e-14 * max(1.0, abs(t)) and not np.isfinite(K).all():
                     raise NonFiniteState(f"non-finite stage at t={t0 + t:.6g}", level=0)
                 continue
             # outputs in (t, t_new]: from the interpolant inside, u5 at t_new;

@@ -420,6 +420,16 @@ class TestIntegrator:
                 dyn.integrate(dyn.ModelSpec("linear_seed", a=0.5), [1.0, -1.0],
                               [1e308, 1e308], np.linspace(0, 1, 5))
 
+    def test_error_norm_overflow_is_step_size_underflow(self):
+        # at tolerances of 1e-200 the error norm overflows to inf on finite
+        # stages: the state is finite, so the run ends at the step floor
+        x0 = np.array([0.9 + 0.1j, -0.2 - 0.5j, -0.8 + 0.6j])
+        v0 = np.array([0.1 - 0.2j, 0.25 + 0.1j, -0.15 + 0.05j])
+        with np.errstate(over="ignore"):
+            with pytest.raises(StepSizeUnderflow, match="step size underflow at t=0"):
+                dyn.integrate(dyn.ModelSpec("goldfish"), x0, v0, np.linspace(0, 0.5, 3),
+                              pc.Tolerances(ode_rel=1e-200, ode_abs=1e-200))
+
     def test_step_budget_ends_the_run(self, monkeypatch):
         # this run takes 58 steps to t = 1; a budget of 5 stops it
         monkeypatch.setattr(dyn, "_MAX_STEPS", 5)

@@ -1,6 +1,6 @@
 """The experiment scripts run to completion on their default inputs and
-print failures in the CLI's format, and the timing scripts, which import
-each other, parse their options."""
+print failures in the CLI's format, and the timing scripts, one of which
+imports the other, parse their options."""
 
 import json
 import runpy
@@ -13,6 +13,10 @@ from goldgen import permgen, solvers
 from goldgen.errors import DegenerateZeros, TrackingAmbiguity
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# run with no arguments
+EXPERIMENT_SCRIPTS = ["generation_demo.py", "period_sweep.py", "isochrony_decay.py"]
+# run with --help: a run takes minutes
+TIMING_SCRIPTS = ["bench_pairs.py", "same_answers.py"]
 
 
 def run_script(monkeypatch, capsys, name):
@@ -26,14 +30,18 @@ def run_script(monkeypatch, capsys, name):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["generation_demo.py", "period_sweep.py",
-                                  "isochrony_decay.py"])
+def test_every_script_is_run():
+    # a script added without a test, or a test of a deleted one, fails here
+    assert set(EXPERIMENT_SCRIPTS) | set(TIMING_SCRIPTS) == {
+        p.name for p in SCRIPTS.glob("*.py")}
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_SCRIPTS)
 def test_script_exits_0(monkeypatch, capsys, name):
     assert run_script(monkeypatch, capsys, name)
 
 
-@pytest.mark.parametrize("name", ["bench_pairs.py", "cold_start.py",
-                                  "same_answers.py"])
+@pytest.mark.parametrize("name", TIMING_SCRIPTS)
 def test_timing_script_help_exits_0(monkeypatch, capsys, name):
     # scripts/ is on sys.path as when the script is run directly, so a
     # broken import between them fails here; --help times nothing
@@ -132,30 +140,30 @@ def test_same_answers_measures_what_moved(monkeypatch):
     assert report["verify"][0]["max_abs"] == 4e-16
 
 
-def test_bench_pairs_keeps_the_cold_start_record(monkeypatch, tmp_path):
-    # the README sends cold_start.py and then bench_pairs.py to one file;
-    # both runs are faked here, only their writing of the report is real
+def test_bench_pairs_replaces_the_out_file(monkeypatch, tmp_path):
+    # the git calls and the bench runs are faked; only the report is real,
+    # and it replaces the file at --out, keys that run did not write included
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import bench_pairs
-    import cold_start
 
     def extract(commit, dest):
         dest.mkdir()
 
-    for script in (bench_pairs, cold_start):
-        monkeypatch.setattr(script, "git", lambda *args: "0" * 40)
-        monkeypatch.setattr(script, "extract", extract)
-        monkeypatch.setattr(script, "compile_sources", lambda tree: "compiled")
-    monkeypatch.setattr(cold_start, "timed", lambda argv, tree: 0.25)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "compile_sources", lambda tree: "compiled")
     metrics = {m["name"]: {"value": 1.0} for m in json.loads(
         (SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]}
     monkeypatch.setattr(bench_pairs, "run_bench",
                         lambda *args, **kwargs: ({"metrics": metrics}, {}))
 
     out = tmp_path / "BENCH.json"
-    assert cold_start.main(["HEAD", "--runs", "2", "--out", str(out)]) == 0
+    out.write_text(json.dumps({"stale": {}, "seeds": [9]}))
     assert bench_pairs.main(["HEAD", "--workload", "solve", "--pairs", "2",
                              "--seconds", "1", "--seeds", "1-2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["cold_start"]["commands"]["solve"]["speedup"] == 1.0
+    assert "stale" not in report
+    assert report["seeds"] == [1, 2]
+    assert report["compiled"] == {"parent": "compiled", "change": "compiled"}
+    assert list(report["workloads"]) == ["solve"]
     assert report["workloads"]["solve"]["summary"]["items_per_kref"]["pairs"] == 2
