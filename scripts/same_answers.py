@@ -6,11 +6,13 @@ against this working tree.
 
 Extracts the committed files of PARENT_REV (`bench_pairs.extract`) into a
 temporary directory and runs one worker interpreter per tree, each importing
-its own goldgen and its own bench/workloads.py.  A worker runs the first
-CASES cases of the `solve`, `simulate`, `generate` and `oracle` workloads
-for each seed through `make_case`, `prepare` and `execute`, the bench's
-own entry points (read, never edited), and then every `verify` suite, as
-`goldgen verify all` does.
+its own goldgen and its own bench/workloads.py.  The worker code (`collect`
+and `integrator_counters` below) comes from this tree and runs against both
+`src/` trees, so it must work with the parent's API as well as this one's.
+A worker runs the first CASES cases of the `solve`, `simulate`, `generate`
+and `oracle` workloads for each seed through `make_case`, `prepare` and
+`execute`, the bench's own entry points (read, never edited), and then
+every `verify` suite, as `goldgen verify all` does.
 
 Per case it compares the output and the console text: for the CLI
 workloads the bytes of the file the case writes and what the command
@@ -111,9 +113,12 @@ def integrator_counters(config_path: str) -> str:
     from goldgen.errors import GoldgenError
 
     cfg = load_config(config_path)
+    times = cfg.grid.times
+    if callable(times):  # a tree from before `Grid.times` became a property
+        times = times()
     try:
         x0, v0 = dynamics.build_initial_state(*cfg.initial, cfg.mu, cfg.tolerances)
-        t = dynamics.integrate(cfg.model, x0, v0, cfg.grid.times(), cfg.tolerances)
+        t = dynamics.integrate(cfg.model, x0, v0, times, cfg.tolerances)
     except GoldgenError as e:
         return f"{type(e).__name__}: {e}"
     return (f"min_gap {t.min_gap!r}, steps {t.steps!r}, rejected_error "

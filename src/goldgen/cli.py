@@ -4,7 +4,8 @@ Subcommands: generate (tree JSON), simulate (trajectory CSV), solve
 (labeled-path CSV), verify (acceptance suites), period (period report).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/config error (also an
-unwritable output), 3 numerical failure.  Outputs are written atomically.
+unwritable output), 3 numerical failure.  Outputs are written atomically,
+with the file mode a plain write gives.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -33,13 +35,21 @@ EXIT_NUMERIC = 3
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write through a temporary file, which no failure leaves behind."""
+    """Write through a temporary file, which no failure leaves behind, with
+    the mode open(path, "w") leaves: the old file's, else 0o666 & ~umask."""
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0o077)  # the only way to read it is to set it
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".goldgen-")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -85,7 +95,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     x0, v0 = dynamics.build_initial_state(*cfg.initial, cfg.mu, cfg.tolerances)
-    traj = dynamics.integrate(cfg.model, x0, v0, cfg.grid.times(), cfg.tolerances)
+    traj = dynamics.integrate(cfg.model, x0, v0, cfg.grid.times, cfg.tolerances)
     path = _out_path(cfg, args, "trajectory.csv")
     _atomic_write(path, csv_text(traj.times, x=traj.x, v=traj.v))
     print(
@@ -99,7 +109,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     path = solvers.solve_generation_path(
-        cfg.model, *cfg.initial, cfg.mu, cfg.grid.times(), cfg.tolerances
+        cfg.model, *cfg.initial, cfg.mu, cfg.grid.times, cfg.tolerances
     )
     out = _out_path(cfg, args, "path.csv")
     _atomic_write(out, csv_text(path.times, x=path.values))

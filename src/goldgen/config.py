@@ -4,9 +4,9 @@
 small walker (`_violation`) that implements exactly the JSON Schema
 keywords that file uses, with Draft 2020-12 semantics: booleans are not
 numbers, an integral float counts as an integer, `enum` does not take True
-for 1, and a bound passes whatever compares false (NaN included, which
-`_check_finite` then rejects).  The schema is loaded once, and loading it
-fails on any keyword the walker does not implement.
+for 1, and a bound passes whatever compares false.  The same walk refuses
+a number that is not a finite float (NaN, Infinity, 1e400), so a config
+with several faults reports the first in the schema's property order.
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ _KEYWORDS = {"type", "enum", "properties", "required", "additionalProperties",
 
 
 def _check_keywords(schema: dict, path: str = "/") -> None:
-    """ValueError unless `_violation` implements every keyword of schema
-    and of its subschemas (`type` only as one of `_TYPES`,
-    `additionalProperties` only as false)."""
+    """ValueError unless `_violation` implements every keyword of schema and
+    of its subschemas (`type` only as one of `_TYPES`, `additionalProperties`
+    only as false and required beside `properties`: the walk sees every key)."""
     unknown = set(schema) - _KEYWORDS
     if schema.get("type", "object") not in _TYPES:
         unknown.add("type")
-    if schema.get("additionalProperties", False) is not False:
+    if schema.get("additionalProperties", "properties" in schema) is not False:
         unknown.add("additionalProperties")
     if unknown:
         raise ValueError(f"config schema at {path}: unsupported {sorted(unknown)}")
@@ -78,7 +78,8 @@ def _join(field: str, key) -> str:
 
 
 def _violation(value, schema: dict, field: str = "") -> str | None:
-    """'field: reason' for the first way value breaks schema, or None."""
+    """'field: reason' for the first way value breaks schema, or None;
+    ConfigError if the first fault is a number that is not a finite float."""
     where = field or "(config)"
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
@@ -94,6 +95,12 @@ def _violation(value, schema: dict, field: str = "") -> str | None:
         for key, (fails, reason) in _BOUNDS.items():
             if key in schema and fails(value, schema[key]):
                 return f"{where}: {value!r} is {reason} {schema[key]!r}"
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{where} is not a finite number within float range")
     children = []
     if isinstance(value, dict):
         props = schema.get("properties", {})
@@ -120,12 +127,13 @@ def pairs_to_complex(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     t0: float = 0.0
     t1: float = 6.283185307179586
     dt_out: float = 0.02617993877991494  # 2 pi / 240
 
+    @functools.cached_property
     def times(self) -> np.ndarray:
         """t0 + k dt_out for k = 0..count, where count dt_out = t1 - t0 to
         within 1e-9 max(1, |t1 - t0|); they must be strictly increasing as
@@ -177,29 +185,10 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _check_finite(value, field: str) -> None:
-    """ConfigError naming the first number in value that is not a finite
-    float (JSON admits NaN, Infinity, 1e400 and integers of any size)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, _join(field, key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{field}[{i}]")
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            finite = math.isfinite(float(value))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError(f"{field} is not a finite number within float range")
-
-
 def parse_config(raw: dict) -> RunConfig:
     error = _violation(raw, _schema())
     if error is not None:
         raise ConfigError(f"config rejected by schema: {error}")
-    _check_finite(raw, "")
 
     cfg = RunConfig()
     cfg.mu = tuple(int(m) for m in raw.get("mu", []))
@@ -208,7 +197,7 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.output = raw.get("output")
     if "grid" in raw:
         cfg.grid = Grid(**raw["grid"])
-        cfg.grid.times()  # raises unless two or more times end at t1
+        cfg.grid.times  # raises unless two or more times end at t1
     if "tolerances" in raw:
         cfg.tolerances = Tolerances(**raw["tolerances"])
     if "seed_coeffs" in raw:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -127,7 +128,7 @@ class TestConfigParsing:
         assert cfg.model.kind == "iso_goldfish"
         assert cfg.model.omega == 1.0
         assert [len(a) for a in cfg.initial] == [3, 3]
-        np.testing.assert_allclose(cfg.grid.times()[:2], [0.0, 0.1])
+        np.testing.assert_allclose(cfg.grid.times[:2], [0.0, 0.1])
 
     def test_schema_rejects_unknown_kind(self):
         bad = dict(BASE_SIM, model={"kind": "nonsense"})
@@ -159,6 +160,11 @@ class TestConfigParsing:
     @example((dict(BASE_SIM, grid=dict(BASE_SIM["grid"], dt_out=0)), "grid.dt_out"))
     @example((dict(BASE_SIM, grid=dict(BASE_SIM["grid"], dt_out=float("nan"))),
               "grid.dt_out"))
+    # bounds before finiteness: -inf breaks exclusiveMinimum, as jsonschema
+    # says, while 10**400 passes type and bound and only then is not finite
+    @example((dict(BASE_SIM, grid=dict(BASE_SIM["grid"], dt_out=float("-inf"))),
+              "grid.dt_out"))
+    @example((dict(BASE_SIM, node_budget=10**400), "node_budget"))
     def test_schema_agrees_with_jsonschema(self, case):
         raw, field = case
         try:
@@ -202,13 +208,35 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("schema", [
         {"type": "string", "pattern": "^a"},
-        {"properties": {"x": {"type": "integer", "multipleOf": 2}}},
+        {"properties": {"x": {"type": "integer", "multipleOf": 2}},
+         "additionalProperties": False},
         {"items": {"type": "null"}},
         {"additionalProperties": {"type": "number"}},
-    ], ids=["pattern", "nested-multipleOf", "type-null", "additional-schema"])
+        {"properties": {"x": {"type": "number"}}},
+    ], ids=["pattern", "nested-multipleOf", "type-null", "additional-schema",
+            "open-properties"])
     def test_schema_keyword_outside_the_walker_is_refused(self, schema):
+        # an object schema that admits other keys would hide their numbers
+        # from the walk's finiteness test
         with pytest.raises(ValueError, match="unsupported"):
             cfgmod._check_keywords(schema)
+
+    @pytest.mark.parametrize("raw, message", [
+        (dict(BASE_SIM, grid=dict(BASE_SIM["grid"], dt_out=float("-inf"))),
+         "config rejected by schema: grid.dt_out: -inf is less than or equal to "
+         "the minimum of 0"),
+        (dict(BASE_SIM, node_budget=10**400),
+         "node_budget is not a finite number within float range"),
+        (dict(BASE_SIM, grid=dict(BASE_SIM["grid"], t0=float("nan")), output=5),
+         "grid.t0 is not a finite number within float range"),
+        (dict(BASE_SIM, n=True, grid=dict(BASE_SIM["grid"], t0=float("nan"))),
+         "config rejected by schema: n: True is not of type 'integer'"),
+    ], ids=["bound-first", "finite-after-bound", "finite-field-first",
+            "schema-field-first"])
+    def test_first_fault_in_schema_order_is_reported(self, raw, message):
+        with pytest.raises(cfgmod.ConfigError) as got:
+            cfgmod.parse_config(raw)
+        assert str(got.value) == message
 
     def test_period_tol_is_rejected(self, tmp_path, capsys):
         # the field was parsed and never read; it is no longer accepted
@@ -502,6 +530,40 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command, where, rea
     assert capsys.readouterr().err == f"{command}: cannot write {out}: {reason}\n"
     assert sorted(os.listdir(tmp_path)) == ["outdir", "run.json"]
     assert not os.listdir(tmp_path / "outdir")
+
+
+@pytest.mark.parametrize("command", ["generate", "simulate", "solve"])
+def test_output_gets_the_mode_a_plain_write_gives(tmp_path, command):
+    # a new output gets 0o666 & ~umask, an existing one keeps its mode
+    raw = dict(BASE_SIM, seed_coeffs=BASE_SIM["initial"]["positions"], depth=1)
+    config = write_config(tmp_path, raw)
+    new, old = tmp_path / "new", tmp_path / "old"
+    old.write_text("")
+    old.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        for out in (new, old):
+            assert main([command, "--config", config, "--output", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve"])
+def test_output_times_are_computed_once(tmp_path, monkeypatch, command):
+    # the config check and the command share one array of output times
+    times = cfgmod.Grid.times
+    compute, calls = times.func, []
+
+    def counted(grid):
+        calls.append(grid)
+        return compute(grid)
+
+    monkeypatch.setattr(times, "func", counted)
+    raw = dict(BASE_SIM, output=str(tmp_path / "out.csv"))
+    assert main([command, "--config", write_config(tmp_path, raw)]) == 0
+    assert len(calls) == 1
 
 
 README_CONFIG = {
