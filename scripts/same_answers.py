@@ -24,8 +24,9 @@ and counters ("counters"), which the console line rounds or leaves out.  A
 case that differs gets the largest absolute and relative difference
 (|c - p| / max(|p|, |c|)) over the numbers of its output, console text
 and counters, inf when the two hold different counts of numbers.  Each
-`verify` residual is compared by `repr`.  It prints one line per difference
-and a summary, writes the lot as JSON with --out, and exits 1 when anything
+`verify` residual is compared by `repr`; a check that only one tree runs
+counts as added or removed.  It prints one line per difference and a
+summary, writes the lot as JSON with --out, and exits 1 when anything
 differs.  Timing is `bench_pairs.py`'s job, not this one's.
 
 A run over the default seeds takes about 15 s on 2 cores.
@@ -174,15 +175,19 @@ def compare(parent: dict, change: dict) -> dict:
     for name in sorted(set(parent["verify"]) | set(change["verify"])):
         p, c = parent["verify"].get(name), change["verify"].get(name)
         rec = {"check": name, "parent": p, "change": c, "identical": p == c}
-        if p != c:
-            rec.update(difference(p or "", c or ""))
+        if p is None or c is None:  # a check only one tree runs
+            rec["status"] = "added" if p is None else "removed"
+        elif p != c:
+            rec.update(difference(p, c))
         residuals.append(rec)
+    kept = [r for r in residuals if "status" not in r]
     return {
         "identical": all(r["identical"] for r in cases + residuals),
         "summary": {
             "cases": len(cases), "cases_identical": sum(r["identical"] for r in cases),
-            "verify": len(residuals),
-            "verify_identical": sum(r["identical"] for r in residuals)},
+            "verify": len(kept), "verify_identical": sum(r["identical"] for r in kept),
+            "verify_added": sum(r.get("status") == "added" for r in residuals),
+            "verify_removed": sum(r.get("status") == "removed" for r in residuals)},
         "cases": cases, "verify": residuals}
 
 
@@ -216,11 +221,15 @@ def main(argv=None) -> int:
                   f"({rec['kind']}): differs, max abs {rec['max_abs']:.3g}, "
                   f"max rel {rec['max_rel']:.3g}")
     for rec in report["verify"]:
-        if not rec["identical"]:
+        if "status" in rec:
+            print(f"verify {rec['check']}: {rec['status']}, "
+                  f"{rec['parent'] or rec['change']}")
+        elif not rec["identical"]:
             print(f"verify {rec['check']}: {rec['parent']} -> {rec['change']}")
     s = report["summary"]
     print(f"cases identical: {s['cases_identical']}/{s['cases']}; verify residuals "
-          f"identical: {s['verify_identical']}/{s['verify']}")
+          f"identical: {s['verify_identical']}/{s['verify']}; verify checks added: "
+          f"{s['verify_added']}, removed: {s['verify_removed']}")
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
         print(f"wrote {args.out}")

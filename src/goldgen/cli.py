@@ -146,8 +146,9 @@ def _read_path_csv(path: str):
     header = [name.strip() for name in rows[0]]
     if any(len(row) != len(header) for row in rows):
         raise ValueError("the CSV has rows of unequal length")
-    if len(rows) < 3:
-        raise ValueError("the CSV needs at least two rows of data")
+    if len(rows) < 4:  # a header and the three rows detect_period needs
+        raise ValueError(
+            f"the CSV needs at least three rows of data, not {len(rows) - 1}")
     n = max(1, sum(name.startswith("x") for name in header) // 2)
     needed = ["t"] + [f"x{i}_{p}" for i in range(1, n + 1) for p in ("re", "im")]
     missing = [c for c in needed if c not in header]

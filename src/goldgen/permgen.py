@@ -52,21 +52,6 @@ def mu_to_perm(mu: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def perm_to_mu(perm, n: int | None = None) -> int:
-    """Lexicographic rank (1-based) of a permutation of (1..n)."""
-    perm = tuple(int(p) for p in perm)
-    n = n if n is not None else len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm}")
-    avail = list(range(1, n + 1))
-    r = 0
-    for i, p in enumerate(perm):
-        idx = avail.index(p)
-        r += idx * math.factorial(n - 1 - i)
-        avail.pop(idx)
-    return r + 1
-
-
 def lift(frames, mu: int, tol: Tolerances = Tolerances()):
     """The mu-th generation step of every zero set in `frames`, a (T, N)
     path of them.

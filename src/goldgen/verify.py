@@ -4,7 +4,8 @@ Each suite returns a list of Check records (name, measured residual,
 threshold, pass flag).  The CLI prints them; the acceptance tests assert
 them.  All randomness is seeded for reproducibility.  A draw is redrawn
 only when it fails a precondition of its check (a degenerate radicand, a
-gap below 0.3); an engine failure on a draw ends the suite.
+gap below 0.3); an engine failure on a draw ends the suite.  A branch
+with no period (`NoPeriodFound`) is a failed check, not an engine failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import dynamics, permgen, polycore, solvers, spectra
 from .dynamics import ModelSpec
-from .errors import DegenerateZeros, GoldgenError
+from .errors import DegenerateZeros, NoPeriodFound
 from .matching import set_distance
 
 
@@ -196,13 +197,12 @@ def suite_generations() -> list[Check]:
             worst = max(map(set_distance, traj.x, path.values))
             checks.append(Check(f"solvability depth {depth}, a={a_val}", worst, 1e-6))
 
-    # permutation machinery
-    worst_rank = 0
-    for nn in range(1, 7):
-        for mu_i in range(1, math.factorial(nn) + 1):
-            if permgen.perm_to_mu(permgen.mu_to_perm(mu_i, nn), nn) != mu_i:
-                worst_rank += 1
-    checks.append(Check("mu rank/unrank roundtrip (N<=6)", float(worst_rank), 0.5))
+    # permutation machinery: lift's mu-th permutation is row mu - 1 of the
+    # lexicographic itertools order that GenerationTree.perms expands in
+    misordered = sum(
+        permgen.mu_to_perm(mu_i, nn) != perm for nn in range(1, 7)
+        for mu_i, perm in enumerate(itertools.permutations(range(1, nn + 1)), 1))
+    checks.append(Check("mu unranking = itertools order (N<=6)", float(misordered), 0.5))
 
     bad = 0
     for nn in range(2, 5):
@@ -231,18 +231,23 @@ def suite_isochrony() -> list[Check]:
     p_max = math.factorial(n)
     steps_per = 240
     grid = np.linspace(0.0, (p_max + 1) * T, (p_max + 1) * steps_per + 1)
-    path = solvers.solve_generation_path(sspec0, x0, v0, (2,), grid)
-    try:
-        solvers.detect_period(path, T, p_max)
-        ok = 0.0
-    except GoldgenError:
-        ok = 1.0
-    checks = [Check(f"a=0 generation-1 period p <= {p_max}", ok, 0.5)]
+    # a = 0: every generation-1 branch is periodic with a multiple p <= N!
+    # of T; the residual is p, inf when no multiple fits
+    checks = []
+    for mu in range(1, p_max + 1):
+        path = solvers.solve_generation_path(sspec0, x0, v0, (mu,), grid)
+        try:
+            p = float(solvers.detect_period(path, T, p_max).multiplier)
+        except NoPeriodFound:
+            p = math.inf
+        checks.append(Check(f"a=0 branch mu={mu}: period multiple p <= {p_max}",
+                            p, p_max + 0.5))
 
     # a > 0: asymptotic isochrony.  The configuration (as a set) at t+T
     # approaches the one at t; labels may still exchange, which is the
     # p > 1 phenomenon, so the decaying observable is the set deviation.
-    sspec = ModelSpec("linear_seed", a=0.5, ia_sign=+1, depth=1)
+    a = 0.5
+    sspec = ModelSpec("linear_seed", a=a, ia_sign=+1, depth=1)
     grid = np.linspace(0.0, 6 * T, 6 * steps_per + 1)
     path = solvers.solve_generation_path(sspec, x0, v0, (2,), grid)
     periods = path.values[:-1].reshape(6, steps_per, -1)  # the frames of each period
@@ -251,6 +256,10 @@ def suite_isochrony() -> list[Check]:
     checks.append(
         Check("a=0.5 deviation strictly decreasing", 0.0 if decreasing else 1.0, 0.5)
     )
+    # the transient mode e^{-a t} sets the decay per period
+    decay = math.exp(-2 * math.pi * a)
+    checks.append(Check("a=0.5 last deviation ratio vs e^(-2 pi a)",
+                        abs(devs[-1] / devs[-2] / decay - 1), 1e-3))
     return checks
 
 

@@ -1019,6 +1019,14 @@ class TestVerifyAndPeriod:
         assert main(["period", str(p), "--period", "1.0"]) == 2
         assert capsys.readouterr().err.startswith("period: ")
 
+    def test_period_two_rows_is_config_error(self, tmp_path, capsys):
+        # two rows can never show a period: not "no period fits" (exit 1)
+        p = tmp_path / "two.csv"
+        p.write_text("t,x1_re,x1_im\n0,1,0\n1,1,0\n")
+        assert main(["period", str(p), "--period", "1.0"]) == 2
+        assert capsys.readouterr().err == (
+            "period: the CSV needs at least three rows of data, not 2\n")
+
     def test_period_grid_mismatch_is_config_error(self, tmp_path, capsys):
         uniform = np.linspace(0.0, 10.0, 101)
         # period / spacing underflows to 0 or overflows to inf in the last two

@@ -93,17 +93,12 @@ class TestMuIndexing:
             pg.mu_to_perm(0, 3)
         with pytest.raises(ValueError):
             pg.mu_to_perm(7, 3)
-        with pytest.raises(ValueError):
-            pg.perm_to_mu((1, 1, 2))
 
     def test_roundtrip_exhaustive(self):
+        # row mu - 1 of the itertools order GenerationTree.perms expands in
         for n in range(1, 7):
-            seen = set()
-            for mu in range(1, math.factorial(n) + 1):
-                p = pg.mu_to_perm(mu, n)
-                assert pg.perm_to_mu(p) == mu
-                seen.add(p)
-            assert len(seen) == math.factorial(n)
+            want = list(itertools.permutations(range(1, n + 1)))
+            assert [pg.mu_to_perm(mu, n) for mu in range(1, len(want) + 1)] == want
 
     def test_rank_order_matches_sorted_tuples(self):
         for n in (3, 4):
@@ -114,7 +109,8 @@ class TestMuIndexing:
     @given(st.integers(2, 7), st.data())
     def test_roundtrip_property(self, n, data):
         mu = data.draw(st.integers(1, math.factorial(n)))
-        assert pg.perm_to_mu(pg.mu_to_perm(mu, n)) == mu
+        row = itertools.islice(itertools.permutations(range(1, n + 1)), mu - 1, None)
+        assert pg.mu_to_perm(mu, n) == next(row)
 
     def test_apply_mu(self):
         # lift orders the zeros canonically, then applies the mu-th

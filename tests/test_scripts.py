@@ -1,6 +1,5 @@
-"""The experiment scripts run to completion on their default inputs and
-print failures in the CLI's format, and the timing scripts, one of which
-imports the other, parse their options."""
+"""The timing scripts, one of which imports the other, parse their options,
+and `same_answers.py` measures what moved between two trees."""
 
 import json
 import runpy
@@ -9,36 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from goldgen import permgen, solvers
-from goldgen.errors import DegenerateZeros, TrackingAmbiguity
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-# run with no arguments
-EXPERIMENT_SCRIPTS = ["generation_demo.py", "period_sweep.py", "isochrony_decay.py"]
 # run with --help: a run takes minutes
 TIMING_SCRIPTS = ["bench_pairs.py", "same_answers.py"]
 
 
-def run_script(monkeypatch, capsys, name):
-    """Run a script as __main__ with no arguments; its exit code must be 0.
-    Returns what it printed."""
-    path = SCRIPTS / name
-    monkeypatch.setattr(sys, "argv", [str(path)])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(path), run_name="__main__")
-    assert exc.value.code == 0
-    return capsys.readouterr().out
-
-
 def test_every_script_is_run():
     # a script added without a test, or a test of a deleted one, fails here
-    assert set(EXPERIMENT_SCRIPTS) | set(TIMING_SCRIPTS) == {
-        p.name for p in SCRIPTS.glob("*.py")}
-
-
-@pytest.mark.parametrize("name", EXPERIMENT_SCRIPTS)
-def test_script_exits_0(monkeypatch, capsys, name):
-    assert run_script(monkeypatch, capsys, name)
+    assert set(TIMING_SCRIPTS) == {p.name for p in SCRIPTS.glob("*.py")}
 
 
 @pytest.mark.parametrize("name", TIMING_SCRIPTS)
@@ -67,28 +44,6 @@ def test_compile_sources_writes_bytecode(monkeypatch, tmp_path):
     assert list((tmp_path / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))
 
 
-def test_period_sweep_names_the_failed_level(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise TrackingAmbiguity("a zero moves too far", level=0)
-
-    monkeypatch.setattr(solvers, "solve_generation_path", refuse)
-    out = run_script(monkeypatch, capsys, "period_sweep.py")
-    assert "mu=1     TrackingAmbiguity (level 0): a zero moves too far" in out
-
-
-def test_generation_demo_names_the_error_type(monkeypatch, capsys):
-    expand = permgen.generation_tree
-
-    def with_failure(*args, **kwargs):
-        tree = expand(*args, **kwargs)
-        tree.failed[(1, 2)] = DegenerateZeros("near-multiple root: gap 0")
-        return tree
-
-    monkeypatch.setattr(permgen, "generation_tree", with_failure)
-    out = run_script(monkeypatch, capsys, "generation_demo.py")
-    assert "  mu=[1, 2]: DegenerateZeros: near-multiple root: gap 0\n" in out
-
-
 def test_same_answers_against_itself(monkeypatch):
     # one case per workload and one verify suite, the working tree on both
     # sides, each in its own worker interpreter
@@ -98,8 +53,9 @@ def test_same_answers_against_itself(monkeypatch):
     report = compare(*(run_tree(ROOT, [5], 1, ["isochrony"]) for _ in range(2)))
     assert [r["workload"] for r in report["cases"]] == [
         "solve", "simulate", "generate", "oracle"]
-    assert report["summary"] == {"cases": 4, "cases_identical": 4,
-                                 "verify": 2, "verify_identical": 2}
+    assert report["summary"] == {"cases": 4, "cases_identical": 4, "verify": 8,
+                                 "verify_identical": 8, "verify_added": 0,
+                                 "verify_removed": 0}
     assert report["identical"]
 
 
@@ -120,10 +76,11 @@ def test_same_answers_measures_what_moved(monkeypatch):
     run = dict(case, workload="simulate", console=line % 173,
                counters=counters % "0.30000000000000004")
     report = compare(
-        {"cases": [case, case, run, run], "verify": {"s: a": "0.0", "s: b": "1e-15"}},
+        {"cases": [case, case, run, run],
+         "verify": {"s: a": "0.0", "s: b": "1e-15", "s: old": "2.0"}},
         {"cases": [case, moved, dict(run, console=line % 174),
                    dict(run, counters=counters % "0.3")],
-         "verify": {"s: a": "4e-16", "s: b": "1e-15"}})
+         "verify": {"s: a": "4e-16", "s: b": "1e-15", "s: new": "2.0"}})
     assert not report["identical"]
     same, diff, steps, gap = report["cases"]
     assert same["identical"] and "max_abs" not in same
@@ -136,8 +93,17 @@ def test_same_answers_measures_what_moved(monkeypatch):
     assert gap["output_identical"] and gap["console_identical"]
     assert not gap["counters_identical"] and not gap["identical"]
     assert gap["max_abs"] == 0.30000000000000004 - 0.3
-    assert [r["identical"] for r in report["verify"]] == [False, True]
-    assert report["verify"][0]["max_abs"] == 4e-16
+    # a renamed check is one removed and one added, not a difference
+    a, b, new, old = report["verify"]
+    assert [a["identical"], b["identical"]] == [False, True]
+    assert a["max_abs"] == 4e-16
+    assert new == {"check": "s: new", "parent": None, "change": "2.0",
+                   "identical": False, "status": "added"}
+    assert old == {"check": "s: old", "parent": "2.0", "change": None,
+                   "identical": False, "status": "removed"}
+    assert {key: report["summary"][key] for key in (
+        "verify", "verify_identical", "verify_added", "verify_removed")} == {
+        "verify": 2, "verify_identical": 1, "verify_added": 1, "verify_removed": 1}
 
 
 def test_bench_pairs_replaces_the_out_file(monkeypatch, tmp_path):

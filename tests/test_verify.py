@@ -2,7 +2,8 @@ import pytest
 
 from goldgen import dynamics, permgen, solvers, verify
 from goldgen.cli import main
-from goldgen.errors import DegenerateZeros, NonFiniteState, RootSolveFailed
+from goldgen.errors import (DegenerateZeros, NoPeriodFound, NonFiniteState,
+                            RootSolveFailed)
 
 
 class Stop(BaseException):
@@ -54,6 +55,27 @@ class TestSuitesDoNotRedrawOnEngineFailures:
 
 
 class TestCliVerify:
+    def test_a_branch_with_no_period_fails_its_check(self, monkeypatch, capsys):
+        # every a = 0 branch is checked, not one: mu = 3 alone finds no period
+        solve, detect, branches = solvers.solve_generation_path, solvers.detect_period, []
+
+        def solve_noting_the_branch(spec, x0, v0, mu, *args, **kwargs):
+            branches.append(mu)
+            return solve(spec, x0, v0, mu, *args, **kwargs)
+
+        def no_period_for_mu_3(*args, **kwargs):
+            if branches[-1] == (3,):
+                raise NoPeriodFound("no period multiple p <= 6 found")
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_generation_path", solve_noting_the_branch)
+        monkeypatch.setattr(solvers, "detect_period", no_period_for_mu_3)
+        assert main(["verify", "isochrony"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("[FAIL]")]
+        assert failed == ["[FAIL] isochrony: a=0 branch mu=3: period multiple p <= 6  "
+                          "(residual inf, threshold 6.500e+00)"]
+
     def test_engine_failure_is_a_failed_suite(self, monkeypatch, capsys):
         monkeypatch.setattr(permgen, "generation_tree",
                             raise_once_then_stop(RootSolveFailed("boom", level=2)))
