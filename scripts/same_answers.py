@@ -7,8 +7,8 @@ against this working tree.
 Extracts the committed files of PARENT_REV (`bench_pairs.extract`) into a
 temporary directory and runs one worker interpreter per tree, each importing
 its own goldgen and its own bench/workloads.py.  The worker code (`collect`
-and `integrator_counters` below) comes from this tree and runs against both
-`src/` trees, so it must work with the parent's API as well as this one's.
+below) comes from this tree and runs against both `src/` trees; it calls
+only the bench's entry points and `verify.SUITES`, which both trees keep.
 A worker runs the first CASES cases of the `solve`, `simulate`, `generate`
 and `oracle` workloads for each seed through `make_case`, `prepare` and
 `execute`, the bench's own entry points (read, never edited), and then
@@ -18,18 +18,17 @@ Per case it compares the output and the console text: for the CLI
 workloads the bytes of the file the case writes and what the command
 printed (the work directory's path masked), for `oracle` the tree's JSON
 and the `repr` of the deviations from the closed form; an error counts as
-console text.  A `simulate` case also runs `dynamics.integrate` in process
-on the case's config and compares the `repr` of the trajectory's min_gap
-and counters ("counters"), which the console line rounds or leaves out.  A
-case that differs gets the largest absolute and relative difference
-(|c - p| / max(|p|, |c|)) over the numbers of its output, console text
-and counters, inf when the two hold different counts of numbers.  Each
+console text.  `simulate`'s console line holds every integrator counter
+and the min gap's `repr`, so a moved step or gap shows there.  A case that
+differs gets the largest absolute and relative difference
+(|c - p| / max(|p|, |c|)) over the numbers of its output and console
+text, inf when the two hold different counts of numbers.  Each
 `verify` residual is compared by `repr`; a check that only one tree runs
 counts as added or removed.  It prints one line per difference and a
 summary, writes the lot as JSON with --out, and exits 1 when anything
 differs.  Timing is `bench_pairs.py`'s job, not this one's.
 
-A run over the default seeds takes about 15 s on 2 cores.
+A run over the default seeds takes about 7 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)
 
 def collect(seeds: list, cases: int, suites: list | None) -> dict:
     """The outputs of this interpreter's goldgen, run from a tree's root:
-    {"cases": [{workload, seed, index, kind, output, console, counters}],
+    {"cases": [{workload, seed, index, kind, output, console}],
      "verify": {"suite: check": repr(residual)}}."""
     sys.path.insert(0, "bench")
     import workloads
@@ -93,9 +92,7 @@ def collect(seeds: list, cases: int, suites: list | None) -> dict:
                     records.append({
                         "workload": workload, "seed": seed, "index": index,
                         "kind": case.kind, "output": output,
-                        "console": console.replace(workdir, "<workdir>"),
-                        "counters": integrator_counters(case.argv[-1])
-                        if workload == "simulate" else ""})
+                        "console": console.replace(workdir, "<workdir>")})
     residuals = {}
     for name in suites or verify.SUITES:
         try:
@@ -104,27 +101,6 @@ def collect(seeds: list, cases: int, suites: list | None) -> dict:
         except GoldgenError as e:
             residuals[f"{name}: engine failure"] = f"{type(e).__name__}: {e}"
     return {"cases": records, "verify": residuals}
-
-
-def integrator_counters(config_path: str) -> str:
-    """`repr` of min_gap and the counters of the trajectory that `goldgen
-    simulate` integrates for the config file, or the error it raises."""
-    from goldgen import dynamics
-    from goldgen.config import load_config
-    from goldgen.errors import GoldgenError
-
-    cfg = load_config(config_path)
-    times = cfg.grid.times
-    if callable(times):  # a tree from before `Grid.times` became a property
-        times = times()
-    try:
-        x0, v0 = dynamics.build_initial_state(*cfg.initial, cfg.mu, cfg.tolerances)
-        t = dynamics.integrate(cfg.model, x0, v0, times, cfg.tolerances)
-    except GoldgenError as e:
-        return f"{type(e).__name__}: {e}"
-    return (f"min_gap {t.min_gap!r}, steps {t.steps!r}, rejected_error "
-            f"{t.rejected_error!r}, rejected_guard {t.rejected_guard!r}, "
-            f"rhs_calls {t.rhs_calls!r}")
 
 
 def run_tree(tree: Path, seeds: list, cases: int, suites: list | None) -> dict:
@@ -164,12 +140,9 @@ def compare(parent: dict, change: dict) -> dict:
         rec = {key: p[key] for key in ("workload", "seed", "index", "kind")}
         rec["output_identical"] = p["output"] == c["output"]
         rec["console_identical"] = p["console"] == c["console"]
-        rec["counters_identical"] = p["counters"] == c["counters"]
-        rec["identical"] = (rec["output_identical"] and rec["console_identical"]
-                            and rec["counters_identical"])
+        rec["identical"] = rec["output_identical"] and rec["console_identical"]
         if not rec["identical"]:
-            rec.update(difference(*("\n".join((r["output"], r["console"], r["counters"]))
-                                    for r in (p, c))))
+            rec.update(difference(*(r["output"] + "\n" + r["console"] for r in (p, c))))
         cases.append(rec)
     residuals = []
     for name in sorted(set(parent["verify"]) | set(change["verify"])):

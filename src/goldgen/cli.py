@@ -102,7 +102,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         f"wrote {path}: {len(traj.times)} samples, {traj.steps} steps "
         f"({traj.rejected} rejected: {traj.rejected_error} error, "
         f"{traj.rejected_guard} guard), {traj.rhs_calls} RHS calls, "
-        f"min gap {traj.min_gap:.3e}"
+        f"min gap {float(traj.min_gap)!r}"  # every digit: it reads back exactly
     )
     return EXIT_OK
 
@@ -146,7 +146,7 @@ def _read_path_csv(path: str):
     header = [name.strip() for name in rows[0]]
     if any(len(row) != len(header) for row in rows):
         raise ValueError("the CSV has rows of unequal length")
-    if len(rows) < 4:  # a header and the three rows detect_period needs
+    if len(rows) < 4:  # a header and the 2 shift + 1 >= 3 rows detect_period needs
         raise ValueError(
             f"the CSV needs at least three rows of data, not {len(rows) - 1}")
     n = max(1, sum(name.startswith("x") for name in header) // 2)
@@ -176,7 +176,8 @@ def cmd_period(args) -> int:
             raise ConfigError(f"{flag} must be {rule}, not {value!r}")
     try:
         path = solvers.LabeledPath(*_read_path_csv(args.trajectory))
-        # a ValueError here: the grid is not uniform or its step does not divide T
+        # a ValueError here: the grid is not uniform, its step does not divide T
+        # or it is too short to compare p = 1
         rep = solvers.detect_period(path, args.period, args.p_max, period_tol=args.tol)
     except (OSError, ValueError, csv.Error) as e:
         raise ConfigError(str(e)) from e

@@ -283,10 +283,12 @@ def detect_period(
     period_tol: float = DEFAULT_PERIOD_TOL,
 ) -> PeriodReport:
     """Smallest integer p <= p_max with x(t + pT) = x(t) (labeled, uniform
-    over the available overlap)."""
-    times = path.times
-    if len(times) < 3:
-        raise NoPeriodFound("path too short")
+    over one full base period, t = 0..T).  A multiple p is compared only
+    when the path holds (p + 1) T of it; ValueError when not even p = 1
+    is, and NoPeriodFound names the largest p compared."""
+    times, rows = path.times, len(path.times)
+    if rows < 2:
+        raise ValueError("detect_period needs at least two rows")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-6, atol=1e-12):
         raise ValueError("detect_period needs a uniform grid")
@@ -296,13 +298,17 @@ def detect_period(
     shift = int(round(per))
     if shift < 1 or abs(per - shift) > 1e-6 * per:
         raise ValueError("grid spacing must divide the base period")
+    if rows < 2 * shift + 1:
+        raise ValueError(f"the path has {rows} rows; a base period of {shift} grid "
+                         f"steps needs {2 * shift + 1} to compare p = 1")
+    p_top = min(p_max, (rows - 1) // shift - 1)
     scale = max(1.0, float(np.max(np.abs(path.values))))
-    for p in range(1, p_max + 1):
+    base = path.values[: shift + 1]
+    for p in range(1, p_top + 1):
         s = p * shift
-        if s >= len(times) - 1:
-            break
-        overlap = min(len(times) - s, shift + 1)
-        dev = np.max(np.abs(path.values[s : s + overlap] - path.values[:overlap]))
+        dev = np.max(np.abs(path.values[s : s + shift + 1] - base))
         if dev < period_tol * scale:
             return PeriodReport(base_period=T, multiplier=p, residual=float(dev))
-    raise NoPeriodFound(f"no period multiple p <= {p_max} found")
+    reach = "" if p_top == p_max else (
+        f"; p = {p_top + 1} needs {(p_top + 2) * shift + 1} rows, the path has {rows}")
+    raise NoPeriodFound(f"no period multiple p <= {p_top} found{reach}")

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -637,11 +638,19 @@ class TestSimulate:
         cfg = write_config(tmp_path, dict(BASE_SIM, output=str(tmp_path / "t.csv")))
         assert main(["simulate", "--config", cfg]) == 0
         m = re.search(r"11 samples, (\d+) steps \((\d+) rejected: (\d+) error, "
-                      r"(\d+) guard\), (\d+) RHS calls, min gap \S+$",
+                      r"(\d+) guard\), (\d+) RHS calls, min gap (\S+)$",
                       capsys.readouterr().out.strip())
-        steps, rejected, error, guard, calls = map(int, m.groups())
+        steps, rejected, error, guard, calls = map(int, m.groups()[:5])
         assert rejected == error + guard
         assert calls >= 6 * (steps + error) + 1
+        # the min gap is printed in full: it reads back to the integrator's
+        # float bit for bit
+        run = cfgmod.load_config(cfg)
+        x0, v0 = dyn.build_initial_state(*run.initial, run.mu, run.tolerances)
+        traj = dyn.integrate(run.model, x0, v0, run.grid.times, run.tolerances)
+        assert (steps, error, guard, calls) == (traj.steps, traj.rejected_error,
+                                                traj.rejected_guard, traj.rhs_calls)
+        assert float(m.group(6)).hex() == float(traj.min_gap).hex()
 
     def test_output_flag_overrides(self, tmp_path):
         out = tmp_path / "other.csv"
@@ -1027,6 +1036,29 @@ class TestVerifyAndPeriod:
         assert capsys.readouterr().err == (
             "period: the CSV needs at least three rows of data, not 2\n")
 
+    def test_period_too_short_for_one_base_period_is_config_error(self, tmp_path,
+                                                                   capsys):
+        # p = 1 needs a full base period of overlap, 2 * 4 + 1 rows: four rows
+        # compare nothing, so "no multiple fits" (exit 1) would be unfounded
+        p = tmp_path / "four.csv"
+        p.write_text("t,x1_re,x1_im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
+        assert main(["period", str(p), "--period", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "period: the path has 4 rows; a base period of 4 grid steps needs 9 "
+            "to compare p = 1\n")
+
+    def test_period_multiple_needs_a_full_base_period(self, tmp_path, capsys):
+        # x(8), x(9) = x(0), x(1) is a quarter of the base period: p = 2,
+        # which needs 13 rows, is not compared, and p = 1 does not fit
+        p = tmp_path / "ten.csv"
+        p.write_text("t,x1_re,x1_im\n" + "".join(
+            f"{t},{x},0\n" for t, x in enumerate([0, 1, 2, 3, 4, 5, 6, 7, 0, 1])))
+        assert main(["period", str(p), "--period", "4"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("period: NoPeriodFound: no period multiple p <= 1 found; "
+                           "p = 2 needs 13 rows, the path has 10\n")
+
     def test_period_grid_mismatch_is_config_error(self, tmp_path, capsys):
         uniform = np.linspace(0.0, 10.0, 101)
         # period / spacing underflows to 0 or overflows to inf in the last two
@@ -1215,6 +1247,10 @@ class TestPeriodProperty:
            st.one_of(st.sampled_from(["1e-6", "0", "-1", "nan", "inf", "1e-300",
                                       "1e300"]),
                      st.floats(allow_nan=True, allow_infinity=True).map(repr)))
+    # p = 2 fits only the two rows past t = 8, a quarter of the base period
+    @example("t,x1_re,x1_im\n" + "".join(
+        f"{t},{x},0\n" for t, x in enumerate([0, 1, 2, 3, 4, 5, 6, 7, 0, 1])),
+        "4.0", 8, "1e-6")
     def test_exit_codes_and_report(self, text, period, p_max, tol):
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "path.csv"
@@ -1233,6 +1269,11 @@ class TestPeriodProperty:
             rep = json.loads(out.getvalue())
             assert math.isfinite(rep["base_period"]) and rep["base_period"] > 0
             assert 1 <= rep["multiplier"] <= p_max
+            # the reported multiple had a full base period of overlap
+            rows = list(csv.reader(io.StringIO(text)))
+            t = [float(row[rows[0].index("t")]) for row in rows[1:]]
+            shift = round(rep["base_period"] / (t[1] - t[0]))
+            assert (rep["multiplier"] + 1) * shift + 1 <= len(t)
 
 
 def test_cli_runs_without_scipy_or_jsonschema(tmp_path):

@@ -5,7 +5,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from goldgen import polycore as pc
@@ -570,6 +570,37 @@ class TestRootFinderOracle:
         except GoldgenError:
             return
         assert abs(zs[np.argmin(np.abs(zs))] - small) <= 1e-9 * abs(small)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              phases=[Phase.generate])  # a shrunk seed is just another seed
+    @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_every_scale_resolved_or_refused(self, n, batch, seed):
+        from scipy.optimize import linear_sum_assignment
+
+        # lattice zeros scaled by 2^k, k in -60..60, per row or in some rows
+        # per zero: each row comes back within 1e-9 of each true zero,
+        # relative to that zero, or is refused
+        rng = np.random.default_rng(seed)
+        zeros = _lattice_zeros(rng, batch, n)
+        per_zero = rng.random(batch) < 0.3
+        k = np.where(per_zero[:, None], rng.integers(-60, 61, (batch, n)),
+                     rng.integers(-60, 61, (batch, 1)))
+        zeros = np.ldexp(zeros.real, k) + 1j * np.ldexp(zeros.imag, k)
+        coeffs = np.array([np.poly(z)[1:] for z in zeros], dtype=complex)
+        got, errors = pc.zeros_batch(coeffs)
+        assert all(isinstance(e, GoldgenError) for e in errors.values())
+        powers = np.arange(1, n + 1)
+        for r in sorted(set(range(batch)) - set(errors)):
+            # mpmath starts near the unit circle: give it the row in the exact
+            # power-of-two substitution z = 2^e w that balances it
+            e = int(np.rint(np.max(np.log2(np.abs(coeffs[r])) / powers)))
+            w = np.ldexp(coeffs[r].real, -e * powers) + 1j * np.ldexp(
+                coeffs[r].imag, -e * powers)
+            truth = np.ldexp(1.0, e) * _mp_zeros(w)
+            rel = np.abs(got[r][:, None] - truth[None, :]) / np.abs(truth)
+            worst = rel[linear_sum_assignment(rel)].max()
+            assert worst <= 1e-9, (r, k[r].tolist(), worst)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP items 6 and 11")
     def test_wilkinson_survives_start_rotation(self, monkeypatch):

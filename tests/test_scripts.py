@@ -64,22 +64,18 @@ def test_same_answers_measures_what_moved(monkeypatch):
     from same_answers import compare
 
     case = {"workload": "solve", "seed": 5, "index": 0, "kind": "iso N=3 depth=0",
-            "output": "t,x1_re\n0,0.5\n1,-2\n", "console": "wrote <workdir>/case1.csv",
-            "counters": ""}
+            "output": "t,x1_re\n0,0.5\n1,-2\n", "console": "wrote <workdir>/case1.csv"}
     moved = dict(case, output="t,x1_re\n0,0.5\n1,-2.0000000000000004\n")
-    # simulate's console line carries its steps, rejections and RHS calls:
-    # one more step differs even when the CSVs agree
+    # simulate's console line carries its steps, rejections, RHS calls and
+    # min gap: one more step differs even when the CSVs agree
     line = ("wrote <workdir>/case1.csv: 241 samples, %d steps (0 rejected: 0 error, "
-            "0 guard), 1039 RHS calls, min gap 3.000e-01")
-    counters = ("min_gap %s, steps 173, rejected_error 0, rejected_guard 0, "
-                "rhs_calls 1039")
-    run = dict(case, workload="simulate", console=line % 173,
-               counters=counters % "0.30000000000000004")
+            "0 guard), 1039 RHS calls, min gap %r")
+    run = dict(case, workload="simulate", console=line % (173, 0.30000000000000004))
     report = compare(
         {"cases": [case, case, run, run],
          "verify": {"s: a": "0.0", "s: b": "1e-15", "s: old": "2.0"}},
-        {"cases": [case, moved, dict(run, console=line % 174),
-                   dict(run, counters=counters % "0.3")],
+        {"cases": [case, moved, dict(run, console=line % (174, 0.30000000000000004)),
+                   dict(run, console=line % (173, 0.3))],
          "verify": {"s: a": "4e-16", "s: b": "1e-15", "s: new": "2.0"}})
     assert not report["identical"]
     same, diff, steps, gap = report["cases"]
@@ -89,9 +85,9 @@ def test_same_answers_measures_what_moved(monkeypatch):
     assert diff["max_rel"] == 4.440892098500626e-16 / 2.0000000000000004
     assert steps["output_identical"] and not steps["console_identical"]
     assert not steps["identical"] and steps["max_abs"] == 1.0
-    # a min_gap that moves past the console's four digits still differs
-    assert gap["output_identical"] and gap["console_identical"]
-    assert not gap["counters_identical"] and not gap["identical"]
+    # a min_gap that moves past the fourth digit still differs
+    assert gap["output_identical"] and not gap["console_identical"]
+    assert not gap["identical"]
     assert gap["max_abs"] == 0.30000000000000004 - 0.3
     # a renamed check is one removed and one added, not a difference
     a, b, new, old = report["verify"]
