@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Same answers: every bench case and every `verify` residual, parent
-against this working tree.
+"""Same answers: every bench case, every `verify` residual and the root
+corpus's zeros, parent against this working tree.
 
     python3 scripts/same_answers.py PARENT_REV [--seeds 5 11] [--out FILE]
 
@@ -8,11 +8,14 @@ Extracts the committed files of PARENT_REV (`bench_pairs.extract`) into a
 temporary directory and runs one worker interpreter per tree, each importing
 its own goldgen and its own bench/workloads.py.  The worker code (`collect`
 below) comes from this tree and runs against both `src/` trees; it calls
-only the bench's entry points and `verify.SUITES`, which both trees keep.
-A worker runs the first CASES cases of the `solve`, `simulate`, `generate`
-and `oracle` workloads for each seed through `make_case`, `prepare` and
-`execute`, the bench's own entry points (read, never edited), and then
-every `verify` suite, as `goldgen verify all` does.
+only the bench's entry points, `verify.SUITES` and `polycore.zeros_batch`,
+which both trees keep.  A worker runs the first CASES cases of the `solve`,
+`simulate`, `generate` and `oracle` workloads for each seed through
+`make_case`, `prepare` and `execute`, the bench's own entry points (read,
+never edited), then every `verify` suite, as `goldgen verify all` does, and
+then solves each row of the root corpus (`root_rows`) alone with
+`zeros_batch` at the default tolerances.  The corpus reaches the root
+finder's stall and step-floor exits, which no bench case takes.
 
 Per case it compares the output and the console text: for the CLI
 workloads the bytes of the file the case writes and what the command
@@ -24,9 +27,12 @@ differs gets the largest absolute and relative difference
 (|c - p| / max(|p|, |c|)) over the numbers of its output and console
 text, inf when the two hold different counts of numbers.  Each
 `verify` residual is compared by `repr`; a check that only one tree runs
-counts as added or removed.  It prints one line per difference and a
-summary, writes the lot as JSON with --out, and exits 1 when anything
-differs.  Timing is `bench_pairs.py`'s job, not this one's.
+counts as added or removed.  A corpus row's record is the `repr` of its
+zeros and, for a refused row, its error as `Type: message`; a row that
+differs gets the same largest differences as a case.  It prints one line
+per difference and a summary, writes the lot as JSON with --out, and
+exits 1 when anything differs.  Timing is `bench_pairs.py`'s job, not
+this one's.
 
 A run over the default seeds takes about 7 s on 2 cores.
 """
@@ -45,6 +51,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from bench_pairs import ROOT, extract, git
 
 WORKLOADS = ("solve", "simulate", "generate", "oracle")
@@ -55,15 +62,38 @@ THREAD_ENV = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
+def root_rows() -> dict:
+    """The root corpus, by name: Wilkinson 1-12 (12 stalls), the clustered
+    quintic, multiple zeros, rows that leave by the step floor ([1e200,
+    1e300], [1e120, 1e200, 1], large beside tiny), linear rows and seeded
+    rows of N 2-8 at scales 2^-60..2^60."""
+    rows = {f"wilkinson {n}": np.poly(np.arange(1, n + 1))[1:] for n in range(1, 13)}
+    for d in (1e-2, 1e-4, 1e-6, 1e-7, 1e-8):
+        rows[f"clustered {d:g}"] = np.poly([1 + d, 1 - d, -0.5 + 1j, -0.5 - 1j, 0.3j])[1:]
+    rows.update({"(z+1)^2": [2, 1], "z^2": [0, 0], "[1e200, 1e300]": [1e200, 1e300],
+                 "[1e120, 1e200, 1]": [1e120, 1e200, 1], "z^10 + 1e40": [0] * 9 + [1e40],
+                 "tiny beside large": [0.7 - 0.2j, 1e-100 * (0.3 + 0.4j)],
+                 "large beside tiny": [1e100 * (0.7 - 0.2j), 0.3 + 0.4j]})
+    for k in (-60, -35, -20, 0, 60):
+        rows[f"linear (0.3+0.4j)*2^{k}"] = [(0.3 + 0.4j) * 2.0**k]
+    rng = np.random.default_rng(0)
+    for i in range(40):
+        n, k = int(rng.integers(2, 9)), int(rng.integers(-60, 61))
+        z = np.ldexp(rng.uniform(-1, 1, (2, n)), k)
+        rows[f"seeded {i}: N={n} at 2^{k}"] = np.poly(z[0] + 1j * z[1])[1:]
+    return rows
+
+
 def collect(seeds: list, cases: int, suites: list | None) -> dict:
     """The outputs of this interpreter's goldgen, run from a tree's root:
     {"cases": [{workload, seed, index, kind, output, console}],
-     "verify": {"suite: check": repr(residual)}}."""
+     "verify": {"suite: check": repr(residual)},
+     "roots": {row name: repr(zeros) [+ "; Type: message"]}}."""
     sys.path.insert(0, "bench")
     import workloads
 
     import goldgen
-    from goldgen import verify
+    from goldgen import polycore, verify
     from goldgen.errors import GoldgenError
 
     src = Path("src").resolve()
@@ -100,7 +130,12 @@ def collect(seeds: list, cases: int, suites: list | None) -> dict:
                 residuals[f"{name}: {c.name}"] = repr(c.residual)
         except GoldgenError as e:
             residuals[f"{name}: engine failure"] = f"{type(e).__name__}: {e}"
-    return {"cases": records, "verify": residuals}
+    roots = {}
+    for name, row in root_rows().items():
+        zeros, errors = polycore.zeros_batch(np.array([row], dtype=complex))
+        roots[name] = repr(zeros[0].tolist()) + "".join(
+            f"; {type(e).__name__}: {e}" for e in errors.values())
+    return {"cases": records, "verify": residuals, "roots": roots}
 
 
 def run_tree(tree: Path, seeds: list, cases: int, suites: list | None) -> dict:
@@ -154,14 +189,22 @@ def compare(parent: dict, change: dict) -> dict:
             rec.update(difference(p, c))
         residuals.append(rec)
     kept = [r for r in residuals if "status" not in r]
+    roots = []
+    for name, p in parent["roots"].items():
+        c = change["roots"][name]
+        rec = {"row": name, "parent": p, "change": c, "identical": p == c}
+        if p != c:
+            rec.update(difference(p, c))
+        roots.append(rec)
     return {
-        "identical": all(r["identical"] for r in cases + residuals),
+        "identical": all(r["identical"] for r in cases + residuals + roots),
         "summary": {
             "cases": len(cases), "cases_identical": sum(r["identical"] for r in cases),
             "verify": len(kept), "verify_identical": sum(r["identical"] for r in kept),
             "verify_added": sum(r.get("status") == "added" for r in residuals),
-            "verify_removed": sum(r.get("status") == "removed" for r in residuals)},
-        "cases": cases, "verify": residuals}
+            "verify_removed": sum(r.get("status") == "removed" for r in residuals),
+            "roots": len(roots), "roots_identical": sum(r["identical"] for r in roots)},
+        "cases": cases, "verify": residuals, "roots": roots}
 
 
 def main(argv=None) -> int:
@@ -199,10 +242,15 @@ def main(argv=None) -> int:
                   f"{rec['parent'] or rec['change']}")
         elif not rec["identical"]:
             print(f"verify {rec['check']}: {rec['parent']} -> {rec['change']}")
+    for rec in report["roots"]:
+        if not rec["identical"]:
+            print(f"root {rec['row']}: differs, max abs {rec['max_abs']:.3g}, "
+                  f"max rel {rec['max_rel']:.3g}")
     s = report["summary"]
     print(f"cases identical: {s['cases_identical']}/{s['cases']}; verify residuals "
           f"identical: {s['verify_identical']}/{s['verify']}; verify checks added: "
-          f"{s['verify_added']}, removed: {s['verify_removed']}")
+          f"{s['verify_added']}, removed: {s['verify_removed']}; root rows "
+          f"identical: {s['roots_identical']}/{s['roots']}")
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
         print(f"wrote {args.out}")

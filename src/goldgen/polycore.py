@@ -50,14 +50,10 @@ one-polynomial-at-a-time loop: 82-103 ms).  Labels across frames come
 from `solvers.track_zeros` instead.
 
 Most of a small call is numpy's fixed price per call, so the iteration
-forms nothing it then discards: a row whose residual has settled leaves
-the working set before the pair differences and the step of that sweep
-(only a row stopped by the step floor leaves after its step), the start
-forms only rows 1..N of the shifted coefficients, and the loop's tests are
-np.count_nonzero, not the costlier any()/all() methods.  Against the
-former loop, in which settled rows still took their step, one call at
-(1, 2) / (1, 3) / (241, 4) ran x1.13-1.15 / x1.12-1.14 / x1.09-1.30 faster
-(interleaved medians of two runs, 2 cores), with every zero the same.
+forms nothing it then discards: a row that is done leaves the working set
+before the pair differences and the step of that sweep, the start forms
+only rows 1..N of the shifted coefficients, and the loop's tests are
+np.count_nonzero, not the costlier any()/all() methods.
 
 A row's zeros and errors are the same, bit for bit, whatever other rows
 share its call and whatever the memory layout of the batch.  Each max over
@@ -308,10 +304,10 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
     """Zeros of every row of a (B, N) array of monic coefficient vectors.
 
     One Aberth-Ehrlich iteration runs on all rows at once.  A row leaves
-    the working set in one of two places in a sweep: before its step, when
-    its residual at the current iterate is within tolerance (it keeps that
-    iterate, and no step is formed for it), or after its step, when the
-    step falls to rounding level (it keeps the stepped iterate).  Every
+    the working set in one place, at the top of a sweep, keeping its
+    current iterate: when its residual there is within tolerance or its
+    previous step fell to rounding level.  The loop has MAX_SWEEPS + 1
+    tops, and a row still working at the last one has stalled.  Every
     row is then Newton-polished; an empty batch returns at once.  Each row
     is first put in the exact power-of-two substitution z = 2^e w that brings
     max_k |y_k|^(1/k) within a factor sqrt(2) of 1, so the iterates neither
@@ -368,8 +364,10 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
         table = np.take(center ** np.arange(n + 1), power, axis=1)
         shifted = np.add.reduce(binom * full[:, None, :] * table, axis=2)
         radius = row_max(np.abs(shifted) ** inv_deg)[:, None]
-        # p = (z - c)^N has radius 0: start just off the multiple zero
-        radius = np.maximum(radius, 2.0**-26 * (1.0 + np.abs(center)))
+        # p = (z - c)^N has radius 0: for N > 1 start just off the multiple
+        # zero; for N = 1 the centre is the zero, exactly
+        if n > 1:
+            radius = np.maximum(radius, 2.0**-26 * (1.0 + np.abs(center)))
         x = center + radius * _start_angles(n)
 
         out = np.empty_like(x)
@@ -377,14 +375,21 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
         rows = np.arange(b)
         work_c, work_tol = c, tol_w
         cols = [work_c[:, k, None] for k in range(n)]
-        for _ in range(MAX_SWEEPS):
+        floor = False
+        for sweep in range(MAX_SWEEPS + 1):
             val, der = _horner(cols, x)
-            # a settled row leaves before its step, which it would not use;
-            # a NaN residual also settles, and the final check rejects it
-            settled = ~(row_max(np.abs(val)) > work_tol)
-            if np.count_nonzero(settled):
-                out[rows[settled]] = x[settled]
-                keep = ~settled
+            # a row leaves before its step, keeping its iterate, when its
+            # residual has settled (a NaN residual too: the final check
+            # rejects it) or when its previous step fell below rounding at
+            # the largest possible |w|; one still working at the last top
+            # has stalled
+            done = ~(row_max(np.abs(val)) > work_tol) | floor
+            if sweep == MAX_SWEEPS:
+                stalled[rows] = ~done
+                done[:] = True
+            if np.count_nonzero(done):
+                out[rows[done]] = x[done]
+                keep = ~done
                 rows = rows[keep]
                 if not rows.size:
                     break
@@ -397,29 +402,15 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
             diff.reshape(len(x), n * n)[:, :: n + 1] = np.inf
             step = val / (der - val * np.add.reduce(1.0 / diff, axis=2))
             x = x - step
-            # a step below rounding at the largest possible |w| stops a row
-            # after it (one whose residual cannot reach the tolerance)
             floor = row_max(np.abs(step)) <= _STEP_FLOOR
-            if np.count_nonzero(floor):
-                out[rows[floor]] = x[floor]
-                keep = ~floor
-                rows = rows[keep]
-                if not rows.size:
-                    break
-                x, work_c, work_tol = x[keep], work_c[keep], work_tol[keep]
-                cols = [work_c[:, k, None] for k in range(n)]
-        else:
-            out[rows] = x
-            stalled[rows] = True
 
         # Newton polish, up to _POLISH_STEPS steps per root; a pass that
         # changes no root would change none afterwards either
         cols = [c[:, k, None] for k in range(n)]
         x = out
         val, der = _horner(cols, x)
-        if np.count_nonzero(stalled):  # a stalled row is judged before polish
+        if np.count_nonzero(stalled):  # reported with its residual before polish
             pre = row_max(np.abs(val))
-            stalled &= ~(pre <= tol_w)
         polish_tol = 1e-3 * tol_w[:, None]
         for _ in range(_POLISH_STEPS):
             need = (np.abs(val) > polish_tol) & (der != 0)

@@ -405,6 +405,13 @@ class TestBatchRoots:
         assert isinstance(errors[2], RootSolveFailed)
         for r in (0, 1, 3, 4):
             assert abs(zeros[r, 0] + y[r, 0]) <= 1e-12 * max(1.0, abs(y[r, 0]))
+        # the start is the zero itself, exactly, at any normal scale: tiny
+        # rows, whose residual tolerance the start would meet, come back exact
+        k = np.array([-24, -35, -60, -300, -1049])
+        tiny = (np.ldexp(1.0, k)[:, None] * (0.3 + 0.4j) * np.array([1, 1j, -1, -1j]))
+        zeros, errors = pc.zeros_batch(tiny.reshape(-1, 1))
+        assert errors == {}
+        np.testing.assert_array_equal(zeros, -tiny.reshape(-1, 1))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_empty_batch(self, n, monkeypatch):
@@ -463,6 +470,35 @@ class TestBatchRoots:
     def test_overflowing_coefficients_raise(self):
         with pytest.raises(RootSolveFailed):
             pc.zeros_from_coeffs([1e120, 1e200, 1.0])
+
+    @pytest.mark.parametrize("coeffs, sweeps, verdict", [
+        ([-3, 2], pc.MAX_SWEEPS, None),
+        ([1e200, 1e300], pc.MAX_SWEEPS, "RootSolveFailed: root residual"),
+        ([1e100 * (0.7 - 0.2j), 0.3 + 0.4j], pc.MAX_SWEEPS, None),
+        (np.poly(np.arange(1, 13))[1:], pc.MAX_SWEEPS,
+         "RootSolveFailed: Aberth iteration stalled"),
+        ([-6, 11, -6], 4, None),
+        ([-6, 11, -6], 3, "RootSolveFailed: Aberth iteration stalled"),
+        ([1e200, 1e300], 4, "RootSolveFailed: root residual"),
+        ([1e200, 1e300], 3, "RootSolveFailed: Aberth iteration stalled"),
+    ], ids=["settle", "floor-refused", "floor-accepted", "stall",
+            "settle-at-last-top", "one-sweep-short-of-settling",
+            "floor-at-last-step", "one-sweep-short-of-the-floor"])
+    def test_verdict_by_exit(self, coeffs, sweeps, verdict, monkeypatch):
+        # a row leaves the iteration when its residual settles, when its
+        # last step fell below the step floor (a residual that cannot reach
+        # the tolerance; the last two rows are refused for it, the third is
+        # accepted), or stalls when neither holds within MAX_SWEEPS steps.
+        # Wilkinson-3 settles after its 4th step and [1e200, 1e300]'s 4th
+        # step falls below the floor: with 4 sweeps neither stalls, with 3
+        # both do
+        monkeypatch.setattr(pc, "MAX_SWEEPS", sweeps)
+        _, errors = pc.zeros_batch(np.array([coeffs], dtype=complex))
+        got = [f"{type(e).__name__}: {e}" for e in errors.values()]
+        if verdict is None:
+            assert got == []
+        else:
+            assert len(got) == 1 and got[0].startswith(verdict), got
 
     def test_stall_raises(self, monkeypatch):
         p = pc.coeffs_from_zeros([0.3, -0.7 + 0.2j, 0.5j])

@@ -48,14 +48,16 @@ def test_same_answers_against_itself(monkeypatch):
     # one case per workload and one verify suite, the working tree on both
     # sides, each in its own worker interpreter
     monkeypatch.syspath_prepend(str(SCRIPTS))
-    from same_answers import ROOT, compare, run_tree
+    from same_answers import ROOT, compare, root_rows, run_tree
 
     report = compare(*(run_tree(ROOT, [5], 1, ["isochrony"]) for _ in range(2)))
     assert [r["workload"] for r in report["cases"]] == [
         "solve", "simulate", "generate", "oracle"]
+    rows = len(root_rows())
     assert report["summary"] == {"cases": 4, "cases_identical": 4, "verify": 8,
                                  "verify_identical": 8, "verify_added": 0,
-                                 "verify_removed": 0}
+                                 "verify_removed": 0, "roots": rows,
+                                 "roots_identical": rows}
     assert report["identical"]
 
 
@@ -71,12 +73,16 @@ def test_same_answers_measures_what_moved(monkeypatch):
     line = ("wrote <workdir>/case1.csv: 241 samples, %d steps (0 rejected: 0 error, "
             "0 guard), 1039 RHS calls, min gap %r")
     run = dict(case, workload="simulate", console=line % (173, 0.30000000000000004))
+    # a root corpus row holds its zeros' repr and, when refused, its error
+    stall = "[(1+0j), (2+0j)]; RootSolveFailed: Aberth iteration stalled"
     report = compare(
         {"cases": [case, case, run, run],
-         "verify": {"s: a": "0.0", "s: b": "1e-15", "s: old": "2.0"}},
+         "verify": {"s: a": "0.0", "s: b": "1e-15", "s: old": "2.0"},
+         "roots": {"r1": "[(-1+0j)]", "r2": "[(-1e-19-2e-19j)]", "r3": stall}},
         {"cases": [case, moved, dict(run, console=line % (174, 0.30000000000000004)),
                    dict(run, console=line % (173, 0.3))],
-         "verify": {"s: a": "4e-16", "s: b": "1e-15", "s: new": "2.0"}})
+         "verify": {"s: a": "4e-16", "s: b": "1e-15", "s: new": "2.0"},
+         "roots": {"r1": "[(-1+0j)]", "r2": "[(-1e-19-3e-19j)]", "r3": stall}})
     assert not report["identical"]
     same, diff, steps, gap = report["cases"]
     assert same["identical"] and "max_abs" not in same
@@ -98,8 +104,16 @@ def test_same_answers_measures_what_moved(monkeypatch):
     assert old == {"check": "s: old", "parent": "2.0", "change": None,
                    "identical": False, "status": "removed"}
     assert {key: report["summary"][key] for key in (
-        "verify", "verify_identical", "verify_added", "verify_removed")} == {
-        "verify": 2, "verify_identical": 1, "verify_added": 1, "verify_removed": 1}
+        "verify", "verify_identical", "verify_added", "verify_removed", "roots",
+        "roots_identical")} == {
+        "verify": 2, "verify_identical": 1, "verify_added": 1, "verify_removed": 1,
+        "roots": 3, "roots_identical": 2}
+    # one moved zero: its imaginary part, relative to the larger
+    r1, r2, r3 = report["roots"]
+    assert r1["identical"] and r3["identical"] and "max_abs" not in r1
+    assert r2 == {"row": "r2", "parent": "[(-1e-19-2e-19j)]",
+                  "change": "[(-1e-19-3e-19j)]", "identical": False,
+                  "max_abs": 3e-19 - 2e-19, "max_rel": (3e-19 - 2e-19) / 3e-19}
 
 
 def test_bench_pairs_replaces_the_out_file(monkeypatch, tmp_path):
