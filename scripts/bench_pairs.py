@@ -11,7 +11,9 @@ there and in this working tree, one run at a time.  Pair i uses the i-th
 named seed on both sides; even pairs run the parent first, odd pairs the
 change.  For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, the change's median as a multiple of the parent's, and
-how many pairs the change won (strictly better in the metric's direction).
+how many pairs the change won (strictly better in the metric's direction)
+and whether a claimed gain holds ("claim_holds": won at least 9 of 10
+pairs, and the change's median is beyond the parent's quartile distance).
 The out file holds every run's result and both sides' provenance as
 bench/run.py records it (machine, versions, commit or source hash, seed);
 an existing out file is replaced.
@@ -102,13 +104,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         chg = [p["change"]["metrics"][name]["value"] for p in pairs]
         wins = sum((c > q) if higher else (c < q) for q, c in zip(par, chg))
         sp, sc = quartiles(par), quartiles(chg)
+        # the gain in the median exceeds the parent's quartile distance
+        gain = (sc["median"] - sp["median"]) * (1 if higher else -1)
+        beyond = gain > sp["q3"] - sp["q1"]
         out[name] = {
             "better": m["better"], "bound": m["bound"], "parent": sp, "change": sc,
             "ratio": sc["median"] / sp["median"] if sp["median"] else None,
-            "wins": wins, "pairs": len(pairs),
-            # the gain in the median exceeds the parent's quartile distance
-            "beyond_parent_iqr": ((sc["median"] - sp["median"]) * (1 if higher else -1)
-                                  > sp["q3"] - sp["q1"]),
+            "wins": wins, "pairs": len(pairs), "beyond_parent_iqr": beyond,
+            # what a claimed gain must show: 9 of 10 pairs won, and beyond
+            "claim_holds": wins >= 0.9 * len(pairs) and beyond,
         }
     return out
 
@@ -160,7 +164,8 @@ def main(argv=None) -> int:
                       f"[{s['parent']['q1']:.5g}, {s['parent']['q3']:.5g}]  change "
                       f"{s['change']['median']:10.5g} [{s['change']['q1']:.5g}, "
                       f"{s['change']['q3']:.5g}]  x{s['ratio'] or float('nan'):.3f}  "
-                      f"won {s['wins']}/{s['pairs']}")
+                      f"won {s['wins']}/{s['pairs']}  claim holds: "
+                      f"{'yes' if s['claim_holds'] else 'no'}")
             seed = args.seeds[0]
             traced = {side: run_bench(trees[side], workload, seed, TRACED_SECONDS,
                                       trace=1)[0]["metrics"]

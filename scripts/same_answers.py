@@ -17,22 +17,20 @@ then solves each row of the root corpus (`root_rows`) alone with
 `zeros_batch` at the default tolerances.  The corpus reaches the root
 finder's stall and step-floor exits, which no bench case takes.
 
-Per case it compares the output and the console text: for the CLI
-workloads the bytes of the file the case writes and what the command
-printed (the work directory's path masked), for `oracle` the tree's JSON
-and the `repr` of the deviations from the closed form; an error counts as
-console text.  `simulate`'s console line holds every integrator counter
-and the min gap's `repr`, so a moved step or gap shows there.  A case that
-differs gets the largest absolute and relative difference
-(|c - p| / max(|p|, |c|)) over the numbers of its output and console
-text, inf when the two hold different counts of numbers.  Each
-`verify` residual is compared by `repr`; a check that only one tree runs
-counts as added or removed.  A corpus row's record is the `repr` of its
-zeros and, for a refused row, its error as `Type: message`; a row that
-differs gets the same largest differences as a case.  It prints one line
-per difference and a summary, writes the lot as JSON with --out, and
-exits 1 when anything differs.  Timing is `bench_pairs.py`'s job, not
-this one's.
+Each kind's records are one map from name to text: "cases" holds a bench
+case's output and console text as "<workload> seed <s> case <i> (<kind>)
+output" and "... console" (the file a CLI case writes and what it printed,
+the work directory masked; `oracle`'s tree JSON and the `repr` of its
+deviations; an error is console text), "verify" each residual's `repr`,
+"roots" each corpus row's zeros' `repr` and any error as `Type: message`.
+`simulate`'s console line holds every integrator counter and the min gap's
+`repr`.  One rule compares two maps: a record is identical, differs (with
+the largest absolute and relative difference, |c - p| / max(|p|, |c|),
+over its numbers; inf when their counts differ), or is added or removed.
+It prints each record that is not identical and one summary line per
+kind, writes the lot as JSON with --out (texts of up to SHORT_TEXT
+characters included: not the case files), and exits 1 unless every record
+is identical.  Timing is `bench_pairs.py`'s job, not this one's.
 
 A run over the default seeds takes about 7 s on 2 cores.
 """
@@ -56,6 +54,7 @@ from bench_pairs import ROOT, extract, git
 
 WORKLOADS = ("solve", "simulate", "generate", "oracle")
 CASES = 16  # per workload and seed: one cycle of the solve/simulate kinds
+SHORT_TEXT = 1000  # longest text the report copies: corpus rows, not case files
 # one BLAS thread, as bench/run.py runs its cases
 THREAD_ENV = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
@@ -65,15 +64,18 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)
 def root_rows() -> dict:
     """The root corpus, by name: Wilkinson 1-12 (12 stalls), the clustered
     quintic, multiple zeros, rows that leave by the step floor ([1e200,
-    1e300], [1e120, 1e200, 1], large beside tiny), linear rows and seeded
-    rows of N 2-8 at scales 2^-60..2^60."""
+    1e300], [1e120, 1e200, 1], large beside tiny), rows with a coefficient
+    whose finite parts have a modulus past float range, linear rows and
+    seeded rows of N 2-8 at scales 2^-60..2^60."""
     rows = {f"wilkinson {n}": np.poly(np.arange(1, n + 1))[1:] for n in range(1, 13)}
     for d in (1e-2, 1e-4, 1e-6, 1e-7, 1e-8):
         rows[f"clustered {d:g}"] = np.poly([1 + d, 1 - d, -0.5 + 1j, -0.5 - 1j, 0.3j])[1:]
+    big = -1.5e308 + 1.5e308j  # |big| overflows
     rows.update({"(z+1)^2": [2, 1], "z^2": [0, 0], "[1e200, 1e300]": [1e200, 1e300],
                  "[1e120, 1e200, 1]": [1e120, 1e200, 1], "z^10 + 1e40": [0] * 9 + [1e40],
                  "tiny beside large": [0.7 - 0.2j, 1e-100 * (0.3 + 0.4j)],
-                 "large beside tiny": [1e100 * (0.7 - 0.2j), 0.3 + 0.4j]})
+                 "large beside tiny": [1e100 * (0.7 - 0.2j), 0.3 + 0.4j],
+                 "modulus overflows": [big], "[0, modulus overflows]": [0, big]})
     for k in (-60, -35, -20, 0, 60):
         rows[f"linear (0.3+0.4j)*2^{k}"] = [(0.3 + 0.4j) * 2.0**k]
     rng = np.random.default_rng(0)
@@ -85,10 +87,10 @@ def root_rows() -> dict:
 
 
 def collect(seeds: list, cases: int, suites: list | None) -> dict:
-    """The outputs of this interpreter's goldgen, run from a tree's root:
-    {"cases": [{workload, seed, index, kind, output, console}],
-     "verify": {"suite: check": repr(residual)},
-     "roots": {row name: repr(zeros) [+ "; Type: message"]}}."""
+    """The outputs of this interpreter's goldgen, run from a tree's root,
+    one map from record name to text per kind: {"cases": {"<case> output"
+    or "<case> console": text}, "verify": {"suite: check": repr(residual)},
+    "roots": {row name: repr(zeros) [+ "; Type: message"]}}."""
     sys.path.insert(0, "bench")
     import workloads
 
@@ -99,7 +101,7 @@ def collect(seeds: list, cases: int, suites: list | None) -> dict:
     src = Path("src").resolve()
     if src not in Path(goldgen.__file__).resolve().parents:
         raise RuntimeError(f"imported {goldgen.__file__}, not the tree's {src}")
-    records = []
+    texts = {}
     with tempfile.TemporaryDirectory(prefix="same_answers-") as workdir:
         for seed in seeds:
             for workload in WORKLOADS:
@@ -119,10 +121,9 @@ def collect(seeds: list, cases: int, suites: list | None) -> dict:
                         with contextlib.suppress(FileNotFoundError):
                             output = Path(case.output).read_text(encoding="utf-8")
                             os.remove(case.output)
-                    records.append({
-                        "workload": workload, "seed": seed, "index": index,
-                        "kind": case.kind, "output": output,
-                        "console": console.replace(workdir, "<workdir>")})
+                    name = f"{workload} seed {seed} case {index} ({case.kind})"
+                    texts[f"{name} output"] = output
+                    texts[f"{name} console"] = console.replace(workdir, "<workdir>")
     residuals = {}
     for name in suites or verify.SUITES:
         try:
@@ -135,7 +136,7 @@ def collect(seeds: list, cases: int, suites: list | None) -> dict:
         zeros, errors = polycore.zeros_batch(np.array([row], dtype=complex))
         roots[name] = repr(zeros[0].tolist()) + "".join(
             f"; {type(e).__name__}: {e}" for e in errors.values())
-    return {"cases": records, "verify": residuals, "roots": roots}
+    return {"cases": texts, "verify": residuals, "roots": roots}
 
 
 def run_tree(tree: Path, seeds: list, cases: int, suites: list | None) -> dict:
@@ -169,42 +170,27 @@ def difference(parent: str, change: str) -> dict:
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Case by case and residual by residual, the two trees' collect()."""
-    cases = []
-    for p, c in zip(parent["cases"], change["cases"], strict=True):
-        rec = {key: p[key] for key in ("workload", "seed", "index", "kind")}
-        rec["output_identical"] = p["output"] == c["output"]
-        rec["console_identical"] = p["console"] == c["console"]
-        rec["identical"] = rec["output_identical"] and rec["console_identical"]
-        if not rec["identical"]:
-            rec.update(difference(*(r["output"] + "\n" + r["console"] for r in (p, c))))
-        cases.append(rec)
-    residuals = []
-    for name in sorted(set(parent["verify"]) | set(change["verify"])):
-        p, c = parent["verify"].get(name), change["verify"].get(name)
-        rec = {"check": name, "parent": p, "change": c, "identical": p == c}
-        if p is None or c is None:  # a check only one tree runs
-            rec["status"] = "added" if p is None else "removed"
-        elif p != c:
-            rec.update(difference(p, c))
-        residuals.append(rec)
-    kept = [r for r in residuals if "status" not in r]
-    roots = []
-    for name, p in parent["roots"].items():
-        c = change["roots"][name]
-        rec = {"row": name, "parent": p, "change": c, "identical": p == c}
-        if p != c:
-            rec.update(difference(p, c))
-        roots.append(rec)
-    return {
-        "identical": all(r["identical"] for r in cases + residuals + roots),
-        "summary": {
-            "cases": len(cases), "cases_identical": sum(r["identical"] for r in cases),
-            "verify": len(kept), "verify_identical": sum(r["identical"] for r in kept),
-            "verify_added": sum(r.get("status") == "added" for r in residuals),
-            "verify_removed": sum(r.get("status") == "removed" for r in residuals),
-            "roots": len(roots), "roots_identical": sum(r["identical"] for r in roots)},
-        "cases": cases, "verify": residuals, "roots": roots}
+    """Kind by kind and name by name, the two trees' collect(): each record
+    identical, differing, or added or removed (in one tree only)."""
+    records, summary = {}, {}
+    for kind, old in parent.items():
+        new = change[kind]
+        records[kind] = []
+        for name in [*old, *(name for name in new if name not in old)]:
+            p, c = old.get(name), new.get(name)
+            status = ("identical" if p == c else "added" if p is None
+                      else "removed" if c is None else "differs")
+            rec = {"name": name, "status": status}
+            if status == "differs":
+                rec.update(difference(p, c))
+            if len(p or "") <= SHORT_TEXT and len(c or "") <= SHORT_TEXT:
+                rec.update(parent=p, change=c)
+            records[kind].append(rec)
+        summary[kind] = {status: sum(r["status"] == status for r in records[kind])
+                         for status in ("identical", "differs", "added", "removed")}
+    return {"identical": all(r["status"] == "identical"
+                             for recs in records.values() for r in recs),
+            "summary": summary, **records}
 
 
 def main(argv=None) -> int:
@@ -231,26 +217,14 @@ def main(argv=None) -> int:
               "change_dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
               "seeds": args.seeds, "cases_per_workload": CASES,
               **compare(outputs["parent"], outputs["change"])}
-    for rec in report["cases"]:
-        if not rec["identical"]:
-            print(f"{rec['workload']:8s} seed {rec['seed']} case {rec['index']} "
-                  f"({rec['kind']}): differs, max abs {rec['max_abs']:.3g}, "
-                  f"max rel {rec['max_rel']:.3g}")
-    for rec in report["verify"]:
-        if "status" in rec:
-            print(f"verify {rec['check']}: {rec['status']}, "
-                  f"{rec['parent'] or rec['change']}")
-        elif not rec["identical"]:
-            print(f"verify {rec['check']}: {rec['parent']} -> {rec['change']}")
-    for rec in report["roots"]:
-        if not rec["identical"]:
-            print(f"root {rec['row']}: differs, max abs {rec['max_abs']:.3g}, "
-                  f"max rel {rec['max_rel']:.3g}")
-    s = report["summary"]
-    print(f"cases identical: {s['cases_identical']}/{s['cases']}; verify residuals "
-          f"identical: {s['verify_identical']}/{s['verify']}; verify checks added: "
-          f"{s['verify_added']}, removed: {s['verify_removed']}; root rows "
-          f"identical: {s['roots_identical']}/{s['roots']}")
+    for kind, s in report["summary"].items():
+        for rec in report[kind]:
+            if rec["status"] != "identical":
+                moved = (f", max abs {rec['max_abs']:.3g}, max rel {rec['max_rel']:.3g}"
+                         if "max_abs" in rec else "")
+                print(f"{kind} {rec['name']}: {rec['status']}{moved}")
+        print(f"{kind}: {s['identical']}/{s['identical'] + s['differs']} identical, "
+              f"{s['added']} added, {s['removed']} removed")
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
         print(f"wrote {args.out}")

@@ -317,9 +317,10 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
 
     Each row keeps the scalar guarantees, with scale = max(1, max_k |y_k|):
     residual <= root_tol * scale, else RootSolveFailed (also for a row with
-    a non-finite entry, one that does not converge within MAX_SWEEPS or one
-    whose iterates leave the floating-point range); minimum pairwise gap >
-    sep_tol * scale, else DegenerateZeros.
+    a non-finite entry or a coefficient whose modulus overflows, one that
+    does not converge within MAX_SWEEPS or one whose iterates leave the
+    floating-point range); minimum pairwise gap > sep_tol * scale, else
+    DegenerateZeros.
 
     Returns (zeros, errors): zeros[b] holds row b's zeros in canonical
     order, and errors maps each failed row, in increasing row order, to the
@@ -332,11 +333,13 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
     b, n = c.shape
     if not b:
         return np.empty((0, n), dtype=np.complex128), {}
-    finite = np.isfinite(c).all(axis=1)
+    mag = np.abs(c)
+    # a NaN or infinite part, or finite parts whose modulus overflows
+    finite = np.isfinite(mag).all(axis=1)
     if np.count_nonzero(finite) < b:  # such a row is solved as z^N and then failed
         c = np.where(finite[:, None], c, 0.0)
+        mag = np.where(finite[:, None], mag, 0.0)
     inv_deg, binom, power = _tables(n)
-    mag = np.abs(c)
     scale = np.maximum(1.0, row_max(mag))
     res_tol = tol.root_tol * scale
     sep = tol.sep_tol * scale
@@ -431,7 +434,9 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
         if np.count_nonzero(failed):
             for r in np.flatnonzero(failed):
                 if not finite[r]:
-                    err = RootSolveFailed("non-finite coefficients")
+                    err = RootSolveFailed(
+                        "non-finite coefficients: some |y_k| is NaN or overflows"
+                    )
                 elif not np.isfinite(x[r]).all():
                     err = RootSolveFailed(
                         "root iterates left the floating-point range; "

@@ -413,6 +413,21 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("generate: RootSolveFailed: ")
         assert not (tmp_path / "tree.json").exists()
 
+    def test_seed_modulus_overflow_is_root_solve_failed(self, tmp_path, capsys):
+        # finite parts whose modulus, 2.1e308, overflows: refused before any
+        # tolerance is scaled by it (an inf scale fails the gap test as
+        # "gap inf <= inf")
+        cfg = write_config(
+            tmp_path,
+            {"seed_coeffs": [[-1.5e308, 1.5e308]], "depth": 1,
+             "output": str(tmp_path / "tree.json")},
+        )
+        assert main(["generate", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "generate: RootSolveFailed: non-finite coefficients: "
+            "some |y_k| is NaN or overflows\n")
+        assert not (tmp_path / "tree.json").exists()
+
     def test_budget_exceeded_is_numeric_error(self, tmp_path):
         cfg = write_config(
             tmp_path,

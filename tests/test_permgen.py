@@ -147,6 +147,10 @@ class TestGenerationTree:
         assert [len(tree.level(k)) for k in (1, 2, 3)] == [2, 4, 8]
         assert not tree.failed
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            pg.generation_tree(MonicPoly([1.0, -1.0 + 0.5j]), depth=-1)
+
     def test_budget_enforced(self):
         with pytest.raises(TreeBudgetExceeded):
             pg.generation_tree(MonicPoly([0, 0, 0, -1.0]), depth=5,

@@ -457,6 +457,25 @@ class TestBatchRoots:
         np.testing.assert_array_equal(zeros[0], alone[0])
         np.testing.assert_array_equal(zeros[2], alone[0])
 
+    @pytest.mark.parametrize("row", [[-1.5e308 + 1.5e308j], [0, -1.5e308 + 1.5e308j],
+                                     [-1.5e308 + 1.5e308j, 1]])
+    def test_overflowing_modulus_is_refused(self, row):
+        # finite parts whose modulus overflows would give an inf scale
+        # ("gap inf <= inf") or iterates past float range: each row is
+        # refused up front, and a row beside it in the batch keeps its bits
+        good = np.poly([1.0, 2.0])[1:]
+        alone, _ = pc.zeros_batch(good[None, :len(row)])
+        zeros, errors = pc.zeros_batch(np.array([good[:len(row)], row]))
+        assert list(errors) == [1]
+        assert isinstance(errors[1], RootSolveFailed)
+        assert str(errors[1]) == "non-finite coefficients: some |y_k| is NaN or overflows"
+        np.testing.assert_array_equal(zeros[0], alone[0])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (1, 2, 2)])
+    def test_coefficient_array_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=r"\(B, N\) coefficient array"):
+            pc.zeros_batch(np.zeros(shape, dtype=complex))
+
     def test_large_coefficients_are_rescaled(self):
         # zeros of z^10 + 1e40 have modulus 1e4, but z^10 overflows near
         # a start radius of 1e40: the power-of-two substitution avoids it

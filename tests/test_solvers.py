@@ -231,6 +231,15 @@ class TestDetectPeriod:
         with pytest.raises(NoPeriodFound):
             sv.detect_period(sv.LabeledPath(ts, vals), T=1.0, p_max=6)
 
+    def test_two_rows_needed(self):
+        path = sv.LabeledPath([0.0], np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="at least two rows"):
+            sv.detect_period(path, T=1.0, p_max=3)
+
+    def test_path_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            sv.LabeledPath(np.arange(3.0), np.zeros((2, 1)))
+
     def test_nonuniform_grid_rejected(self):
         ts = np.array([0.0, 0.1, 0.5, 0.6])
         vals = np.zeros((4, 1), dtype=np.complex128)
