@@ -19,7 +19,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -36,20 +35,18 @@ EXIT_NUMERIC = 3
 
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temporary file, which no failure leaves behind, with
-    the mode open(path, "w") leaves: the old file's, else 0o666 & ~umask."""
+    the mode open(path, "w") leaves: the old file's, else a new file's."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".goldgen-{os.urandom(8).hex()}")
     try:
+        fh = open(tmp, "xb")  # a new file: 0o666 less the file-creation mask
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0o077)  # the only way to read it is to set it
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".goldgen-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.chmod(tmp, mode)
+            with fh:
+                fh.write(text.encode())
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

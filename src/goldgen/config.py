@@ -101,26 +101,29 @@ def _violation(value, schema: dict, field: str = "") -> str | None:
             finite = False
         if not finite:
             raise ConfigError(f"{where} is not a finite number within float range")
-    children = []
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
+    elif isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
                 return f"{_join(field, key)}: required property is missing"
+        props = schema.get("properties", {})
         for key in value if "additionalProperties" in schema else ():
             if key not in props:
                 return f"{_join(field, key)}: property is not allowed"
-        children = [(value[k], sub, _join(field, k))
-                    for k, sub in props.items() if k in value]
-    if isinstance(value, list):
+        for key, sub in props.items():
+            if key in value:
+                error = _violation(value[key], sub, _join(field, key))
+                if error is not None:
+                    return error
+    elif isinstance(value, list):
         for key, bound in (("minItems", "minimum"), ("maxItems", "maximum")):
             fails, reason = _BOUNDS[bound]
             if key in schema and fails(len(value), schema[key]):
                 return f"{where}: length {len(value)} is {reason} {schema[key]!r}"
-        if "items" in schema:
-            children = [(item, schema["items"], f"{field}[{i}]")
-                        for i, item in enumerate(value)]
-    return next(filter(None, (_violation(*child) for child in children)), None)
+        for i, item in enumerate(value if "items" in schema else ()):
+            error = _violation(item, schema["items"], f"{field}[{i}]")
+            if error is not None:
+                return error
+    return None
 
 
 def pairs_to_complex(pairs) -> np.ndarray:

@@ -294,10 +294,9 @@ def _horner(cols, x):
 
 def canonical_order(x) -> np.ndarray:
     """Indices that order x along its last axis by ascending real part, ties
-    by ascending imaginary part: the canonical order of a zero set, taken
-    row by row for a batch."""
-    x = np.asarray(x)
-    return np.lexsort((x.imag, x.real), axis=-1)
+    by ascending imaginary part (numpy's complex sort order): the canonical
+    order of a zero set, taken row by row for a batch."""
+    return np.argsort(x, axis=-1, kind="stable")
 
 
 def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
@@ -318,8 +317,8 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
     Each row keeps the scalar guarantees, with scale = max(1, max_k |y_k|):
     residual <= root_tol * scale, else RootSolveFailed (also for a row with
     a non-finite entry or a coefficient whose modulus overflows, one that
-    does not converge within MAX_SWEEPS or one whose iterates leave the
-    floating-point range); minimum pairwise gap > sep_tol * scale, else
+    does not converge within MAX_SWEEPS or one whose iterates become
+    non-finite); minimum pairwise gap > sep_tol * scale, else
     DegenerateZeros.
 
     Returns (zeros, errors): zeros[b] holds row b's zeros in canonical
@@ -439,8 +438,7 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
                     )
                 elif not np.isfinite(x[r]).all():
                     err = RootSolveFailed(
-                        "root iterates left the floating-point range; "
-                        "coefficients too large or too small"
+                        "root iterates became non-finite (NaN or infinite)"
                     )
                 elif stalled[r]:
                     err = RootSolveFailed(
@@ -458,7 +456,7 @@ def zeros_batch(coeffs, tol: Tolerances = Tolerances()):
                         f"<= {sep[r]:.3e}"
                     )
                 errors[int(r)] = err
-    return x[np.arange(b)[:, None], canonical_order(x)], errors
+    return np.sort(x, axis=1), errors
 
 
 def zeros_from_coeffs(coeffs, tol: Tolerances = Tolerances()) -> np.ndarray:

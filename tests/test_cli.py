@@ -566,6 +566,21 @@ def test_output_gets_the_mode_a_plain_write_gives(tmp_path, command):
     assert stat.S_IMODE(old.stat().st_mode) == 0o604
 
 
+@pytest.mark.parametrize("command", ["generate", "simulate", "solve"])
+def test_new_output_leaves_the_umask_alone(tmp_path, monkeypatch, command):
+    # the umask is process-wide: setting it, even to read it, races with
+    # other threads
+    raw = dict(BASE_SIM, seed_coeffs=BASE_SIM["initial"]["positions"], depth=1)
+    config = write_config(tmp_path, raw)
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    assert main([command, "--config", config, "--output", str(tmp_path / "new")]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["new", "run.json"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "solve"])
 def test_output_times_are_computed_once(tmp_path, monkeypatch, command):
     # the config check and the command share one array of output times

@@ -433,6 +433,44 @@ class TestBatchRoots:
         order = pc.canonical_order(x)
         np.testing.assert_array_equal(order, [[2, 1, 0], [1, 0, 2]])
 
+    def test_canonical_order_is_lexsort_order(self):
+        # numpy's complex sort is (re, im) order; lexsort is the reference
+        ties = np.array([1 + 2j, 1 - 1j, -3 + 0j, 1 + 0j, 1 - 1j])
+        zeros = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), -1j,
+                          complex(-0.0, -1.0), complex(0.0, 1.0), 0j])
+        rng = np.random.default_rng(11)
+        batch = rng.integers(-2, 3, (8, 6)) + 1j * rng.integers(-2, 3, (8, 6))
+        for x in (ties, zeros, batch, batch.real):
+            np.testing.assert_array_equal(pc.canonical_order(x),
+                                          np.lexsort((x.imag, x.real), axis=-1))
+
+    def test_zeros_batch_rows_in_lexsort_order(self):
+        rng = np.random.default_rng(5)
+        sets = [*_lattice_zeros(rng, 20, 4), [1, 1 + 1j, 1 - 1j, -2],
+                [-1j, 1j, 0.5, -0.5], [2 + 1j, 2 - 1j, 2, 3j]]
+        zeros, errors = pc.zeros_batch(np.array([np.poly(z)[1:] for z in sets]))
+        assert errors == {}
+        for row in zeros:
+            np.testing.assert_array_equal(np.lexsort((row.imag, row.real)), range(4))
+
+    def test_non_finite_iterates_are_refused(self, monkeypatch):
+        # a NaN start breaks the iteration down: every row, rescaled or not,
+        # ends in the non-finite-iterates error
+        monkeypatch.setattr(pc, "_START_ROTATION", np.nan)
+        pc._start_angles.cache_clear()  # the angles are cached by n
+        try:
+            for n in range(1, 5):
+                coeffs = np.array([np.poly(range(1, n + 1))[1:],
+                                   np.full(n, 1e40 - 3e39j), np.full(n, 1e-40j)])
+                _, errors = pc.zeros_batch(coeffs)
+                assert sorted(errors) == [0, 1, 2]
+                for err in errors.values():
+                    assert isinstance(err, RootSolveFailed)
+                    assert str(err) == "root iterates became non-finite (NaN or infinite)"
+        finally:
+            monkeypatch.undo()
+            pc._start_angles.cache_clear()
+
     def test_bad_rows_reported_per_row(self):
         good = np.poly([1.0, 2.0])[1:]
         double = np.poly([-1.0, -1.0])[1:]
